@@ -2,7 +2,7 @@
 summarize a directory of reports.
 
 Exit codes: 0 success, 1 a PASS criterion failed, 2 config schema violation,
-3 numerical failure.
+3 numerical or runtime failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .archive import ArchiveError, read_header
-from .experiments import NumericalFailure, SchemaError, run_experiment
+from .experiments import SchemaError, run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -29,9 +29,6 @@ def _cmd_run(args) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     passed = report.get("passed")
     status = {True: "PASS", False: "FAIL", None: "DONE"}[passed]
     print(f"[{status}] {report['experiment']}")

@@ -257,9 +257,6 @@ class IncrementSeries:
     truncated: bool               # R clipped to the lattice diameter
 
 
-_shift_slices = shift_slices
-
-
 def multiplicative_increments(fld: FourierField, m: tuple, r_max: int) -> IncrementSeries:
     """Annular increments d_r = sum_{r-1 < |j| <= r} uhat(j+m) conj(uhat(j));
     the partial sums telescope to the lattice-restricted (|u|^2)^hat(m).
@@ -275,7 +272,7 @@ def multiplicative_increments(fld: FourierField, m: tuple, r_max: int) -> Increm
     truncated = r_max > diam
     r_eff = min(r_max, diam)
     series = np.zeros(r_eff, dtype=np.complex128)
-    sl_src, sl_dst = _shift_slices(lat, tuple(m))
+    sl_src, sl_dst = shift_slices(lat, tuple(m))
     prod = fld.coef[sl_dst] * np.conj(fld.coef[sl_src])
     k1, k2 = lat.mode_arrays()
     absj = np.sqrt(k1.astype(float) ** 2 + k2.astype(float) ** 2)[sl_src]

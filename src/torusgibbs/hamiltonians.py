@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (FourierField, Lattice, ProjectionSpec, analyze_batch,
-                       hermitianize, lp_integral, project,
+                       hermitianize, intensity_mode, lp_integral, lp_integral_batch,
                        projection_multiplier, sobolev_norm, synthesize_batch)
 
 PI2 = math.pi ** 2
@@ -145,11 +145,11 @@ def kinetic_energy(fld: FourierField) -> float:
     return 0.5 * float(np.sum(fld.lattice.ksq() * np.abs(fld.coef) ** 2))
 
 
-def intensity_coefficients(fld: FourierField) -> np.ndarray:
-    """Coefficients of |u|^2 restricted to the field's own lattice; the grid
-    is zero-padded so no alias reaches the extracted modes."""
-    vals = synthesize_batch(fld.coef, fld.lattice, 2)
-    return analyze_batch((np.abs(vals) ** 2).astype(np.complex128), fld.lattice)
+def intensity_coefficients(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Coefficients of |u|^2 restricted to the lattice, batched over leading
+    axes; the grid is zero-padded so no alias reaches the extracted modes."""
+    vals = synthesize_batch(coefs, lattice, 2)
+    return analyze_batch((np.abs(vals) ** 2).astype(np.complex128), lattice)
 
 
 def _potential_support(potential: FourierField):
@@ -172,10 +172,9 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
     """Q(u) = int (V * |u|^2) |u|^2 = sum_m Vhat(m) |what(m)|^2 over a stack
     of coefficient arrays.  Sparsely supported potentials use shifted
     coefficient products; dense ones go through the zero-padded grid."""
-    from .spectral import intensity_mode
     modes, vals = _potential_support(potential)
     out = np.zeros(coefs.shape[0])
-    chunk = max(1, 2 ** 22 // max(1, coefs[0].size * 16))   # cap transients
+    chunk = max(1, 2 ** 22 // (16 * math.prod(lattice.shape)))   # cap transients
     for lo in range(0, coefs.shape[0], chunk):
         sub = coefs[lo:lo + chunk]
         if 0 < len(modes) <= 16:
@@ -192,22 +191,13 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
     return out
 
 
-def gp_quartic(u: FourierField, potential: FourierField) -> float:
-    """Q(u) = int (V * |u|^2) |u|^2 = sum_m Vhat(m) |what(m)|^2."""
-    return float(gp_quartic_batch(u.coef[None], u.lattice, potential)[0])
-
-
 def gp_wick_interaction_batch(coefs: np.ndarray, lattice: Lattice,
                               potential: FourierField, lam: float) -> np.ndarray:
+    """U(u) = (lam/4) int ((|u|^2 - int |u|^2) * V) |u|^2
+            = (lam/4) (Q(u) - Vhat(0) mass(u)^2) over a coefficient stack."""
     v0 = float(np.real(potential.zero_coef()))
     mass = np.sum(np.abs(coefs) ** 2, axis=tuple(range(1, coefs.ndim)))
     return 0.25 * lam * (gp_quartic_batch(coefs, lattice, potential) - v0 * mass ** 2)
-
-
-def gp_wick_interaction(u: FourierField, potential: FourierField, lam: float) -> float:
-    """U(u) = (lam/4) int ((|u|^2 - int |u|^2) * V) |u|^2
-            = (lam/4) (Q(u) - Vhat(0) mass(u)^2)."""
-    return float(gp_wick_interaction_batch(u.coef[None], u.lattice, potential, lam)[0])
 
 
 def number_operator(n: int, rho: float) -> float:
@@ -259,8 +249,8 @@ def energy(model, state) -> float:
         return kinetic_energy(state) - (model.lam / 6.0) * lp_integral(state, 3)
     if isinstance(model, GrossPitaevskii):
         rc = counterterm_mass(model, state.lattice.n)
-        return (kinetic_energy(state) - 0.25 * model.lam * gp_quartic(state, model.potential)
-                + 0.5 * rc * state.mass())
+        quartic = gp_quartic_batch(state.coef[None], state.lattice, model.potential)[0]
+        return kinetic_energy(state) - 0.25 * model.lam * quartic + 0.5 * rc * state.mass()
     if isinstance(model, Zakharov):
         st = state
         s_coef = st.coupled_density_coef()
@@ -272,21 +262,27 @@ def energy(model, state) -> float:
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
-def interaction_log_density(model, state) -> float:
+def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     """log of the Gibbs density against its Gaussian reference (the
-    lam-interaction term, sign per model)."""
+    lam-interaction term, sign per model) for each field of a (B, ...)
+    coefficient stack; model None is the bare reference (all zeros)."""
+    if model is None:
+        return np.zeros(coefs.shape[0])
     if isinstance(model, NLS):
-        return (model.lam / model.p) * lp_integral(state, model.p)
+        return (model.lam / model.p) * lp_integral_batch(coefs, lattice, model.p)
     if isinstance(model, KdV):
-        return (model.lam / 6.0) * lp_integral(state, 3)
+        asym = coefs - np.conj(coefs[:, ::-1])      # Hermitian to 2e-14 relative in l^2
+        if np.vdot(asym, asym).real > 4e-28 * max(1.0, np.vdot(coefs, coefs).real):
+            raise ValueError("KdV field must be real")
+        return (model.lam / 6.0) * lp_integral_batch(coefs, lattice, 3)
     if isinstance(model, GrossPitaevskii):
         # quadratic counterterm absorbed into the reference mass rho_c
-        return 0.25 * model.lam * gp_quartic(state, model.potential)
+        return 0.25 * model.lam * gp_quartic_batch(coefs, lattice, model.potential)
     if isinstance(model, GrossPitaevskiiProjected):
-        u = state
-        if model.n_project and model.n_project < u.lattice.n:
-            u = project(u, ProjectionSpec.dirichlet(model.n_project))
-        return gp_wick_interaction(u, model.potential, model.lam)
+        if model.n_project and model.n_project < lattice.n:
+            coefs = coefs * projection_multiplier(ProjectionSpec.dirichlet(model.n_project),
+                                                  lattice)
+        return gp_wick_interaction_batch(coefs, lattice, model.potential, model.lam)
     raise TypeError(f"unsupported model {type(model).__name__}")
 
 
@@ -339,7 +335,7 @@ def _potential_times_field(u: FourierField, potential: FourierField) -> np.ndarr
     lat = u.lattice
     q = max(lat.oversample, 3)
     uvals = synthesize_batch(u.coef, lat, q)
-    w = intensity_coefficients(u) * potential.coef
+    w = intensity_coefficients(u.coef, lat) * potential.coef
     wvals = synthesize_batch(w, lat, q)
     return _analyze_pointwise(np.real(wvals) * uvals, lat)
 
@@ -420,8 +416,8 @@ def _gp_hessian(model: GrossPitaevskii, u: FourierField, v: FourierField) -> Hes
     kin = float(np.sum(lat.ksq() * np.abs(v.coef) ** 2))
     rc = counterterm_mass(model, lat.n)
     mass_term = rc * v.mass()
-    wu = intensity_coefficients(u)
-    wv = intensity_coefficients(v)
+    wu = intensity_coefficients(u.coef, lat)
+    wv = intensity_coefficients(v.coef, lat)
     ug = synthesize_batch(u.coef, lat, 2)
     vg = synthesize_batch(v.coef, lat, 2)
     bcoef = _analyze_pointwise(2.0 * np.real(np.conj(ug) * vg), lat)

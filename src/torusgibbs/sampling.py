@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hamiltonians as ham
-from .spectral import (FourierField, Lattice, coords_from_coef, sobolev_weights,
-                       synthesize_batch)
+from .spectral import FourierField, Lattice, coords_from_coef, sobolev_weights
+# unused here; perfbench/test_perfbench.py checks that its tracer rebinds this name
+from .spectral import synthesize_batch  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,6 @@ class PhaseDomain:
     mass_and_sobolev(N,kap,s): additionally sum |k|^{2s} |c_k|^2 <= kap
     decay(K1,K2,s,eps):        ||u||_{H^-s} <= K1 and
                                |c_j| <= K2 |j|^{-3/4-eps} for all j != 0
-    product(parts):            componentwise (Zakharov states)
     """
 
     kind: str
@@ -131,7 +131,6 @@ class PhaseDomain:
     k1: float | None = None
     k2: float | None = None
     eps: float | None = None
-    parts: tuple = ()
 
     @classmethod
     def unrestricted(cls):
@@ -154,10 +153,6 @@ class PhaseDomain:
         if not 0 < eps < 0.125:
             raise ValueError("decay domain needs 0 < eps < 1/8")
         return cls("decay", k1=k1, k2=k2, s=s, eps=eps)
-
-    @classmethod
-    def product(cls, *parts):
-        return cls("product", parts=tuple(parts))
 
     def _arrays(self, lattice: Lattice):
         cache = getattr(self, "_cache", None)
@@ -195,14 +190,7 @@ class PhaseDomain:
             return hs_ok & ptw_ok & zero_ok
         raise ValueError(f"contains_batch unsupported for kind {self.kind!r}")
 
-    def contains(self, state) -> bool:
-        if self.kind == "product":
-            if len(self.parts) != 3:
-                raise ValueError("product domain expects three parts (u, n, v)")
-            du, dn, dv = self.parts
-            return (du.contains(state.u) and dn.contains(state.n)
-                    and dv.contains(state.v))
-        fld = state
+    def contains(self, fld: FourierField) -> bool:
         return bool(self.contains_batch(fld.coef[None, ...], fld.lattice)[0])
 
 
@@ -283,11 +271,20 @@ def _chain_rng(seed: int, chain_id: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_id, tag)))
 
 
-def _phi(model, coef, lattice, reality, zero_mode) -> float:
-    if model is None:
-        return 0.0
-    return ham.interaction_log_density(
-        model, FourierField(lattice, coef, reality, zero_mode))
+def _pcn_step(model, domain: PhaseDomain, reference: GaussianReference,
+              rng: np.random.Generator, state: np.ndarray, phi: float, beta: float):
+    """One proposal u' = sqrt(1 - beta^2) u + beta xi from a (1, ...) state:
+    hard rejection outside the domain, then the Metropolis test on the
+    interaction.  Returns (state, phi, accepted)."""
+    lat = reference.lattice
+    sq = math.sqrt(max(0.0, 1.0 - beta * beta))
+    prop = sq * state + beta * reference.sample_batch(rng, 1)
+    logu = math.log(rng.uniform())
+    if domain.contains_batch(prop, lat)[0]:
+        phi_prop = ham.interaction_log_density(model, prop, lat)[0]
+        if phi_prop - phi >= logu:
+            return prop, phi_prop, True
+    return state, phi, False
 
 
 def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
@@ -298,38 +295,29 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
     if isinstance(model, ham.Zakharov):
         raise TypeError("use sample_zakharov_ensemble for the product measure")
     lat = reference.lattice
-    reality, zero_mode = reference.reality, reference.zero_mode
-    zero = np.zeros(lat.shape, dtype=np.complex128)
-    if not domain.contains_batch(zero[None], lat)[0]:
+    state = np.zeros((1,) + lat.shape, dtype=np.complex128)
+    if not domain.contains_batch(state, lat)[0]:
         raise ValueError("zero field is outside the domain; no valid start point")
     warnings = []
     beta = config.beta
     if beta is None:
         beta = _pilot_beta(model, domain, reference, config)
     rng = _chain_rng(config.seed, config.chain_id, 0)
-    state = zero.copy()
-    phi = _phi(model, state, lat, reality, zero_mode)
-    kept = []
+    phi = ham.interaction_log_density(model, state, lat)[0]
     accepted = 0
     total = config.burn_in + config.steps
-    sq = math.sqrt(max(0.0, 1.0 - beta * beta))
+    kept = np.empty((len(range(config.burn_in, total, config.thin)),) + lat.shape,
+                    dtype=np.complex128)
     for step in range(total):
-        xi = reference.sample_batch(rng, 1)[0]
-        prop = sq * state + beta * xi
-        logu = math.log(rng.uniform())
-        if domain.contains_batch(prop[None], lat)[0]:
-            phi_prop = _phi(model, prop, lat, reality, zero_mode)
-            if phi_prop - phi >= logu:
-                state = prop
-                phi = phi_prop
-                accepted += 1
+        state, phi, acc = _pcn_step(model, domain, reference, rng, state, phi, beta)
+        accepted += acc
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            kept.append(state.copy())
+            kept[(step - config.burn_in) // config.thin] = state[0]
     rate = accepted / total
     if rate < 0.01:
         warnings.append(f"acceptance rate {rate:.3f} < 1%; try beta ~ {beta / 4:.3g}")
-    ens = SampleEnsemble(lat, np.array(kept), reality, zero_mode,
-                         seed=config.seed, thinning=config.thin,
+    ens = SampleEnsemble(lat, kept, reference.reality,
+                         reference.zero_mode, seed=config.seed, thinning=config.thin,
                          meta={"beta": beta, "acceptance": rate})
     return ens, ChainStats(rate, beta, warnings)
 
@@ -339,24 +327,16 @@ def _pilot_beta(model, domain, reference, config: ChainConfig,
     """Short pilot: multiplicative beta adjustment toward the target
     acceptance window; deterministic given the seed."""
     lat = reference.lattice
-    reality, zero_mode = reference.reality, reference.zero_mode
     rng = _chain_rng(config.seed, config.chain_id, 1)
     beta = 0.5
     block = 60
-    state = np.zeros(lat.shape, dtype=np.complex128)
-    phi = _phi(model, state, lat, reality, zero_mode)
+    state = np.zeros((1,) + lat.shape, dtype=np.complex128)
+    phi = ham.interaction_log_density(model, state, lat)[0]
     for _ in range(max(1, config.pilot_steps // block)):
         acc = 0
-        sq = math.sqrt(max(0.0, 1.0 - beta * beta))
         for _ in range(block):
-            xi = reference.sample_batch(rng, 1)[0]
-            prop = sq * state + beta * xi
-            logu = math.log(rng.uniform())
-            if domain.contains_batch(prop[None], lat)[0]:
-                phi_prop = _phi(model, prop, lat, reality, zero_mode)
-                if phi_prop - phi >= logu:
-                    state, phi = prop, phi_prop
-                    acc += 1
+            state, phi, ok = _pcn_step(model, domain, reference, rng, state, phi, beta)
+            acc += ok
         rate = acc / block
         if rate < target[0]:
             beta = max(beta / 1.5, 1e-3)
@@ -384,7 +364,7 @@ def sample_zakharov_ensemble(model: ham.Zakharov, lattice: Lattice, count: int,
     loop = GaussianReference(lattice, field_type="real", spectrum="massive")
     ntilde = white.sample_batch(rng, m)
     w = loop.sample_batch(rng, m)
-    intens = np.stack([ham.intensity_coefficients(uens.field(i)) for i in range(m)])
+    intens = ham.intensity_coefficients(uens.coefs, lattice)
     ncoef = np.sqrt(2.0) * ntilde - intens
     k = lattice.axis_modes().astype(float)
     vcoef = -np.sqrt(2.0) * (k ** 2) * w
@@ -433,27 +413,19 @@ def _ess(w: np.ndarray) -> float:
     return s * s / float(np.sum(w ** 2)) if s > 0 else 0.0
 
 
-def _importance_weights(model, domain, coefs, lattice, reality, zero_mode):
-    inside = domain.contains_batch(coefs, lattice)
-    logw = np.full(coefs.shape[0], -np.inf)
-    for i in np.nonzero(inside)[0]:
-        logw[i] = _phi(model, coefs[i], lattice, reality, zero_mode)
-    return logw
-
-
 def partition_estimate(model, domain: PhaseDomain, reference: GaussianReference,
                        n_samples: int, seed: int) -> PartitionEstimate:
     """Importance estimate Z = E_mu[I_domain exp(phi)] from reference draws;
     for lam = 0 this is the reference mass of the domain."""
     rng = np.random.default_rng(seed)
     coefs = reference.sample_batch(rng, n_samples)
-    logw = _importance_weights(model, domain, coefs, reference.lattice,
-                               reference.reality, reference.zero_mode)
+    inside = domain.contains_batch(coefs, reference.lattice)
+    logw = np.full(n_samples, -np.inf)
+    logw[inside] = ham.interaction_log_density(model, coefs[inside], reference.lattice)
     w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
     z = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(n_samples))
-    sw = float(np.sum(w))
-    ess = sw ** 2 / float(np.sum(w ** 2)) if sw > 0 else 0.0
+    ess = _ess(w)
     lm = float(np.max(logw)) if np.isfinite(logw).any() else -np.inf
     return PartitionEstimate(z, se, ess, lm, ess >= 30)
 
@@ -483,6 +455,7 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
         coefs_full = ref.sample_batch(np.random.default_rng(seed), n_samples)
     if p % 2:
         raise ValueError("normalizability probe supports even p")
+    model = ham.NLS(p, lam)
     modes = np.abs(lattice_full.axis_modes())
     top = coefs_full.copy()
     top[:, modes > max(n_list)] = 0.0
@@ -494,9 +467,8 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
         proj = coefs_full.copy()
         proj[:, modes > n] = 0.0
         mass = np.sum(np.abs(proj) ** 2, axis=1)
-        grids = synthesize_batch(proj, lattice_full)
-        integ = np.mean(np.abs(grids) ** p, axis=-1)
-        logw = np.where(mass <= mass_bound, (lam / p) * integ, -np.inf)
+        logd = ham.interaction_log_density(model, proj, lattice_full)
+        logw = np.where(mass <= mass_bound, logd, -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.where(np.isfinite(logw), np.exp(np.minimum(logw, 340.0)), 0.0)
             z = float(np.mean(w))
@@ -506,7 +478,7 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
                else -math.inf}
         rows.append(row)
         if pop_count:
-            sub = (lam / p) * integ[population]
+            sub = logd[population]
             pop_max.append(float(np.max(sub)))
             pop_mean.append(float(np.mean(sub)))
     sparse = pop_count < 25

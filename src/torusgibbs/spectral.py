@@ -155,15 +155,6 @@ class FourierField:
             raise ValueError("zero_mode unset but c_0 != 0")
 
 
-@dataclass
-class GridBuffer:
-    """Real-space samples of a field on the oversampled uniform tensor grid."""
-
-    values: np.ndarray
-    lattice: Lattice
-    grid_size: int
-
-
 def _check_compatible(f: FourierField, g: FourierField) -> None:
     if f.lattice != g.lattice:
         raise ValueError("fields live on incompatible lattices")
@@ -220,32 +211,6 @@ def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
     if lattice.dim == 1:
         return buf[..., modes]
     return buf[..., modes[:, None], modes[None, :]]
-
-
-def synthesize(fld: FourierField, oversample: int | None = None) -> GridBuffer:
-    lat = fld.lattice
-    vals = synthesize_batch(fld.coef, lat, oversample)
-    return GridBuffer(vals, lat, vals.shape[-1])
-
-
-def analyze(grid: GridBuffer, lattice: Lattice | None = None, reality: bool = False,
-            zero_mode: bool = True) -> FourierField:
-    lat = lattice if lattice is not None else grid.lattice
-    coef = analyze_batch(grid.values, lat)
-    return FourierField(lat, coef, reality, zero_mode)
-
-
-def transform(obj, direction: str, lattice: Lattice):
-    """Spec-level entry point: direction in {"to_grid", "to_coeffs"}."""
-    if direction == "to_grid":
-        if not isinstance(obj, FourierField):
-            raise TypeError("to_grid expects a FourierField")
-        return synthesize(obj)
-    if direction == "to_coeffs":
-        if not isinstance(obj, GridBuffer):
-            raise TypeError("to_coeffs expects a GridBuffer")
-        return analyze(obj, lattice)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +325,23 @@ def lp_integral(fld: FourierField, p: int) -> float:
     reality and returns the signed integral, exactly; |u|^p would not be
     exactly integrable by any finite quadrature.
     """
+    if int(p) % 2 and not fld.reality:
+        raise ValueError("odd p is only defined (as the signed integral) for real fields")
+    return float(lp_integral_batch(fld.coef[None], fld.lattice, p)[0])
+
+
+def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray:
+    """lp_integral over a (B, ...) coefficient stack.  Odd p integrates the
+    real part, so the caller vouches that the fields are real."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    q = max(fld.lattice.oversample, math.ceil(p / 2))
-    vals = synthesize_batch(fld.coef, fld.lattice, q)
+    q = max(lattice.oversample, math.ceil(p / 2))
+    vals = synthesize_batch(coefs, lattice, q)
+    axes = tuple(range(1, vals.ndim))
     if p % 2 == 0:
-        return float(np.mean(np.abs(vals) ** p))
-    if not fld.reality:
-        raise ValueError("odd p is only defined (as the signed integral) for real fields")
-    return float(np.mean(np.real(vals) ** p))
+        return np.mean(np.abs(vals) ** p, axis=axes)
+    return np.mean(np.real(vals) ** p, axis=axes)
 
 
 def convolve(f: FourierField, g: FourierField) -> FourierField:
@@ -412,15 +384,6 @@ def intensity_mode(coefs: np.ndarray, lattice: Lattice, m: tuple) -> np.ndarray:
 # a_j cos j th + b_j sin j th use x_j = a_j/sqrt2, y_j = b_j/sqrt2 (plus the
 # real zero mode when carried), again orthonormal.  Mean-zero fields simply
 # omit the zero-mode coordinates.
-
-def coordinate_count(lattice: Lattice, reality: bool, zero_mode: bool) -> int:
-    if reality:
-        if lattice.dim != 1:
-            raise ValueError("real coordinate layout implemented for D = 1 only")
-        return 2 * lattice.n + (1 if zero_mode else 0)
-    size = lattice.modes_per_axis ** lattice.dim
-    return 2 * (size if zero_mode else size - 1)
-
 
 def field_coords(fld: FourierField) -> np.ndarray:
     return coords_from_coef(fld.coef[None, ...], fld.lattice, fld.reality, fld.zero_mode)[0]

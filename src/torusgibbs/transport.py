@@ -17,7 +17,8 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from . import hamiltonians as ham
-from .sampling import ChainConfig, GaussianReference, PhaseDomain, run_pcn_chain
+from .concentration import _batch_means, _jackknife
+from .sampling import ChainConfig, GaussianReference, PhaseDomain, _ess, run_pcn_chain
 from .spectral import FourierField, Lattice
 
 
@@ -150,14 +151,39 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
                               + la[:, None] + lb[None, :])
                 if _plan_residual(plan, a, b) < tol:
                     break
-    plan = np.exp((f[:, None] + g[None, :] - c) / eps_list[-1]
-                  + la[:, None] + lb[None, :])
+    plan, pre_resid = _newton_polish(f, g, c, la, lb, a, b, eps_list[-1], tol)
+    converged = pre_resid < max(tol, 1e-8)
     plan = _round_to_marginals(plan, a, b)
     resid = _plan_residual(plan, a, b)
-    converged = resid < max(tol, 1e-8)
     obj = float(np.sum(plan * c))
     value = obj ** (1.0 / cost.order)
     return value, TransportPlan(plan, resid, obj), converged
+
+
+def _newton_polish(f, g, c, la, lb, a, b, e: float, tol: float):
+    """Up to 10 Newton steps on the dual potentials at the final eps
+    (Sinkhorn-Newton, Brauer, Clason, Lorenz and Wirth 2017), each kept only
+    if it shrinks the marginal residual.  Plain iterations crawl at small
+    eps; Newton converges quadratically from their warm start.  Returns
+    (plan, residual)."""
+    def plan_at(f, g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            plan = np.exp((f[:, None] + g[None, :] - c) / e + la[:, None] + lb[None, :])
+        return plan, _plan_residual(plan, a, b)
+
+    plan, resid = plan_at(f, g)
+    for _ in range(10):
+        if resid < tol:
+            break
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        hess = np.block([[np.diag(rows), plan], [plan.T, np.diag(cols)]])
+        step = e * np.linalg.lstsq(hess, np.concatenate([a - rows, b - cols]), rcond=None)[0]
+        f_new, g_new = f + step[:len(a)], g + step[len(a):]
+        plan_new, resid_new = plan_at(f_new, g_new)
+        if not resid_new < resid:
+            break
+        f, g, plan, resid = f_new, g_new, plan_new, resid_new
+    return plan, resid
 
 
 def _round_to_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,22 +284,20 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     ratio is jackknifed on paired weights)."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_n = ham.GrossPitaevskiiProjected(potential, lam, n_project=n)
+    model_full = ham.GrossPitaevskiiProjected(potential, lam)
     ens, stats = run_pcn_chain(model_n, domain, reference, chain)
-    from .spectral import projection_multiplier, ProjectionSpec
-    mask = projection_multiplier(ProjectionSpec.dirichlet(n), lattice)
-    u_n_vals = ham.gp_wick_interaction_batch(ens.coefs * mask, lattice, potential, lam)
-    u_f_vals = ham.gp_wick_interaction_batch(ens.coefs, lattice, potential, lam)
-    du = u_n_vals - u_f_vals
-    mean_du = float(np.mean(du))
-    se_du = _block_se(du)
+    du = (ham.interaction_log_density(model_n, ens.coefs, lattice)
+          - ham.interaction_log_density(model_full, ens.coefs, lattice))
+    mean_du, se_du = _jackknife(_batch_means(du, 30), lambda x: float(np.mean(x)))
     rng = np.random.default_rng(z_seed)
     draws = reference.sample_batch(rng, n_z_samples)
     inside = domain.contains_batch(draws, lattice)
-    lw_full = ham.gp_wick_interaction_batch(draws, lattice, potential, lam)
-    lw_n = ham.gp_wick_interaction_batch(draws * mask, lattice, potential, lam)
+    lw_full = ham.interaction_log_density(model_full, draws, lattice)
+    lw_n = ham.interaction_log_density(model_n, draws, lattice)
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
     w_n = np.where(inside, np.exp(np.minimum(lw_n, 700.0)), 0.0)
-    log_ratio, se_ratio = _paired_log_ratio(w_full, w_n)
+    log_ratio, se_ratio = _jackknife(_batch_means(np.column_stack([w_full, w_n]), 30),
+                                     _log_mean_ratio)
     ent = mean_du + log_ratio
     stderr = math.hypot(se_du, se_ratio)
     reliable = np.mean(inside) > 0 and _ess(w_full) >= 30 and _ess(w_n) >= 30
@@ -282,34 +306,8 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
             "reliable": bool(reliable)}
 
 
-def _block_se(values: np.ndarray, n_blocks: int = 30) -> float:
-    m = len(values)
-    nb = min(n_blocks, m)
-    edges = np.linspace(0, m, nb + 1, dtype=int)
-    means = [values[a:b].mean() for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    return float(np.std(means, ddof=1) / math.sqrt(len(means)))
-
-
-def _paired_log_ratio(w_full: np.ndarray, w_n: np.ndarray, n_blocks: int = 30):
-    stat = lambda pair: math.log(np.mean(pair[:, 0])) - math.log(np.mean(pair[:, 1]))
-    pair = np.column_stack([w_full, w_n])
-    m = len(pair)
-    nb = min(n_blocks, m)
-    edges = np.linspace(0, m, nb + 1, dtype=int)
-    full = stat(pair)
-    loo = []
-    for i in range(nb):
-        keep = np.ones(m, dtype=bool)
-        keep[edges[i]:edges[i + 1]] = False
-        loo.append(stat(pair[keep]))
-    loo = np.asarray(loo)
-    se = math.sqrt(max(0.0, (nb - 1) / nb * float(np.sum((loo - loo.mean()) ** 2))))
-    return full, se
-
-
-def _ess(w: np.ndarray) -> float:
-    s = w.sum()
-    return s * s / np.sum(w ** 2) if s > 0 else 0.0
+def _log_mean_ratio(pair: np.ndarray) -> float:
+    return math.log(np.mean(pair[:, 0])) - math.log(np.mean(pair[:, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,22 @@ def test_flow_numerical_failure_exit_3(tmp_path):
     assert code == 3
 
 
+def test_runtime_error_in_runner_exits_3(tmp_path, monkeypatch):
+    from torusgibbs import experiments
+
+    def boom(cfg):
+        raise RuntimeError("rejection sampler got 0/10 points")
+
+    monkeypatch.setitem(experiments._RUNNERS, "tail", boom)
+    report, code = run_experiment({"experiment": "tail", "seed": 0},
+                                  output_dir=str(tmp_path / "rt"))
+    assert code == 3 and report["passed"] is False
+    assert "rejection sampler" in report["error"]
+    cfg = tmp_path / "tail.json"
+    cfg.write_text(json.dumps({"experiment": "tail", "seed": 0}))
+    assert main(["run", str(cfg)]) == 3
+
+
 def test_lsi_experiment_free_loop(tmp_path):
     cfg = {
         "experiment": "lsi",

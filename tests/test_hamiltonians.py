@@ -76,6 +76,73 @@ def test_zakharov_energy_via_both_coordinate_systems():
     assert direct == pytest.approx(via_transformed, rel=1e-12)
 
 
+# -- batched interaction log density ---------------------------------------
+
+def _density_stack(lattice, reality, count=5, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (count,) + lattice.shape
+    coefs = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if reality:
+        coefs = np.stack([hermitianize(c) for c in coefs])
+    return coefs
+
+
+def _density_cases():
+    lat1 = Lattice(1, 6, 2)
+    lat2 = Lattice(2, 4)
+    gp = tg.GrossPitaevskii(ham.gp_soft_sphere_potential(Lattice(2, 3, 2)), lam=0.5,
+                            kappa=2.0)
+    proj = ham.GrossPitaevskiiProjected(ham.gp_cosine_potential(lat2, amplitude=-1.0),
+                                        lam=1.0, n_project=2)
+    return {"nls-p4": (tg.NLS(4, 0.7), lat1, False),
+            "nls-p6": (tg.NLS(6, 0.4), lat1, False),
+            "nls-2d": (tg.NLS(4, 0.2, dim=2), lat2, False),
+            "kdv": (tg.KdV(0.9), lat1, True),
+            "gp-bounded": (gp, Lattice(2, 3, 2), False),
+            "gp-projected": (proj, lat2, False),
+            "none": (None, lat1, False)}
+
+
+@pytest.mark.parametrize("case", sorted(_density_cases()))
+def test_log_density_rows_match_single_row_calls(case):
+    model, lat, reality = _density_cases()[case]
+    coefs = _density_stack(lat, reality)
+    stacked = ham.interaction_log_density(model, coefs, lat)
+    assert stacked.shape == (len(coefs),)
+    single = [ham.interaction_log_density(model, c[None], lat)[0] for c in coefs]
+    # equal up to the order numpy sums a dense potential's modes in
+    np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
+    assert ham.interaction_log_density(model, coefs[:0], lat).shape == (0,)
+    if model is None:
+        assert np.all(stacked == 0.0)
+
+
+@pytest.mark.parametrize("case", ["nls-p4", "nls-p6", "nls-2d", "kdv"])
+def test_log_density_matches_lp_integral(case):
+    model, lat, reality = _density_cases()[case]
+    p = 3 if isinstance(model, tg.KdV) else model.p
+    lam_over_p = model.lam / (6.0 if isinstance(model, tg.KdV) else p)
+    coefs = _density_stack(lat, reality)
+    got = ham.interaction_log_density(model, coefs, lat)
+    for i, c in enumerate(coefs):
+        want = lam_over_p * tg.lp_integral(FourierField(lat, c, reality), p)
+        assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_kdv_log_density_rejects_complex_fields():
+    lat = Lattice(1, 6, 2)
+    coefs = _density_stack(lat, reality=False)
+    with pytest.raises(ValueError):
+        ham.interaction_log_density(tg.KdV(0.9), coefs, lat)
+
+
+@pytest.mark.parametrize("potential", [ham.gp_cosine_potential, ham.gp_soft_sphere_potential])
+def test_gp_quartic_batch_empty_stack(potential):
+    lat = Lattice(2, 3)
+    empty = np.zeros((0,) + lat.shape, dtype=np.complex128)
+    assert ham.gp_quartic_batch(empty, lat, potential(lat)).shape == (0,)
+
+
 # -- number operator ---------------------------------------------------------
 
 def test_number_operator_values():

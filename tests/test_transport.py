@@ -94,6 +94,15 @@ def test_sinkhorn_converges_to_exact():
     assert abs(val - exact) / exact < 0.02
 
 
+def test_sinkhorn_not_converged_after_one_iteration():
+    # rounding always lands on the marginals, so the flag must read the
+    # residual of the plan before rounding
+    mu, nu = clouds(5, m=32, d=4)
+    _, plan, conv = trans.sinkhorn(mu, nu, trans.CostSpec(), eps=1e-3, max_iter=1)
+    assert plan.marginal_residual < 1e-12
+    assert conv is False
+
+
 def test_sinkhorn_epsilon_sweep_monotone_and_biased_up():
     mu, nu = clouds(6, m=24, d=3)
     cost = trans.CostSpec()
