@@ -39,7 +39,7 @@ _TOP_KEYS = {"experiment", "seed", "output_dir", "lattice", "model", "domain",
 
 _BLOCK_KEYS = {
     "lattice": {"dim", "n", "oversample"},
-    "model": {"kind", "p", "lam", "dim", "mass_bound", "potential", "kappa",
+    "model": {"kind", "p", "lam", "mass_bound", "potential", "kappa",
               "rho", "bparam", "n_project"},
     "domain": {"kind", "mass", "kappa", "s", "k1", "k2", "eps"},
     "reference": {"rho", "field_type", "spectrum"},
@@ -98,7 +98,7 @@ def build_model(cfg: dict, lattice: Lattice):
     m = cfg.get("model", {"kind": "nls"})
     kind = m.get("kind")
     if kind == "nls":
-        return ham.NLS(m.get("p", 4), m.get("lam", 0.0), m.get("dim", lattice.dim))
+        return ham.NLS(m.get("p", 4), m.get("lam", 0.0))
     if kind == "kdv":
         return ham.KdV(m.get("lam", 0.0))
     if kind == "zakharov":
@@ -236,7 +236,7 @@ def _run_flow(cfg: dict) -> tuple[dict, bool | None]:
     return {"results": results}, passed
 
 
-def _gibbs_ensemble(cfg: dict, lattice, model, domain, reference, chain):
+def _gibbs_ensemble(lattice, model, domain, reference, chain):
     if getattr(model, "lam", 0.0) == 0.0 and domain.kind == "unrestricted":
         rng = np.random.default_rng(chain.seed)
         count = chain.steps // max(chain.thin, 1)
@@ -260,7 +260,7 @@ def _run_invariance(cfg: dict) -> tuple[dict, bool | None]:
         coefs = reference.sample_batch(rng, p.get("count", 2000))
         ens = samp.SampleEnsemble(lattice, coefs, reference.reality, reference.zero_mode)
     else:
-        ens, _ = _gibbs_ensemble(cfg, lattice, model, domain, reference, chain)
+        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
     rep = flows.invariance_test(model, ens, fcfg,
                                 energy_tol=p.get("energy_tol", 1e-3))
     expected_fail = p.get("expect_fail_functional")
@@ -280,7 +280,7 @@ def _run_lsi(cfg: dict) -> tuple[dict, bool | None]:
     reference = build_reference(cfg, model, lattice)
     chain = build_chain(cfg)
     p = cfg.get("params", {})
-    ens, _ = _gibbs_ensemble(cfg, lattice, model, domain, reference, chain)
+    ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
     coords = ens.coords()
     pred = ham.lsi_constant_predicted(
         model, mass_bound=cfg.get("domain", {}).get("mass"),
@@ -461,7 +461,7 @@ def _run_tail(cfg: dict) -> tuple[dict, bool | None]:
         domain = build_domain(cfg)
         reference = build_reference(cfg, model, lattice)
         chain = build_chain(cfg)
-        ens, _ = _gibbs_ensemble(cfg, lattice, model, domain, reference, chain)
+        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
         rep = samp.tail_mass_estimate(ens, p.get("s", 0.35))
         passed = (not rep["degenerate"] and rep["slope_vs_kappa_sq"] < 0
                   and rep["r_squared"] > p.get("r2_tol", 0.9))

@@ -2,14 +2,19 @@
 conservation diagnostics, ensemble-pushforward invariance tests, and the
 Duhamel fixed-point construction of GP mild solutions.
 
-The linear substeps are exact Fourier multipliers.  The NLS/GP nonlinear
-substep is the closed-form pointwise phase rotation on the critically
-sampled grid (2n+1 points per axis), which is an exact l^2 isometry, so
-mass is conserved to roundoff for arbitrary states.  KdV integrates its
-quadratic term with dealiased RK4 (3/2-rule zero padding).  The Zakharov
-coupled substep solves the forced wave equation exactly per mode with
-|u|^2 frozen (it is frozen: u only rotates by a real phase) and rotates u
-by the exact time integral of n.
+One driver, _advance, takes every flow through a Strang or Lie step: each
+model's stepper supplies a linear and a nonlinear substep on a batch of
+states: a coefficient stack for NLS, KdV and GP, and the triple (u, n, v)
+of stacks for Zakharov.  The linear substeps are exact Fourier
+multipliers.  Grid values come from the spectral transform pair
+(synthesize_grid, analyze_batch).  The NLS/GP nonlinear substep is the
+closed-form pointwise phase rotation on the critically sampled grid (2n+1
+points per axis), which is an exact l^2 isometry, so mass is conserved to
+roundoff for arbitrary states.  KdV integrates its quadratic term with
+dealiased RK4 (3/2-rule zero padding).  The Zakharov nonlinear substep
+solves the forced wave equation exactly per mode with |u|^2 frozen (it is
+frozen: u only rotates by a real phase) and rotates u by the exact time
+integral of n.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from . import hamiltonians as ham
-from .spectral import FourierField, Lattice, sobolev_weights, synthesize_batch
+from .spectral import (FourierField, Lattice, analyze_batch, sobolev_weights, synthesize_batch,
+                       synthesize_grid)
 
 
 class FlowError(RuntimeError):
@@ -63,35 +69,14 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# critically sampled transforms (grid size = modes per axis)
-# ---------------------------------------------------------------------------
-
-def _axes(dim: int) -> tuple:
-    return (-1,) if dim == 1 else (-2, -1)
-
-
-def _to_vals(coefs: np.ndarray, dim: int) -> np.ndarray:
-    ax = _axes(dim)
-    buf = np.fft.ifftshift(coefs, axes=ax)
-    vals = np.fft.ifftn(buf, axes=ax)
-    m = coefs.shape[-1]
-    return vals * (m ** dim)
-
-
-def _to_coef(vals: np.ndarray, dim: int) -> np.ndarray:
-    ax = _axes(dim)
-    m = vals.shape[-1]
-    return np.fft.fftshift(np.fft.fftn(vals, axes=ax), axes=ax) / (m ** dim)
-
-
-# ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
 
 class _NLSStepper:
     def __init__(self, model: ham.NLS, lattice: Lattice):
         self.lam = model.lam
-        self.dim = lattice.dim
+        self.lattice = lattice
+        self.m = lattice.modes_per_axis          # the critical grid
         self.ksq = lattice.ksq()
 
     def linear(self, coefs, dt):
@@ -100,27 +85,28 @@ class _NLSStepper:
     def nonlinear(self, coefs, dt):
         if self.lam == 0.0:
             return coefs
-        vals = _to_vals(coefs, self.dim)
+        vals = synthesize_grid(coefs, self.lattice, self.m)
         vals *= np.exp(1j * self.lam * dt * np.abs(vals) ** 2)
-        return _to_coef(vals, self.dim)
+        return analyze_batch(vals, self.lattice)
 
 
-class _GPStepper:
+def _hartree_potential(vals: np.ndarray, vhat: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Grid values of V * |u|^2 from the grid values of u, on the same grid."""
+    w = vhat * analyze_batch(np.abs(vals) ** 2, lattice)
+    return np.real(synthesize_grid(w, lattice, vals.shape[-1]))
+
+
+class _GPStepper(_NLSStepper):
     def __init__(self, model: ham.GrossPitaevskii, lattice: Lattice):
-        self.dim = lattice.dim
-        self.ksq = lattice.ksq()
-        self.lam = model.lam
+        super().__init__(model, lattice)
         self.vhat = model.potential.coef
         self.rc = ham.counterterm_mass(model, lattice.n)
 
-    def linear(self, coefs, dt):
-        return coefs * np.exp(-1j * self.ksq * dt)
-
     def nonlinear(self, coefs, dt):
-        vals = _to_vals(coefs, self.dim)
-        w = np.real(_to_vals(self.vhat * _to_coef(np.abs(vals) ** 2, self.dim), self.dim))
+        vals = synthesize_grid(coefs, self.lattice, self.m)
+        w = _hartree_potential(vals, self.vhat, self.lattice)
         vals *= np.exp(1j * (self.lam * w - self.rc) * dt)
-        return _to_coef(vals, self.dim)
+        return analyze_batch(vals, self.lattice)
 
 
 class _KdVStepper:
@@ -137,9 +123,8 @@ class _KdVStepper:
         return coefs * np.exp(1j * self.kcubed * dt)
 
     def _rhs(self, coefs):
-        grids = _padded_vals(coefs, self.lattice, self.mfine)
-        sq = np.real(grids) ** 2
-        shat = _padded_coef(sq, self.lattice, self.mfine)
+        grids = synthesize_grid(coefs, self.lattice, self.mfine)
+        shat = analyze_batch(np.real(grids) ** 2, self.lattice)
         return -0.5 * self.lam * (1j * self.k) * shat
 
     def nonlinear(self, coefs, dt):
@@ -152,36 +137,27 @@ class _KdVStepper:
         return coefs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _padded_vals(coefs: np.ndarray, lattice: Lattice, m: int) -> np.ndarray:
-    n = lattice.n
-    modes = np.arange(-n, n + 1) % m
-    buf = np.zeros(coefs.shape[:-1] + (m,), dtype=np.complex128)
-    buf[..., modes] = coefs
-    return np.fft.ifft(buf, axis=-1) * m
-
-
-def _padded_coef(vals: np.ndarray, lattice: Lattice, m: int) -> np.ndarray:
-    n = lattice.n
-    modes = np.arange(-n, n + 1) % m
-    return np.fft.fft(vals.astype(np.complex128), axis=-1)[..., modes] / m
-
-
 class _ZakharovStepper:
-    """Substep A: free Schroedinger for u.  Substep B: forced oscillator for
-    (n, v) per mode with |u|^2 frozen, u rotated by exp(-i int_0^dt n)."""
+    """State (u, n, v).  Linear substep: free Schroedinger for u.  Nonlinear
+    substep: forced oscillator for (n, v) per mode with |u|^2 frozen, u
+    rotated by exp(-i int_0^dt n)."""
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
+        self.m = lattice.modes_per_axis
         k = lattice.axis_modes().astype(float)
         self.ksq = k ** 2
         self.omega = np.abs(k)
         self.zero = lattice.n
 
-    def linear_u(self, u, dt):
-        return u * np.exp(-1j * self.ksq * dt)
+    def linear(self, state, dt):
+        u, n, v = state
+        return u * np.exp(-1j * self.ksq * dt), n, v
 
-    def coupled(self, u, n, v, dt):
-        fhat = _to_coef(np.abs(_to_vals(u, 1)) ** 2, 1)
+    def nonlinear(self, state, dt):
+        u, n, v = state
+        uvals = synthesize_grid(u, self.lattice, self.m)
+        fhat = analyze_batch(np.abs(uvals) ** 2, self.lattice)
         w = self.omega
         nz = w > 0
         c = np.cos(w * dt)
@@ -199,13 +175,13 @@ class _ZakharovStepper:
         n_new[..., z] = n[..., z] + v[..., z] * dt
         v_new[..., z] = v[..., z]
         integral[..., z] = n[..., z] * dt + 0.5 * v[..., z] * dt ** 2
-        phase = np.real(_to_vals(integral, 1))
-        u_new = _to_coef(_to_vals(u, 1) * np.exp(-1j * phase), 1)
+        phase = np.real(synthesize_grid(integral, self.lattice, self.m))
+        u_new = analyze_batch(uvals * np.exp(-1j * phase), self.lattice)
         return u_new, n_new, v_new
 
 
 # ---------------------------------------------------------------------------
-# stepping drivers
+# stepping driver
 # ---------------------------------------------------------------------------
 
 def _make_stepper(model, lattice: Lattice):
@@ -215,72 +191,68 @@ def _make_stepper(model, lattice: Lattice):
         return _GPStepper(model, lattice)
     if isinstance(model, ham.KdV):
         return _KdVStepper(model, lattice)
+    if isinstance(model, ham.Zakharov):
+        return _ZakharovStepper(lattice)
     raise TypeError(f"no stepper for {type(model).__name__}")
 
 
-def _advance(stepper, coefs, dt, scheme):
+def _advance(stepper, state, dt, scheme):
+    """One Strang (linear half step, nonlinear step, linear half step) or Lie
+    step of a coefficient stack, or of the Zakharov triple of stacks."""
     # overflow is allowed to propagate as inf/nan; the step guard raises
     with np.errstate(over="ignore", invalid="ignore"):
         if scheme == "strang":
-            out = stepper.linear(coefs, 0.5 * dt)
+            out = stepper.linear(state, 0.5 * dt)
             out = stepper.nonlinear(out, dt)
             return stepper.linear(out, 0.5 * dt)
-        out = stepper.linear(coefs, dt)
+        out = stepper.linear(state, dt)
         return stepper.nonlinear(out, dt)
 
 
-def _advance_zakharov(stepper: _ZakharovStepper, u, n, v, dt, scheme):
-    if scheme == "strang":
-        u = stepper.linear_u(u, 0.5 * dt)
-        u, n, v = stepper.coupled(u, n, v, dt)
-        u = stepper.linear_u(u, 0.5 * dt)
-        return u, n, v
-    u = stepper.linear_u(u, dt)
-    return stepper.coupled(u, n, v, dt)
+def _guard(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise FlowError("NaN/Inf encountered during time stepping")
 
 
-def flow_step(model, state, dt: float, scheme: str = "strang"):
-    """One split step of the model's truncated canonical flow."""
-    if isinstance(model, ham.Zakharov):
-        st = state
-        stepper = _ZakharovStepper(st.u.lattice)
-        u, n, v = _advance_zakharov(stepper, st.u.coef[None], st.n.coef[None],
-                                    st.v.coef[None], dt, scheme)
-        _guard(u)
-        lat = st.u.lattice
-        return ham.ZakharovState(FourierField(lat, u[0], False, st.u.zero_mode),
-                                 FourierField(lat, n[0], True, st.n.zero_mode),
+def _step(stepper, state, dt: float, scheme: str):
+    """One step of a single state as a batch of one."""
+    if isinstance(state, ham.ZakharovState):
+        u, n, v = _advance(stepper, (state.u.coef[None], state.n.coef[None],
+                                     state.v.coef[None]), dt, scheme)
+        _guard(u, n, v)
+        lat = state.u.lattice
+        return ham.ZakharovState(FourierField(lat, u[0], False, state.u.zero_mode),
+                                 FourierField(lat, n[0], True, state.n.zero_mode),
                                  FourierField(lat, v[0], True, zero_mode=False))
-    stepper = _make_stepper(model, state.lattice)
     out = _advance(stepper, state.coef[None], dt, scheme)
     _guard(out)
     return FourierField(state.lattice, out[0], state.reality, state.zero_mode)
 
 
-def _guard(arr):
-    if not np.all(np.isfinite(arr)):
-        raise FlowError("NaN/Inf encountered during time stepping")
+def _envelope(state) -> FourierField:
+    """The field that carries a state's lattice and mass: u for Zakharov."""
+    return state.u if isinstance(state, ham.ZakharovState) else state
 
 
-def _state_mass(model, state) -> float:
-    if isinstance(model, ham.Zakharov):
-        return state.u.mass()
-    return state.mass()
+def flow_step(model, state, dt: float, scheme: str = "strang"):
+    """One split step of the model's truncated canonical flow."""
+    return _step(_make_stepper(model, _envelope(state).lattice), state, dt, scheme)
 
 
 def evolve(model, state, config: FlowConfig) -> Trajectory:
     """Integrate to t_final recording per-step mass and energy."""
+    stepper = _make_stepper(model, _envelope(state).lattice)
     steps = config.steps
     dt = config.t_final / steps
     times = [0.0]
-    mass = [_state_mass(model, state)]
+    mass = [_envelope(state).mass()]
     en = [ham.energy(model, state)]
     recorded = [state]
     cur = state
     for i in range(steps):
-        cur = flow_step(model, cur, dt, config.scheme)
+        cur = _step(stepper, cur, dt, config.scheme)
         times.append((i + 1) * dt)
-        mass.append(_state_mass(model, cur))
+        mass.append(_envelope(cur).mass())
         en.append(ham.energy(model, cur))
         if config.record_stride and (i + 1) % config.record_stride == 0 and i + 1 < steps:
             recorded.append(cur)
@@ -291,6 +263,9 @@ def evolve(model, state, config: FlowConfig) -> Trajectory:
 def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
                     config: FlowConfig) -> np.ndarray:
     """Push a whole coefficient stack through the flow (vectorized)."""
+    if isinstance(model, ham.Zakharov):
+        raise TypeError("evolve_ensemble pushes one coefficient stack; "
+                        "a Zakharov state is a (u, n, v) triple")
     stepper = _make_stepper(model, lattice)
     steps = config.steps
     dt = config.t_final / steps
@@ -391,8 +366,7 @@ def invariance_test(model, ensemble, config: FlowConfig, functionals=None,
     max_drift = float(np.max(drifts))
     valid = max_drift <= energy_tol
     return {"rows": rows, "pass": bool(all_pass), "valid": bool(valid),
-            "max_energy_drift": max_drift, "n_samples": b,
-            "exploratory": isinstance(model, ham.Zakharov)}
+            "max_energy_drift": max_drift, "n_samples": b}
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +401,10 @@ def _filon_weights(omega: np.ndarray, h: float):
     return i0 - i1 / h, i1 / h
 
 
-def _gp_nonlinear(coefs: np.ndarray, vhat: np.ndarray, dim: int) -> np.ndarray:
+def _gp_nonlinear(coefs: np.ndarray, vhat: np.ndarray, lattice: Lattice) -> np.ndarray:
     """(V * |u|^2) u with the same critical-grid semantics as the stepper."""
-    vals = _to_vals(coefs, dim)
-    w = np.real(_to_vals(vhat * _to_coef(np.abs(vals) ** 2, dim), dim))
-    return _to_coef(w * vals, dim)
+    vals = synthesize_grid(coefs, lattice, lattice.modes_per_axis)
+    return analyze_batch(_hartree_potential(vals, vhat, lattice) * vals, lattice)
 
 
 def _duhamel_integral(g_nodes: np.ndarray, ksq: np.ndarray, h: float,
@@ -460,7 +433,7 @@ def duhamel_phi(phi: FourierField, potential: FourierField, lam: float,
     h = t / steps
     times = h * np.arange(steps + 1)
     u0 = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * phi.coef
-    g = _gp_nonlinear(u0, potential.coef, lat.dim)
+    g = _gp_nonlinear(u0, potential.coef, lat)
     out = _duhamel_integral(g, ksq, h, lam)
     return FourierField(lat, out[-1], False, phi.zero_mode)
 
@@ -483,7 +456,7 @@ def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
     wmat = sobolev_weights(lat, s)
 
     def phi_map(w_nodes):
-        g = _gp_nonlinear(u0 + w_nodes, potential.coef, lat.dim)
+        g = _gp_nonlinear(u0 + w_nodes, potential.coef, lat)
         return _duhamel_integral(g, ksq, h, lam)
 
     def sup_norm(nodes):

@@ -33,13 +33,10 @@ class NLS:
 
     p: int = 4
     lam: float = 0.0
-    dim: int = 1
 
     def __post_init__(self):
         if not (2 <= self.p <= 8):
             raise ValueError("NLS exponent p must lie in [2, 8]")
-        if self.dim not in (1, 2):
-            raise ValueError("NLS dim must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -112,16 +109,13 @@ class ZakharovState:
         if abs(self.v.zero_coef()) > 1e-13:
             raise ValueError("Zakharov v = dn/dt must have zero mean")
 
-    def lattice(self) -> Lattice:
-        return self.u.lattice
-
     def coupled_density_coef(self) -> np.ndarray:
         """Lattice coefficients of n + |u|^2 (the projected combination)."""
         lat = self.u.lattice
         ugrid = synthesize_batch(self.u.coef, lat, 2)
         ngrid = np.real(synthesize_batch(self.n.coef, lat, 2))
         vals = ngrid + np.abs(ugrid) ** 2
-        return hermitianize(analyze_batch(vals.astype(np.complex128), lat))
+        return hermitianize(analyze_batch(vals, lat))
 
     def tilde_n(self) -> FourierField:
         coef = self.coupled_density_coef() / np.sqrt(2.0)
@@ -149,7 +143,7 @@ def intensity_coefficients(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Coefficients of |u|^2 restricted to the lattice, batched over leading
     axes; the grid is zero-padded so no alias reaches the extracted modes."""
     vals = synthesize_batch(coefs, lattice, 2)
-    return analyze_batch((np.abs(vals) ** 2).astype(np.complex128), lattice)
+    return analyze_batch(np.abs(vals) ** 2, lattice)
 
 
 def _potential_support(potential: FourierField):
@@ -183,8 +177,7 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
                 w = intensity_mode(sub, lattice, m)
                 acc += np.real(v * np.abs(w) ** 2)
         else:
-            grids = synthesize_batch(sub, lattice, 2)
-            w = analyze_batch((np.abs(grids) ** 2).astype(np.complex128), lattice)
+            w = intensity_coefficients(sub, lattice)
             axes = tuple(range(1, w.ndim))
             acc = np.real(np.sum(potential.coef * np.abs(w) ** 2, axis=axes))
         out[lo:lo + chunk] = acc
@@ -290,10 +283,6 @@ def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.nd
 # gradients
 # ---------------------------------------------------------------------------
 
-def _analyze_pointwise(vals: np.ndarray, lattice: Lattice) -> np.ndarray:
-    return analyze_batch(vals.astype(np.complex128), lattice)
-
-
 def _respect_zero_mode(fld: FourierField) -> FourierField:
     if not fld.zero_mode:
         fld.coef[fld.lattice.zero_index()] = 0.0
@@ -310,13 +299,13 @@ def gradient(model, state):
         q = max(lat.oversample, math.ceil(model.p / 2))
         vals = synthesize_batch(u.coef, lat, q)
         nl = np.abs(vals) ** (model.p - 2) * vals
-        coef = lat.ksq() * u.coef - model.lam * _analyze_pointwise(nl, lat)
+        coef = lat.ksq() * u.coef - model.lam * analyze_batch(nl, lat)
         return _respect_zero_mode(FourierField(lat, coef, False, u.zero_mode))
     if isinstance(model, KdV):
         u = state
         lat = u.lattice
         vals = np.real(synthesize_batch(u.coef, lat, 2))
-        coef = lat.ksq() * u.coef - 0.5 * model.lam * _analyze_pointwise(vals ** 2, lat)
+        coef = lat.ksq() * u.coef - 0.5 * model.lam * analyze_batch(vals ** 2, lat)
         return _respect_zero_mode(FourierField(lat, hermitianize(coef), True, u.zero_mode))
     if isinstance(model, GrossPitaevskii):
         u = state
@@ -337,7 +326,7 @@ def _potential_times_field(u: FourierField, potential: FourierField) -> np.ndarr
     uvals = synthesize_batch(u.coef, lat, q)
     w = intensity_coefficients(u.coef, lat) * potential.coef
     wvals = synthesize_batch(w, lat, q)
-    return _analyze_pointwise(np.real(wvals) * uvals, lat)
+    return analyze_batch(np.real(wvals) * uvals, lat)
 
 
 def _zakharov_gradient(st: ZakharovState):
@@ -347,7 +336,7 @@ def _zakharov_gradient(st: ZakharovState):
     ugrid = synthesize_batch(st.u.coef, lat, q)
     sgrid = np.real(synthesize_batch(s_coef, lat, q))
     # quartic gradient -|u|^2 u plus coupling gradient P_n(n+|u|^2) u
-    gu_nl = _analyze_pointwise((sgrid - np.abs(ugrid) ** 2) * ugrid, lat)
+    gu_nl = analyze_batch((sgrid - np.abs(ugrid) ** 2) * ugrid, lat)
     gu = _respect_zero_mode(FourierField(lat, lat.ksq() * st.u.coef + gu_nl, False,
                                          st.u.zero_mode))
     gn = FourierField(lat, 0.5 * s_coef, True, st.n.zero_mode)
@@ -420,7 +409,7 @@ def _gp_hessian(model: GrossPitaevskii, u: FourierField, v: FourierField) -> Hes
     wv = intensity_coefficients(v.coef, lat)
     ug = synthesize_batch(u.coef, lat, 2)
     vg = synthesize_batch(v.coef, lat, 2)
-    bcoef = _analyze_pointwise(2.0 * np.real(np.conj(ug) * vg), lat)
+    bcoef = analyze_batch(2.0 * np.real(np.conj(ug) * vg), lat)
     vhat = model.potential.coef
     # B(f, g) = int (V*f) g = sum_m Vhat(m) fhat(m) conj(ghat(m)); V even real
     b_uv = float(np.real(np.sum(vhat * wv * np.conj(wu))))
@@ -438,8 +427,8 @@ def _zakharov_hessian(st: ZakharovState, d: ZakharovState) -> HessianProbe:
     cross = 2.0 * np.real(np.conj(ug) * vg)
     quartic = -float(np.mean(0.5 * cross ** 2 + np.abs(ug) ** 2 * np.abs(vg) ** 2))
     s_coef = st.coupled_density_coef()
-    ds_coef = _analyze_pointwise(np.real(synthesize_batch(d.n.coef, lat, 2)) + cross, lat)
-    du_sq_coef = _analyze_pointwise(np.abs(vg) ** 2, lat)
+    ds_coef = analyze_batch(np.real(synthesize_batch(d.n.coef, lat, 2)) + cross, lat)
+    du_sq_coef = analyze_batch(np.abs(vg) ** 2, lat)
     coupled = (0.5 * float(np.sum(np.abs(ds_coef) ** 2))
                + float(np.real(np.sum(np.conj(s_coef) * du_sq_coef))))
     k = lat.axis_modes().astype(float)
@@ -659,5 +648,5 @@ def gp_soft_sphere_potential(lattice: Lattice, amplitude: float = 1.0,
     th = 2 * np.pi * np.arange(m) / m
     s1 = np.sin(th / 2) ** 2
     vals = amplitude * np.exp(-(s1[:, None] + s1[None, :]) / width ** 2)
-    coef = analyze_batch(vals.astype(np.complex128), lattice)
+    coef = analyze_batch(vals, lattice)
     return FourierField(lattice, hermitianize(coef), reality=True)

@@ -217,10 +217,6 @@ class SampleEnsemble:
     def field(self, i: int) -> FourierField:
         return FourierField(self.lattice, self.coefs[i], self.reality, self.zero_mode)
 
-    def fields(self):
-        for i in range(len(self)):
-            yield self.field(i)
-
     def coords(self) -> np.ndarray:
         return coords_from_coef(self.coefs, self.lattice, self.reality, self.zero_mode)
 
@@ -353,7 +349,7 @@ def sample_zakharov_ensemble(model: ham.Zakharov, lattice: Lattice, count: int,
     and vhat = -sqrt(2) k^2 What."""
     uref = GaussianReference(lattice, rho=0.0, field_type="complex")
     udomain = PhaseDomain.mass_ball(model.mass_bound)
-    umodel = ham.NLS(p=4, lam=1.0, dim=1)
+    umodel = ham.NLS(p=4, lam=1.0)
     uens, stats = run_pcn_chain(umodel, udomain, uref, config)
     m = len(uens)
     if m > count:

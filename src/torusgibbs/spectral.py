@@ -188,17 +188,26 @@ def _embed(coef: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
     return buf
 
 
-def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None = None) -> np.ndarray:
-    """Grid values for a batch of coefficient arrays (leading batch axes allowed)."""
-    m = lattice.grid_points(oversample)
+def synthesize_grid(coefs: np.ndarray, lattice: Lattice, m: int) -> np.ndarray:
+    """Values on the uniform grid of exactly m >= 2n+1 points per axis, for a
+    batch of coefficient arrays (leading batch axes allowed).  The flows use
+    the critical grid m = 2n+1, where the transform pair is an l^2 isometry,
+    and KdV its dealiasing grid."""
     buf = _embed(coefs, lattice.n, m, lattice.dim)
     if lattice.dim == 1:
         return np.fft.ifft(buf, axis=-1) * m
     return np.fft.ifft2(buf, axes=(-2, -1)) * (m * m)
 
 
+def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None = None) -> np.ndarray:
+    """Grid values for a batch of coefficient arrays on the FFT-friendly grid
+    lattice.grid_points(oversample)."""
+    return synthesize_grid(coefs, lattice, lattice.grid_points(oversample))
+
+
 def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Centered coefficients from grid values (inverse of synthesize_batch)."""
+    """Centered coefficients from grid values of any size m >= 2n+1 per axis
+    (inverse of synthesize_grid); real values are accepted as they are."""
     m = values.shape[-1]
     if m < lattice.modes_per_axis:
         raise GridResolutionError(

@@ -68,30 +68,86 @@ def test_flow_nan_guard():
         flows.evolve(tg.KdV(8.0), u, flows.FlowConfig(2e-2, 2.0))
 
 
+def _zakharov_state(lat):
+    return ham.ZakharovState(smooth_state(lat, 3, 0.5),
+                             smooth_state(lat, 4, 0.4, reality=True, zero_mode=True),
+                             smooth_state(lat, 5, 0.4, reality=True))
+
+
+def _order_cases():
+    return {"nls": (tg.NLS(4, 1.0), smooth_state(Lattice(1, 32, 2), 7, amplitude=0.5)),
+            "zakharov": (tg.Zakharov(), _zakharov_state(Lattice(1, 16)))}
+
+
 def test_richardson_second_order_nls():
-    lat = Lattice(1, 32, 2)
-    u = smooth_state(lat, 7, amplitude=0.5)
-    rep = flows.richardson_order(tg.NLS(4, 1.0), u, 0.2, [1e-3, 5e-4, 2.5e-4, 1.25e-4])
+    model, state = _order_cases()["nls"]
+    rep = flows.richardson_order(model, state, 0.2, [1e-3, 5e-4, 2.5e-4, 1.25e-4])
+    assert abs(rep["order"] - 2.0) < 0.2
+
+
+def test_richardson_second_order_zakharov():
+    model, state = _order_cases()["zakharov"]
+    rep = flows.richardson_order(model, state, 0.2, [1e-3, 5e-4, 2.5e-4, 1.25e-4])
     assert abs(rep["order"] - 2.0) < 0.2
 
 
 def test_lie_scheme_is_first_order():
-    lat = Lattice(1, 32, 2)
-    u = smooth_state(lat, 7, amplitude=0.5)
-    rep = flows.richardson_order(tg.NLS(4, 1.0), u, 0.2,
-                                 [1e-3, 5e-4, 2.5e-4, 1.25e-4], scheme="lie")
-    assert abs(rep["order"] - 1.0) < 0.2
+    for case, (model, state) in _order_cases().items():
+        rep = flows.richardson_order(model, state, 0.2,
+                                     [1e-3, 5e-4, 2.5e-4, 1.25e-4], scheme="lie")
+        assert abs(rep["order"] - 1.0) < 0.2, case
+
+
+def _ensemble_cases():
+    lat2 = Lattice(2, 4)
+    gp = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), 0.8, 0.5, 1.0, 1.0)
+    return {"nls": (tg.NLS(4, 0.5), Lattice(1, 8), False),
+            "kdv": (tg.KdV(1.0), Lattice(1, 8), True),
+            "gp-2d": (gp, lat2, False)}
 
 
 def test_evolve_ensemble_matches_single_state():
-    lat = Lattice(1, 8)
-    rng = np.random.default_rng(8)
-    coefs = rng.standard_normal((3,) + lat.shape) + 1j * rng.standard_normal((3,) + lat.shape)
     cfg = flows.FlowConfig(1e-2, 0.1)
-    batch = flows.evolve_ensemble(tg.NLS(4, 0.5), coefs, lat, cfg)
-    for i in range(3):
-        single = flows.evolve(tg.NLS(4, 0.5), FourierField(lat, coefs[i]), cfg)
-        assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12
+    for case, (model, lat, reality) in _ensemble_cases().items():
+        ref = GaussianReference(lat, 1.0, "real" if reality else "complex")
+        coefs = ref.sample_batch(np.random.default_rng(8), 3)
+        batch = flows.evolve_ensemble(model, coefs, lat, cfg)
+        for i in range(3):
+            single = flows.evolve(model, FourierField(lat, coefs[i], reality), cfg)
+            assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12, case
+
+
+def test_evolve_ensemble_rejects_zakharov():
+    lat = Lattice(1, 8)
+    coefs = np.zeros((3,) + lat.shape, dtype=np.complex128)
+    with pytest.raises(TypeError):
+        flows.evolve_ensemble(tg.Zakharov(), coefs, lat, flows.FlowConfig(1e-2, 0.1))
+
+
+def _step_cases():
+    lat1, lat2 = Lattice(1, 8), Lattice(2, 4)
+    gp = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), 0.8, 0.5, 1.0, 1.0)
+    return {"nls": (tg.NLS(4, 1.0), smooth_state(lat1, 16, 0.6)),
+            "kdv": (tg.KdV(1.0), smooth_state(lat1, 17, 0.6, reality=True)),
+            "gp": (gp, smooth_state(lat2, 18, 0.6)),
+            "zakharov": (tg.Zakharov(), _zakharov_state(lat1))}
+
+
+def _arrays(state):
+    if isinstance(state, ham.ZakharovState):
+        return [state.u.coef, state.n.coef, state.v.coef]
+    return [state.coef]
+
+
+@pytest.mark.parametrize("scheme", ["strang", "lie"])
+@pytest.mark.parametrize("case", ["nls", "kdv", "gp", "zakharov"])
+def test_flow_step_is_one_step_of_evolve(case, scheme):
+    model, state = _step_cases()[case]
+    step = flows.flow_step(model, state, 1e-2, scheme)
+    traj = flows.evolve(model, state, flows.FlowConfig(1e-2, 1e-2, scheme))
+    assert type(step) is type(state)
+    for a, b in zip(_arrays(step), _arrays(traj.states[-1]), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_invariance_free_measure_under_free_flow():

@@ -96,7 +96,7 @@ def _density_cases():
                                         lam=1.0, n_project=2)
     return {"nls-p4": (tg.NLS(4, 0.7), lat1, False),
             "nls-p6": (tg.NLS(6, 0.4), lat1, False),
-            "nls-2d": (tg.NLS(4, 0.2, dim=2), lat2, False),
+            "nls-2d": (tg.NLS(4, 0.2), lat2, False),
             "kdv": (tg.KdV(0.9), lat1, True),
             "gp-bounded": (gp, Lattice(2, 3, 2), False),
             "gp-projected": (proj, lat2, False),

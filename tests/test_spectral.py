@@ -10,7 +10,7 @@ from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice,
                                  dyadic_interval, field_coords,
                                  field_from_coords, hermitianize, project,
                                  projection_multiplier, sobolev_norm,
-                                 synthesize_batch)
+                                 synthesize_batch, synthesize_grid)
 
 
 def random_field(lattice, seed, reality=False, zero_mode=True):
@@ -76,11 +76,26 @@ def test_parseval_identity():
         assert abs(mean_sq - f.mass()) < 1e-12 * max(1.0, f.mass())
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_synthesize_grid_on_the_critical_grid(dim):
+    lat = Lattice(dim, 5, 2)
+    f = random_field(lat, 4 + dim)
+    m = lat.modes_per_axis
+    vals = synthesize_grid(f.coef[None], lat, m)
+    assert vals.shape == (1,) + (m,) * dim
+    assert abs(float(np.mean(np.abs(vals) ** 2)) - f.mass()) < 1e-12 * f.mass()
+    assert np.max(np.abs(analyze_batch(vals, lat)[0] - f.coef)) < 1e-12
+    assert np.array_equal(synthesize_batch(f.coef, lat),
+                          synthesize_grid(f.coef, lat, lat.grid_points()))
+
+
 def test_transform_grid_too_small():
     lat = Lattice(1, 8)
     vals = np.zeros(5, dtype=complex)
     with pytest.raises(GridResolutionError):
         analyze_batch(vals, lat)
+    with pytest.raises(GridResolutionError):
+        synthesize_grid(np.zeros(lat.shape, dtype=complex), lat, 16)
 
 
 def test_hermitian_symmetry_preserved():
