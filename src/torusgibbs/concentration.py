@@ -106,23 +106,20 @@ def default_dictionary(lattice: Lattice, reality: bool = False,
 # entropy and Dirichlet energy
 # ---------------------------------------------------------------------------
 
-def _batch_means(values: np.ndarray, n_batches: int):
+def _jackknife(values: np.ndarray, stat, n_batches: int = 30):
+    """Leave-one-block-out jackknife over n_batches contiguous blocks (blocks
+    preserve chain order, so the stderr is robust to autocorrelation at the
+    block scale)."""
     m = values.shape[0]
-    nb = min(n_batches, m)
-    edges = np.linspace(0, m, nb + 1, dtype=int)
-    return [values[a:b] for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
-def _jackknife(values_blocks, stat):
-    """Leave-one-block-out jackknife (blocks preserve chain order, so the
-    stderr is robust to autocorrelation at the block scale)."""
-    nb = len(values_blocks)
-    full = stat(np.concatenate(values_blocks))
+    edges = np.linspace(0, m, min(n_batches, m) + 1, dtype=int)
+    blocks = [values[a:b] for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    nb = len(blocks)
+    full = stat(np.concatenate(blocks))
     if nb < 2:
         return full, float("nan")
     loo = []
     for i in range(nb):
-        rest = np.concatenate([b for j, b in enumerate(values_blocks) if j != i])
+        rest = np.concatenate([b for j, b in enumerate(blocks) if j != i])
         loo.append(stat(rest))
     loo = np.asarray(loo)
     se = math.sqrt(max(0.0, (nb - 1) / nb * float(np.sum((loo - np.mean(loo)) ** 2))))
@@ -144,7 +141,7 @@ def entropy_of_functional(values: np.ndarray, n_batches: int = 30):
     fsq = np.asarray(values, dtype=float) ** 2
     if np.allclose(fsq, fsq[0]):
         return 0.0, 0.0
-    return _jackknife(_batch_means(fsq, n_batches), _entropy_stat)
+    return _jackknife(fsq, _entropy_stat, n_batches)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def dirichlet_energy(coords: np.ndarray, functional: TestFunctional,
     w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
     g = functional.gradients(coords)
     sq = np.sum(w[None, :] * g ** 2, axis=1)
-    return _jackknife(_batch_means(sq, n_batches), lambda x: float(np.mean(x)))
+    return _jackknife(sq, lambda x: float(np.mean(x)), n_batches)
 
 
 def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
@@ -195,7 +192,7 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
                          "note": "entropy below noise floor; skipped"})
             continue
         stacked = np.column_stack([vals, gsq])
-        ratio, se = _jackknife(_batch_means(stacked, n_batches), ratio_stat)
+        ratio, se = _jackknife(stacked, ratio_stat, n_batches)
         rows.append({"functional": f.name, "ratio": float(ratio),
                      "stderr": float(se), "entropy": float(ent)})
     usable = [r for r in rows if r.get("ratio") is not None]

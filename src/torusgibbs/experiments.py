@@ -134,11 +134,8 @@ def build_reference(cfg: dict, model, lattice: Lattice) -> samp.GaussianReferenc
         return samp.GaussianReference(lattice, r.get("rho", 0.0),
                                       r.get("field_type", "complex"),
                                       r.get("spectrum", "massive"))
-    if isinstance(model, ham.KdV):
-        return samp.GaussianReference(lattice, 0.0, "real")
-    if isinstance(model, ham.GrossPitaevskii):
-        return samp.GaussianReference(lattice, ham.counterterm_mass(model, lattice.n))
-    return samp.GaussianReference(lattice, 0.0, "complex")
+    return samp.GaussianReference(lattice, model.reference_mass(lattice.n),
+                                  "real" if model.reality else "complex")
 
 
 def build_chain(cfg: dict) -> samp.ChainConfig:
@@ -211,7 +208,7 @@ def _run_flow(cfg: dict) -> tuple[dict, bool | None]:
     state = smooth_state(lattice, cfg.get("seed", 0),
                          amplitude=p.get("amplitude", 0.5),
                          decay=p.get("decay", 3.0),
-                         reality=isinstance(model, ham.KdV),
+                         reality=model.reality,
                          zero_mode=False)
     if isinstance(model, ham.Zakharov):
         n0 = smooth_state(lattice, cfg.get("seed", 0) + 1, p.get("amplitude", 0.3),
@@ -306,7 +303,7 @@ def _run_convexity(cfg: dict) -> tuple[dict, bool | None]:
     trials = p.get("trials", 1000)
     seed = cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
-    reality = isinstance(model, ham.KdV)
+    reality = model.reality
     ref = samp.GaussianReference(lattice, 0.0, "real" if reality else "complex")
     margins = np.empty(trials)
     for i in range(trials):

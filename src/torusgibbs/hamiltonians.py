@@ -3,14 +3,18 @@ the four model families: focusing NLS on T^1/T^2, KdV, the periodic Zakharov
 system, and the 2D Gross-Pitaevskii (Hartree) equation with Wick mass
 renormalization.
 
-Sign conventions.  H = (1/2) int |grad u|^2 - (lam/p) int |u|^p with the
-normalized measure; lam > 0 is focusing.  Gibbs densities are
-exp(interaction) times the Gaussian reference, so the interaction log
-density carries a plus sign.
+Every single-field Gibbs density is exp(Phi) times a Gaussian free field of
+mass rho, so the Hamiltonian is H = K - Phi + (rho/2) M with kinetic term
+K = (1/2) int |grad u|^2, mass M = int |u|^2 (normalized measure) and the
+interaction log-density Phi, e.g. (lam/p) int |u|^p for NLS (lam > 0 is
+focusing).  A model supplies Phi, its gradient and Hessian, its reality and
+rho (the Wick counterterm for GP, 0 otherwise); energy, gradient and
+Hessian form derive from those.  Zakharov keeps its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +31,19 @@ PI2 = math.pi ** 2
 # model specifications
 # ---------------------------------------------------------------------------
 
+class _Model:
+    """What the generic energy, gradient and Hessian read from a model
+    besides its log-density: whether its field is real, and the mass rho of
+    its Gaussian reference at truncation n."""
+
+    reality = False
+
+    def reference_mass(self, n: int) -> float:
+        return 0.0
+
+
 @dataclass(frozen=True)
-class NLS:
+class NLS(_Model):
     """Focusing (lam > 0) power nonlinearity, complex field, D in {1, 2}."""
 
     p: int = 4
@@ -38,33 +53,77 @@ class NLS:
         if not (2 <= self.p <= 8):
             raise ValueError("NLS exponent p must lie in [2, 8]")
 
+    def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        return (self.lam / self.p) * lp_integral_batch(coefs, lattice, self.p)
+
+    def log_density_gradient(self, u: FourierField) -> np.ndarray:
+        lat = u.lattice
+        q = max(lat.oversample, math.ceil(self.p / 2))
+        vals = synthesize_batch(u.coef, lat, q)
+        return self.lam * analyze_batch(np.abs(vals) ** (self.p - 2) * vals, lat)
+
+    def log_density_hessian(self, u: FourierField, v: FourierField) -> float:
+        """d^2/dt^2 of (lam/p) int |u + t v|^p:
+        lam int [ ((p-2)/4) |u|^{p-4} (u vbar + ubar v)^2 + |u|^{p-2} |v|^2 ]."""
+        if self.lam == 0.0:
+            return 0.0
+        p = self.p
+        lat = u.lattice
+        q = max(lat.oversample, math.ceil(p / 2))
+        ug = synthesize_batch(u.coef, lat, q)
+        vg = synthesize_batch(v.coef, lat, q)
+        au = np.abs(ug)
+        if p == 2:
+            return self.lam * float(np.mean(np.abs(vg) ** 2))
+        cross = 2.0 * np.real(np.conj(ug) * vg)
+        pw = np.ones_like(au) if p == 4 else au ** (p - 4)
+        return self.lam * float(np.mean(((p - 2) / 4.0) * pw * cross ** 2
+                                        + au ** (p - 2) * np.abs(vg) ** 2))
+
 
 @dataclass(frozen=True)
-class KdV:
+class KdV(_Model):
     """Real mean-zero field; lam is the reciprocal temperature (lam >= 0)."""
 
     lam: float = 0.0
+    reality = True
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("KdV lam must be >= 0")
 
+    def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        asym = coefs - np.conj(coefs[:, ::-1])      # Hermitian to 2e-14 relative in l^2
+        if np.vdot(asym, asym).real > 4e-28 * max(1.0, np.vdot(coefs, coefs).real):
+            raise ValueError("KdV field must be real")
+        return (self.lam / 6.0) * lp_integral_batch(coefs, lattice, 3)
+
+    def log_density_gradient(self, u: FourierField) -> np.ndarray:
+        vals = np.real(synthesize_batch(u.coef, u.lattice, 2))
+        return 0.5 * self.lam * analyze_batch(vals ** 2, u.lattice)
+
+    def log_density_hessian(self, u: FourierField, v: FourierField) -> float:
+        ug = np.real(synthesize_batch(u.coef, u.lattice, 2))
+        vg = np.real(synthesize_batch(v.coef, u.lattice, 2))
+        return self.lam * float(np.mean(ug * vg ** 2))
+
 
 @dataclass(frozen=True)
-class Zakharov:
+class Zakharov(_Model):
     """Envelope/ion-density pair; mass_bound is the u-ball radius B."""
 
     mass_bound: float = 0.01
 
 
 @dataclass(frozen=True)
-class GrossPitaevskii:
+class GrossPitaevskii(_Model):
     """2D Hartree model with interaction potential V and Wick counterterm.
 
     At truncation n the Hamiltonian is
         (1/2) int |grad u|^2 - (lam/4) int (V * |u|^2) |u|^2
         + (lam/2) kappa Vhat(0) (N_n + B) int |u|^2,
     with N_n the number operator at mass rho.  V must be real and even.
+    The quadratic counterterm is the reference mass (counterterm_mass).
     """
 
     potential: FourierField
@@ -80,9 +139,37 @@ class GrossPitaevskii:
         if not self.potential.reality:
             raise ValueError("GP potential must be real (Hermitian coefficients)")
 
+    def reference_mass(self, n: int) -> float:
+        return counterterm_mass(self, n)
+
+    def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        return 0.25 * self.lam * gp_quartic_batch(coefs, lattice, self.potential)
+
+    def log_density_gradient(self, u: FourierField) -> np.ndarray:
+        """lam times the lattice coefficients of (V * |u|^2) u, alias-free."""
+        lat = u.lattice
+        q = max(lat.oversample, 3)
+        uvals = synthesize_batch(u.coef, lat, q)
+        w = intensity_coefficients(u.coef, lat) * self.potential.coef
+        return self.lam * analyze_batch(np.real(synthesize_batch(w, lat, q)) * uvals, lat)
+
+    def log_density_hessian(self, u: FourierField, v: FourierField) -> float:
+        lat = u.lattice
+        wu = intensity_coefficients(u.coef, lat)
+        wv = intensity_coefficients(v.coef, lat)
+        ug = synthesize_batch(u.coef, lat, 2)
+        vg = synthesize_batch(v.coef, lat, 2)
+        bcoef = analyze_batch(2.0 * np.real(np.conj(ug) * vg), lat)
+        vhat = self.potential.coef
+        # B(f, g) = int (V*f) g = sum_m Vhat(m) fhat(m) conj(ghat(m)); V even real
+        b_uv = float(np.real(np.sum(vhat * wv * np.conj(wu))))
+        b_vu = float(np.real(np.sum(vhat * wu * np.conj(wv))))
+        b_bb = float(np.real(np.sum(vhat * bcoef * np.conj(bcoef))))
+        return 0.5 * self.lam * (b_uv + b_vu + b_bb)
+
 
 @dataclass(frozen=True)
-class GrossPitaevskiiProjected:
+class GrossPitaevskiiProjected(_Model):
     """Projected-interaction variant: U(P_m u) with the mean-subtracted
     quartic U(u) = (lam/4) int ((|u|^2 - int |u|^2) * V) |u|^2 over a
     massless reference; used by the truncation-entropy machinery."""
@@ -90,6 +177,12 @@ class GrossPitaevskiiProjected:
     potential: FourierField
     lam: float = 0.0
     n_project: int = 0        # 0 means no projection (full lattice)
+
+    def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        if self.n_project and self.n_project < lattice.n:
+            coefs = coefs * projection_multiplier(ProjectionSpec.dirichlet(self.n_project),
+                                                  lattice)
+        return gp_wick_interaction_batch(coefs, lattice, self.potential, self.lam)
 
 
 @dataclass
@@ -193,6 +286,7 @@ def gp_wick_interaction_batch(coefs: np.ndarray, lattice: Lattice,
     return 0.25 * lam * (gp_quartic_batch(coefs, lattice, potential) - v0 * mass ** 2)
 
 
+@functools.lru_cache
 def number_operator(n: int, rho: float) -> float:
     """N_n = sum_{|k_1|,|k_2| <= n} 2 / (|k|^2 + rho) on the 2D lattice."""
     if n < 0:
@@ -232,27 +326,28 @@ def counterterm_mass(model: GrossPitaevskii, n: int) -> float:
 # energy
 # ---------------------------------------------------------------------------
 
+def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """H = K - Phi + (rho/2) M for each field of a (B, ...) coefficient stack:
+    kinetic (1/2) sum |k|^2 |c_k|^2, the model's log-density Phi, and the
+    reference mass rho times the mass sum |c_k|^2."""
+    coefs = np.ascontiguousarray(coefs)       # row sums in the order of a single field's
+    axes = tuple(range(1, coefs.ndim))
+    sq = np.abs(coefs) ** 2
+    kinetic = 0.5 * np.sum(lattice.ksq() * sq, axis=axes)
+    rho = model.reference_mass(lattice.n)
+    return kinetic - model.log_density(coefs, lattice) + 0.5 * rho * np.sum(sq, axis=axes)
+
+
 def energy(model, state) -> float:
     """Hamiltonian H(state); H(0) = 0 for NLS/KdV/GP."""
-    if isinstance(model, NLS):
-        return kinetic_energy(state) - (model.lam / model.p) * lp_integral(state, model.p)
-    if isinstance(model, KdV):
-        if not state.reality:
-            raise ValueError("KdV field must be real")
-        return kinetic_energy(state) - (model.lam / 6.0) * lp_integral(state, 3)
-    if isinstance(model, GrossPitaevskii):
-        rc = counterterm_mass(model, state.lattice.n)
-        quartic = gp_quartic_batch(state.coef[None], state.lattice, model.potential)[0]
-        return kinetic_energy(state) - 0.25 * model.lam * quartic + 0.5 * rc * state.mass()
     if isinstance(model, Zakharov):
-        st = state
-        s_coef = st.coupled_density_coef()
+        s_coef = state.coupled_density_coef()
         coupled = 0.25 * float(np.sum(np.abs(s_coef) ** 2))   # (1/4) int (P_n(n+|u|^2))^2
-        k = st.u.lattice.axis_modes().astype(float)
+        k = state.u.lattice.axis_modes().astype(float)
         nz = k != 0
-        wave = 0.25 * float(np.sum(np.abs(st.v.coef[nz]) ** 2 / k[nz] ** 2))
-        return (kinetic_energy(st.u) - 0.25 * lp_integral(st.u, 4) + coupled + wave)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+        wave = 0.25 * float(np.sum(np.abs(state.v.coef[nz]) ** 2 / k[nz] ** 2))
+        return (kinetic_energy(state.u) - 0.25 * lp_integral(state.u, 4) + coupled + wave)
+    return float(energy_batch(model, state.coef[None], state.lattice)[0])
 
 
 def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -261,22 +356,7 @@ def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.nd
     coefficient stack; model None is the bare reference (all zeros)."""
     if model is None:
         return np.zeros(coefs.shape[0])
-    if isinstance(model, NLS):
-        return (model.lam / model.p) * lp_integral_batch(coefs, lattice, model.p)
-    if isinstance(model, KdV):
-        asym = coefs - np.conj(coefs[:, ::-1])      # Hermitian to 2e-14 relative in l^2
-        if np.vdot(asym, asym).real > 4e-28 * max(1.0, np.vdot(coefs, coefs).real):
-            raise ValueError("KdV field must be real")
-        return (model.lam / 6.0) * lp_integral_batch(coefs, lattice, 3)
-    if isinstance(model, GrossPitaevskii):
-        # quadratic counterterm absorbed into the reference mass rho_c
-        return 0.25 * model.lam * gp_quartic_batch(coefs, lattice, model.potential)
-    if isinstance(model, GrossPitaevskiiProjected):
-        if model.n_project and model.n_project < lattice.n:
-            coefs = coefs * projection_multiplier(ProjectionSpec.dirichlet(model.n_project),
-                                                  lattice)
-        return gp_wick_interaction_batch(coefs, lattice, model.potential, model.lam)
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    return model.log_density(coefs, lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +370,19 @@ def _respect_zero_mode(fld: FourierField) -> FourierField:
 
 
 def gradient(model, state):
-    """L^2-pairing variational derivative dH/du as a field (a triple for
-    Zakharov).  Components along frozen zero modes are dropped so the
-    gradient matches central finite differences in canonical coordinates."""
-    if isinstance(model, NLS):
-        u = state
-        lat = u.lattice
-        q = max(lat.oversample, math.ceil(model.p / 2))
-        vals = synthesize_batch(u.coef, lat, q)
-        nl = np.abs(vals) ** (model.p - 2) * vals
-        coef = lat.ksq() * u.coef - model.lam * analyze_batch(nl, lat)
-        return _respect_zero_mode(FourierField(lat, coef, False, u.zero_mode))
-    if isinstance(model, KdV):
-        u = state
-        lat = u.lattice
-        vals = np.real(synthesize_batch(u.coef, lat, 2))
-        coef = lat.ksq() * u.coef - 0.5 * model.lam * analyze_batch(vals ** 2, lat)
-        return _respect_zero_mode(FourierField(lat, hermitianize(coef), True, u.zero_mode))
-    if isinstance(model, GrossPitaevskii):
-        u = state
-        lat = u.lattice
-        rc = counterterm_mass(model, lat.n)
-        wu = _potential_times_field(u, model.potential)
-        coef = lat.ksq() * u.coef - model.lam * wu + rc * u.coef
-        return _respect_zero_mode(FourierField(lat, coef, False, u.zero_mode))
+    """L^2-pairing variational derivative dH/du = |k|^2 u - grad Phi + rho u as
+    a field (a triple for Zakharov).  Components along frozen zero modes are
+    dropped so the gradient matches central finite differences in canonical
+    coordinates."""
     if isinstance(model, Zakharov):
         return _zakharov_gradient(state)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _potential_times_field(u: FourierField, potential: FourierField) -> np.ndarray:
-    """Lattice coefficients of (V * |u|^2) u, alias-free."""
+    u = state
     lat = u.lattice
-    q = max(lat.oversample, 3)
-    uvals = synthesize_batch(u.coef, lat, q)
-    w = intensity_coefficients(u.coef, lat) * potential.coef
-    wvals = synthesize_batch(w, lat, q)
-    return analyze_batch(np.real(wvals) * uvals, lat)
+    coef = (lat.ksq() * u.coef - model.log_density_gradient(u)
+            + model.reference_mass(lat.n) * u.coef)
+    if model.reality:
+        coef = hermitianize(coef)
+    return _respect_zero_mode(FourierField(lat, coef, model.reality, u.zero_mode))
 
 
 def _zakharov_gradient(st: ZakharovState):
@@ -363,59 +419,11 @@ class HessianProbe:
 
 
 def hessian_quadratic_form(model, u, v) -> HessianProbe:
-    if isinstance(model, NLS):
-        return _nls_hessian(model.p, model.lam, u, v)
-    if isinstance(model, KdV):
-        lat = u.lattice
-        kin = float(np.sum(lat.ksq() * np.abs(v.coef) ** 2))
-        ug = np.real(synthesize_batch(u.coef, lat, 2))
-        vg = np.real(synthesize_batch(v.coef, lat, 2))
-        inter = -model.lam * float(np.mean(ug * vg ** 2))
-        return HessianProbe(kin + inter, kin, inter)
-    if isinstance(model, GrossPitaevskii):
-        return _gp_hessian(model, u, v)
     if isinstance(model, Zakharov):
         return _zakharov_hessian(u, v)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _nls_hessian(p: int, lam: float, u: FourierField, v: FourierField) -> HessianProbe:
-    """d^2/dt^2 of -(lam/p) int |u + t v|^p:
-    -lam int [ ((p-2)/4) |u|^{p-4} (u vbar + ubar v)^2 + |u|^{p-2} |v|^2 ]."""
-    lat = u.lattice
-    kin = float(np.sum(lat.ksq() * np.abs(v.coef) ** 2))
-    if lam == 0.0:
-        return HessianProbe(kin, kin, 0.0)
-    q = max(lat.oversample, math.ceil(p / 2))
-    ug = synthesize_batch(u.coef, lat, q)
-    vg = synthesize_batch(v.coef, lat, q)
-    au = np.abs(ug)
-    if p == 2:
-        inter = -lam * float(np.mean(np.abs(vg) ** 2))
-        return HessianProbe(kin + inter, kin, inter)
-    cross = 2.0 * np.real(np.conj(ug) * vg)
-    pw = np.ones_like(au) if p == 4 else au ** (p - 4)
-    inter = -lam * float(np.mean(((p - 2) / 4.0) * pw * cross ** 2
-                                 + au ** (p - 2) * np.abs(vg) ** 2))
-    return HessianProbe(kin + inter, kin, inter)
-
-
-def _gp_hessian(model: GrossPitaevskii, u: FourierField, v: FourierField) -> HessianProbe:
-    lat = u.lattice
-    kin = float(np.sum(lat.ksq() * np.abs(v.coef) ** 2))
-    rc = counterterm_mass(model, lat.n)
-    mass_term = rc * v.mass()
-    wu = intensity_coefficients(u.coef, lat)
-    wv = intensity_coefficients(v.coef, lat)
-    ug = synthesize_batch(u.coef, lat, 2)
-    vg = synthesize_batch(v.coef, lat, 2)
-    bcoef = analyze_batch(2.0 * np.real(np.conj(ug) * vg), lat)
-    vhat = model.potential.coef
-    # B(f, g) = int (V*f) g = sum_m Vhat(m) fhat(m) conj(ghat(m)); V even real
-    b_uv = float(np.real(np.sum(vhat * wv * np.conj(wu))))
-    b_vu = float(np.real(np.sum(vhat * wu * np.conj(wv))))
-    b_bb = float(np.real(np.sum(vhat * bcoef * np.conj(bcoef))))
-    inter = -0.5 * model.lam * (b_uv + b_vu + b_bb)
+    kin = float(np.sum(u.lattice.ksq() * np.abs(v.coef) ** 2))
+    inter = -model.log_density_hessian(u, v)
+    mass_term = model.reference_mass(u.lattice.n) * v.mass()
     return HessianProbe(kin + inter + mass_term, kin, inter, mass_term)
 
 

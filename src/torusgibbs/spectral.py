@@ -455,24 +455,28 @@ def field_from_coords(coords: np.ndarray, lattice: Lattice, reality: bool = Fals
     return FourierField(lattice, coef, reality, zero_mode)
 
 
+def coord_layout(per_mode: np.ndarray, lattice: Lattice, reality: bool,
+                 zero_mode: bool) -> np.ndarray:
+    """A per-mode array (lattice shape) laid out like field_coords: modes
+    j = 1..n twice (cos, sin) for real fields, the lattice twice (Re, Im) for
+    complex ones; the zero mode only when it is carried."""
+    if reality:
+        n = lattice.n
+        zero = per_mode[n:n + 1] if zero_mode else per_mode[:0]
+        return np.concatenate([per_mode[n + 1:], per_mode[n + 1:], zero])
+    flat = per_mode.reshape(-1)
+    if not zero_mode:
+        flat = np.delete(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape))
+    return np.concatenate([flat, flat])
+
+
 def dual_weights(lattice: Lattice, s_dual: float, reality: bool, zero_mode: bool) -> np.ndarray:
     """Per-coordinate weights |k|^{-2 s_dual} (zero mode weighted 1) matching
     the field_coords layout; the dual H^{-s} norm of a coordinate gradient g
     is (sum_i w_i g_i^2)^{1/2}."""
-    if reality:
-        j = np.arange(1, lattice.n + 1, dtype=float)
-        w = j ** (-2.0 * s_dual)
-        parts = [w, w]
-        if zero_mode:
-            parts.append(np.array([1.0]))
-        return np.concatenate(parts)
-    ksq = lattice.ksq().reshape(-1)
+    ksq = lattice.ksq()
     w = np.ones_like(ksq)
     nz = ksq > 0
-    w[nz] = ksq[nz] ** (-s_dual)
-    if not zero_mode:
-        z = np.ravel_multi_index(lattice.zero_index(), lattice.shape)
-        keep = np.ones(w.shape[0], dtype=bool)
-        keep[z] = False
-        w = w[keep]
-    return np.concatenate([w, w])
+    # real fields take |j|^{-2s}: (j^2)^{-s} can differ in the last bit
+    w[nz] = np.sqrt(ksq[nz]) ** (-2.0 * s_dual) if reality else ksq[nz] ** (-s_dual)
+    return coord_layout(w, lattice, reality, zero_mode)

@@ -17,9 +17,9 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import logsumexp
 
 from . import hamiltonians as ham
-from .concentration import _batch_means, _jackknife
+from .concentration import _jackknife
 from .sampling import ChainConfig, GaussianReference, PhaseDomain, _ess, run_pcn_chain
-from .spectral import FourierField, Lattice
+from .spectral import FourierField, Lattice, coord_layout
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +220,10 @@ def sinkhorn_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSp
 def head_coordinate_mask(lattice: Lattice, n: int, reality: bool,
                          zero_mode: bool) -> np.ndarray:
     """Boolean mask over the field_coords layout selecting modes |k_j| <= n."""
-    if reality:
-        j = np.arange(1, lattice.n + 1)
-        keep = j <= n
-        parts = [keep, keep]
-        if zero_mode:
-            parts.append(np.array([True]))
-        return np.concatenate(parts)
-    if lattice.dim == 1:
-        flags = np.abs(lattice.axis_modes()) <= n
-    else:
-        k1, k2 = lattice.mode_arrays()
-        flags = (np.abs(k1) <= n) & (np.abs(k2) <= n)
-    flags = flags.reshape(-1)
-    if not zero_mode:
-        z = np.ravel_multi_index(lattice.zero_index(), lattice.shape)
-        keep = np.ones(flags.size, dtype=bool)
-        keep[z] = False
-        flags = flags[keep]
-    return np.concatenate([flags, flags])
+    flags = np.abs(lattice.axis_modes()) <= n
+    if lattice.dim == 2:
+        flags = flags[:, None] & flags[None, :]
+    return coord_layout(flags, lattice, reality, zero_mode)
 
 
 def truncation_coupling_bound(coords: np.ndarray, lattice: Lattice, n: int,
@@ -288,7 +273,7 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     ens, stats = run_pcn_chain(model_n, domain, reference, chain)
     du = (ham.interaction_log_density(model_n, ens.coefs, lattice)
           - ham.interaction_log_density(model_full, ens.coefs, lattice))
-    mean_du, se_du = _jackknife(_batch_means(du, 30), lambda x: float(np.mean(x)))
+    mean_du, se_du = _jackknife(du, lambda x: float(np.mean(x)))
     rng = np.random.default_rng(z_seed)
     draws = reference.sample_batch(rng, n_z_samples)
     inside = domain.contains_batch(draws, lattice)
@@ -296,8 +281,7 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     lw_n = ham.interaction_log_density(model_n, draws, lattice)
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
     w_n = np.where(inside, np.exp(np.minimum(lw_n, 700.0)), 0.0)
-    log_ratio, se_ratio = _jackknife(_batch_means(np.column_stack([w_full, w_n]), 30),
-                                     _log_mean_ratio)
+    log_ratio, se_ratio = _jackknife(np.column_stack([w_full, w_n]), _log_mean_ratio)
     ent = mean_du + log_ratio
     stderr = math.hypot(se_du, se_ratio)
     reliable = np.mean(inside) > 0 and _ess(w_full) >= 30 and _ess(w_n) >= 30

@@ -6,8 +6,10 @@ import pytest
 
 import torusgibbs as tg
 from torusgibbs import archive as arch
+from torusgibbs import hamiltonians as ham
 from torusgibbs.cli import main
-from torusgibbs.experiments import SchemaError, run_experiment, validate_config
+from torusgibbs.experiments import (SchemaError, build_model, build_reference, run_experiment,
+                                    validate_config)
 from torusgibbs.sampling import GaussianReference, SampleEnsemble
 from torusgibbs.spectral import Lattice
 
@@ -319,6 +321,22 @@ def test_lsi_unrestricted_free_field(tmp_path):
     report, code = run_experiment(cfg, output_dir=str(tmp_path / "free"))
     assert code == 0 and report["passed"] is True
     assert report["results"]["prediction"]["alpha"] == 1.0
+
+
+def test_build_reference_follows_the_model():
+    lat2 = Lattice(2, 4)
+    gp = {"kind": "gp", "lam": 0.5, "kappa": 2.0, "potential": {"kind": "soft_sphere"}}
+    cases = [({"kind": "nls", "p": 4, "lam": 0.3}, Lattice(1, 8), 0.0, "complex"),
+             ({"kind": "kdv", "lam": 0.3}, Lattice(1, 8), 0.0, "real"),
+             (gp, lat2, None, "complex"),
+             ({"kind": "gp_projected", "lam": 1.0, "n_project": 2}, lat2, 0.0, "complex")]
+    for mcfg, lat, rho, field_type in cases:
+        model = build_model({"model": mcfg}, lat)
+        ref = build_reference({}, model, lat)
+        if rho is None:                          # GP: the Wick counterterm mass
+            rho = ham.counterterm_mass(model, lat.n)
+            assert rho > 0
+        assert (ref.rho, ref.field_type, ref.spectrum) == (rho, field_type, "massive")
 
 
 def test_invalid_runner_params_exit_2(tmp_path):

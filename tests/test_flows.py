@@ -164,10 +164,18 @@ def test_invariance_negative_control_detected():
     ref = GaussianReference(lat, 0.0, "complex")
     rng = np.random.default_rng(5)
     ens = SampleEnsemble(lat, ref.sample_batch(rng, 3000), False, False)
-    rep = flows.invariance_test(tg.NLS(4, 0.18), ens, flows.FlowConfig(5e-4, 1.0),
-                                energy_tol=0.2)
+    model, cfg = tg.NLS(4, 0.18), flows.FlowConfig(5e-4, 1.0)
+    rep = flows.invariance_test(model, ens, cfg, energy_tol=0.2)
     row = next(r for r in rep["rows"] if r["functional"] == "quartic_integral")
     assert not row["pass"]
+    # the batched drift is the largest per-sample drift over the first 200 states
+    after = flows.evolve_ensemble(model, ens.coefs[:200], lat, cfg)
+    drifts = []
+    for c0, c1 in zip(ens.coefs[:200], after):
+        e0 = ham.energy(model, FourierField(lat, c0, False, False))
+        e1 = ham.energy(model, FourierField(lat, c1, False, False))
+        drifts.append(abs(e1 - e0) / max(1.0, abs(e0)))
+    assert rep["max_energy_drift"] == max(drifts)
 
 
 # -- Duhamel / fixed point ---------------------------------------------------

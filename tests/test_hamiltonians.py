@@ -92,6 +92,7 @@ def _density_cases():
     lat2 = Lattice(2, 4)
     gp = tg.GrossPitaevskii(ham.gp_soft_sphere_potential(Lattice(2, 3, 2)), lam=0.5,
                             kappa=2.0)
+    gp_cos = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), lam=0.8, kappa=1.0)
     proj = ham.GrossPitaevskiiProjected(ham.gp_cosine_potential(lat2, amplitude=-1.0),
                                         lam=1.0, n_project=2)
     return {"nls-p4": (tg.NLS(4, 0.7), lat1, False),
@@ -99,6 +100,7 @@ def _density_cases():
             "nls-2d": (tg.NLS(4, 0.2), lat2, False),
             "kdv": (tg.KdV(0.9), lat1, True),
             "gp-bounded": (gp, Lattice(2, 3, 2), False),
+            "gp-cosine": (gp_cos, lat2, False),
             "gp-projected": (proj, lat2, False),
             "none": (None, lat1, False)}
 
@@ -115,6 +117,11 @@ def test_log_density_rows_match_single_row_calls(case):
     assert ham.interaction_log_density(model, coefs[:0], lat).shape == (0,)
     if model is None:
         assert np.all(stacked == 0.0)
+        return
+    # H = K - Phi + (rho/2) M row by row, as energy computes it for one field
+    energies = ham.energy_batch(model, coefs, lat)
+    single = [ham.energy(model, FourierField(lat, c, reality)) for c in coefs]
+    np.testing.assert_allclose(energies, single, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("case", ["nls-p4", "nls-p6", "nls-2d", "kdv"])
@@ -134,6 +141,8 @@ def test_kdv_log_density_rejects_complex_fields():
     coefs = _density_stack(lat, reality=False)
     with pytest.raises(ValueError):
         ham.interaction_log_density(tg.KdV(0.9), coefs, lat)
+    with pytest.raises(ValueError):
+        ham.energy(tg.KdV(0.9), FourierField(lat, coefs[0]))
 
 
 @pytest.mark.parametrize("potential", [ham.gp_cosine_potential, ham.gp_soft_sphere_potential])
