@@ -2,19 +2,34 @@
 conservation diagnostics, ensemble-pushforward invariance tests, and the
 Duhamel fixed-point construction of GP mild solutions.
 
-One driver, _advance, takes every flow through a Strang or Lie step: each
-model's stepper supplies a linear and a nonlinear substep on a batch of
-states: a coefficient stack for NLS, KdV and GP, and the triple (u, n, v)
-of stacks for Zakharov.  The linear substeps are exact Fourier
-multipliers.  Grid values come from the spectral transform pair
-(synthesize_grid, analyze_batch).  The NLS/GP nonlinear substep is the
-closed-form pointwise phase rotation on the critically sampled grid (2n+1
-points per axis), which is an exact l^2 isometry, so mass is conserved to
-roundoff for arbitrary states.  KdV integrates its quadratic term with
-dealiased RK4 (3/2-rule zero padding).  The Zakharov nonlinear substep
-solves the forced wave equation exactly per mode with |u|^2 frozen (it is
-frozen: u only rotates by a real phase) and rotates u by the exact time
-integral of n.
+State layout.  A flow keeps its states for the whole run as a stack of
+coefficient arrays in FFT order on the critical grid (2n+1 points per axis,
+mode k at index k mod 2n+1), so a transform is one unscaled
+spectral.fft_synthesize or fft_analyze call with no zero fill and no mode
+extraction; centered order is restored only where states leave the flow.
+NLS and GP carry the full complex spectrum, KdV the half spectrum of its
+real field (modes 0..n), and Zakharov the (u, n, v) triple as one (B, 3,
+2n+1) stack.
+
+Steps.  A stepper is built once per run for its time step: it holds the
+linear propagators (exact Fourier multipliers) for a full and a half step
+and supplies the nonlinear substep.  _march drives every flow through Lie
+steps or Strang steps (linear half step, nonlinear step, linear half step);
+the two linear half steps between consecutive nonlinear steps are fused
+into one full-step multiply (first same as last).  The NLS/GP nonlinear
+substep is the closed-form pointwise phase rotation on the critical grid,
+an exact l^2 isometry, so mass is conserved to roundoff for arbitrary
+states; the phase is the cosine and sine of the real exponent, and the GP
+Hartree potential V * |u|^2 comes from real transforms.  KdV integrates its
+quadratic term with dealiased RK4 (3/2-rule zero padding) by real
+transforms.  The Zakharov nonlinear substep solves the forced wave equation
+exactly per mode with |u|^2 frozen (u only rotates by a real phase) and
+rotates u by the exact time integral of n.
+
+Recording.  evolve writes the state after every step into a history buffer
+of at most HISTORY_BYTES; each time the buffer is full, one finite-value
+check and one hamiltonians.energy_batch call cover all of it, and the
+mass and energy series and the recorded states are taken from it.
 """
 
 from __future__ import annotations
@@ -26,8 +41,10 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from . import hamiltonians as ham
-from .spectral import (FourierField, Lattice, analyze_batch, sobolev_weights, synthesize_batch,
-                       synthesize_grid)
+from .spectral import (FourierField, Lattice, fft_analyze, fft_synthesize, from_fft_order,
+                       sobolev_weights, synthesize_batch, to_fft_order)
+
+HISTORY_BYTES = 2 ** 20     # states evolve holds between two energy evaluations
 
 
 class FlowError(RuntimeError):
@@ -72,112 +89,153 @@ class Trajectory:
 # steppers
 # ---------------------------------------------------------------------------
 
-class _NLSStepper:
-    def __init__(self, model: ham.NLS, lattice: Lattice):
+class _Stepper:
+    """One run's time step dt: the propagators exp(i dt freq) for a full and
+    a half linear step (freq in the state layout), the nonlinear substep,
+    and the map between centered (B, ...) stacks and the state layout."""
+
+    def __init__(self, lattice: Lattice, dt: float, freq: np.ndarray):
+        self.dim = lattice.dim
+        self.dt = dt
+        self.full = np.exp(1j * dt * freq)
+        self.half = np.exp(0.5j * dt * freq)
+        self._rot = None
+
+    def pack(self, coefs: np.ndarray) -> np.ndarray:
+        return to_fft_order(coefs, self.dim)
+
+    def unpack(self, state: np.ndarray) -> np.ndarray:
+        return from_fft_order(state, self.dim)
+
+    def mass(self, coefs: np.ndarray) -> np.ndarray:
+        """sum |c_k|^2 of each field of a centered stack."""
+        return np.sum(np.abs(coefs) ** 2, axis=tuple(range(1, coefs.ndim)))
+
+    def _rotate(self, vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """vals * exp(i theta) in place, from the cosine and sine of the real
+        theta written into a buffer kept across steps."""
+        rot = self._rot
+        if rot is None or rot.shape != vals.shape:
+            rot = self._rot = np.empty_like(vals)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        vals *= rot
+        return vals
+
+
+def _intensity(vals: np.ndarray) -> np.ndarray:
+    return vals.real ** 2 + vals.imag ** 2
+
+
+class _NLSStepper(_Stepper):
+    def __init__(self, model: ham.NLS, lattice: Lattice, dt: float):
+        super().__init__(lattice, dt, -to_fft_order(lattice.ksq(), lattice.dim))
         self.lam = model.lam
-        self.lattice = lattice
-        self.m = lattice.modes_per_axis          # the critical grid
-        self.ksq = lattice.ksq()
 
-    def linear(self, coefs, dt):
-        return coefs * np.exp(-1j * self.ksq * dt)
-
-    def nonlinear(self, coefs, dt):
+    def nonlinear(self, state):
         if self.lam == 0.0:
-            return coefs
-        vals = synthesize_grid(coefs, self.lattice, self.m)
-        vals *= np.exp(1j * self.lam * dt * np.abs(vals) ** 2)
-        return analyze_batch(vals, self.lattice)
+            return state
+        vals = fft_synthesize(state, self.dim)
+        theta = _intensity(vals)
+        theta *= self.lam * self.dt
+        return fft_analyze(self._rotate(vals, theta), self.dim)
 
 
-def _hartree_potential(vals: np.ndarray, vhat: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Grid values of V * |u|^2 from the grid values of u, on the same grid."""
-    w = vhat * analyze_batch(np.abs(vals) ** 2, lattice)
-    return np.real(synthesize_grid(w, lattice, vals.shape[-1]))
+def _half_spectrum(coef: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """A real field's centered coefficients as its FFT-order half spectrum."""
+    return to_fft_order(coef, lattice.dim)[..., :lattice.n + 1]
+
+
+def _hartree_potential(vals: np.ndarray, vhalf: np.ndarray, dim: int) -> np.ndarray:
+    """Grid values of V * |u|^2 from the grid values of u on the critical
+    grid, given the half spectrum of V."""
+    return fft_synthesize(vhalf * fft_analyze(_intensity(vals), dim), dim, vals.shape[-1])
 
 
 class _GPStepper(_NLSStepper):
-    def __init__(self, model: ham.GrossPitaevskii, lattice: Lattice):
-        super().__init__(model, lattice)
-        self.vhat = model.potential.coef
+    def __init__(self, model: ham.GrossPitaevskii, lattice: Lattice, dt: float):
+        super().__init__(model, lattice, dt)
+        self.vhalf = _half_spectrum(model.potential.coef, lattice)
         self.rc = model.reference_mass(lattice.n)
 
-    def nonlinear(self, coefs, dt):
-        vals = synthesize_grid(coefs, self.lattice, self.m)
-        w = _hartree_potential(vals, self.vhat, self.lattice)
-        vals *= np.exp(1j * (self.lam * w - self.rc) * dt)
-        return analyze_batch(vals, self.lattice)
+    def nonlinear(self, state):
+        vals = fft_synthesize(state, self.dim)
+        theta = _hartree_potential(vals, self.vhalf, self.dim)
+        theta *= self.lam * self.dt
+        theta -= self.rc * self.dt
+        return fft_analyze(self._rotate(vals, theta), self.dim)
 
 
-class _KdVStepper:
-    def __init__(self, model: ham.KdV, lattice: Lattice):
+class _KdVStepper(_Stepper):
+    """The real field as its half spectrum, modes 0..n."""
+
+    def __init__(self, model: ham.KdV, lattice: Lattice, dt: float):
+        self.n = lattice.n
+        k = np.arange(lattice.n + 1, dtype=float)
+        super().__init__(lattice, dt, k ** 3)         # u_t = -u_theta^3: d/dt chat = i k^3 chat
         self.lam = model.lam
-        self.lattice = lattice
-        k = lattice.axis_modes().astype(float)
-        self.k = k
-        self.kcubed = k ** 3
+        self.dx = -0.5j * self.lam * k                # (-lam/2) d/dtheta
         self.mfine = next_fast_len(3 * lattice.n + 2)   # 3/2-rule dealiasing
 
-    def linear(self, coefs, dt):
-        # u_t = -u_theta^3 : d/dt chat = i k^3 chat
-        return coefs * np.exp(1j * self.kcubed * dt)
+    def pack(self, coefs):
+        return coefs[..., self.n:].copy()
 
-    def _rhs(self, coefs):
-        grids = synthesize_grid(coefs, self.lattice, self.mfine)
-        shat = analyze_batch(np.real(grids) ** 2, self.lattice)
-        return -0.5 * self.lam * (1j * self.k) * shat
+    def unpack(self, state):
+        return np.concatenate([np.conj(state[..., :0:-1]), state], axis=-1)
 
-    def nonlinear(self, coefs, dt):
+    def _rhs(self, state):
+        grid = fft_synthesize(state, 1, self.mfine)
+        return self.dx * fft_analyze(grid * grid, 1)[..., :self.n + 1]
+
+    def nonlinear(self, state):
         if self.lam == 0.0:
-            return coefs
-        k1 = self._rhs(coefs)
-        k2 = self._rhs(coefs + 0.5 * dt * k1)
-        k3 = self._rhs(coefs + 0.5 * dt * k2)
-        k4 = self._rhs(coefs + dt * k3)
-        return coefs + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            return state
+        dt = self.dt
+        k1 = self._rhs(state)
+        k2 = self._rhs(state + 0.5 * dt * k1)
+        k3 = self._rhs(state + 0.5 * dt * k2)
+        k4 = self._rhs(state + dt * k3)
+        return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-class _ZakharovStepper:
-    """State (u, n, v).  Linear substep: free Schroedinger for u.  Nonlinear
-    substep: forced oscillator for (n, v) per mode with |u|^2 frozen, u
-    rotated by exp(-i int_0^dt n)."""
+class _ZakharovStepper(_Stepper):
+    """State: the (B, 3, 2n+1) stack of (u, n, v).  Linear substep: free
+    Schroedinger for u (n and v multiplied by 1).  Nonlinear substep: forced
+    oscillator for (n, v) per mode with |u|^2 frozen, u rotated by
+    exp(-i int_0^dt n); the per-mode coefficients are the closed forms,
+    with their limits at the zero mode."""
 
-    def __init__(self, model: ham.Zakharov, lattice: Lattice):
-        self.lattice = lattice
-        self.m = lattice.modes_per_axis
-        k = lattice.axis_modes().astype(float)
-        self.ksq = k ** 2
-        self.omega = np.abs(k)
-        self.zero = lattice.n
-
-    def linear(self, state, dt):
-        u, n, v = state
-        return u * np.exp(-1j * self.ksq * dt), n, v
-
-    def nonlinear(self, state, dt):
-        u, n, v = state
-        uvals = synthesize_grid(u, self.lattice, self.m)
-        fhat = analyze_batch(np.abs(uvals) ** 2, self.lattice)
-        w = self.omega
+    def __init__(self, model: ham.Zakharov, lattice: Lattice, dt: float):
+        k = to_fft_order(lattice.axis_modes().astype(float), 1)
+        freq = np.zeros((3, k.size))
+        freq[0] = -k ** 2
+        super().__init__(lattice, dt, freq)
+        w = np.abs(k)
         nz = w > 0
-        c = np.cos(w * dt)
-        s = np.sin(w * dt)
-        a = n + fhat
-        n_new = np.empty_like(n)
-        v_new = np.empty_like(v)
-        integral = np.empty_like(n)
-        n_new[..., nz] = (a * c)[..., nz] + (v * s)[..., nz] / w[nz] - fhat[..., nz]
-        v_new[..., nz] = (-w[nz]) * (a * s)[..., nz] + (v * c)[..., nz]
-        integral[..., nz] = ((a * s)[..., nz] / w[nz]
-                             + (v * (1 - c))[..., nz] / w[nz] ** 2
-                             - fhat[..., nz] * dt)
-        z = self.zero
-        n_new[..., z] = n[..., z] + v[..., z] * dt
-        v_new[..., z] = v[..., z]
-        integral[..., z] = n[..., z] * dt + 0.5 * v[..., z] * dt ** 2
-        phase = np.real(synthesize_grid(integral, self.lattice, self.m))
-        u_new = analyze_batch(uvals * np.exp(-1j * phase), self.lattice)
-        return u_new, n_new, v_new
+        wdt = w * dt
+        self.cos = np.cos(wdt)
+        self.cos_m1 = -2.0 * np.sin(0.5 * wdt) ** 2              # cos(w dt) - 1
+        self.sin_w = np.full_like(w, dt)                          # sin(w dt) / w
+        self.sin_w[nz] = np.sin(wdt[nz]) / w[nz]
+        self.w_sin = w * np.sin(wdt)                              # w sin(w dt)
+        self.sin_w_m_dt = self.sin_w - dt                         # int_0^dt (cos(w s) - 1) ds
+        self.vers_w2 = np.full_like(w, 0.5 * dt ** 2)             # (1 - cos(w dt)) / w^2
+        self.vers_w2[nz] = -self.cos_m1[nz] / w[nz] ** 2
+
+    def mass(self, coefs):
+        return super().mass(coefs[:, 0])
+
+    def nonlinear(self, state):
+        u, n, v = state[:, 0], state[:, 1], state[:, 2]
+        uvals = fft_synthesize(u, 1)
+        fhat = fft_analyze(uvals * np.conj(uvals), 1)
+        out = np.empty_like(state)
+        out[:, 1] = n * self.cos + fhat * self.cos_m1 + v * self.sin_w
+        out[:, 2] = v * self.cos - (n + fhat) * self.w_sin
+        integral = n * self.sin_w + fhat * self.sin_w_m_dt + v * self.vers_w2
+        phase = fft_synthesize(integral, 1).real
+        out[:, 0] = fft_analyze(self._rotate(uvals, -phase), 1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,75 +246,88 @@ _STEPPERS = {ham.NLS: _NLSStepper, ham.GrossPitaevskii: _GPStepper, ham.KdV: _Kd
              ham.Zakharov: _ZakharovStepper}
 
 
-def _make_stepper(model, lattice: Lattice):
+def _make_stepper(model, lattice: Lattice, dt: float):
     stepper = _STEPPERS.get(type(model))
     if stepper is None:
         raise TypeError(f"no stepper for {type(model).__name__}")
-    return stepper(model, lattice)
+    return stepper(model, lattice, dt)
 
 
-def _advance(stepper, state, dt, scheme):
-    """One Strang (linear half step, nonlinear step, linear half step) or Lie
-    step of a coefficient stack, or of the Zakharov triple of stacks."""
-    # overflow is allowed to propagate as inf/nan; the step guard raises
+def _march(stepper, state, steps: int, scheme: str, out=None):
+    """Advance a stack in the stepper's layout by `steps` Strang or Lie steps
+    and return it; with out, the state after step i is also written to
+    out[i].  Strang steps fuse the linear half steps between two nonlinear
+    steps into one full-step multiply."""
+    # overflow is allowed to propagate as inf/nan; the finite check raises
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "strang":
-            out = stepper.linear(state, 0.5 * dt)
-            out = stepper.nonlinear(out, dt)
-            return stepper.linear(out, 0.5 * dt)
-        out = stepper.linear(state, dt)
-        return stepper.nonlinear(out, dt)
+        if scheme == "lie":
+            for i in range(steps):
+                state = stepper.nonlinear(state * stepper.full)
+                if out is not None:
+                    out[i] = state
+            return state
+        state = state * stepper.half
+        for i in range(steps):
+            state = stepper.nonlinear(state)
+            if out is not None:
+                np.multiply(state, stepper.half, out=out[i])
+            if i + 1 < steps:
+                state *= stepper.full
+        return state * stepper.half if out is None else out[steps - 1]
 
 
-def _guard(*arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+def _guard(states):
+    if not np.all(np.isfinite(states)):
         raise FlowError("NaN/Inf encountered during time stepping")
 
 
-def _step(stepper, state, dt: float, scheme: str):
-    """One step of a single state as a batch of one."""
+def _like(state, coef: np.ndarray):
+    """A state of the same kind and conventions as `state` with centered
+    coefficients coef (the (3, 2n+1) stack for Zakharov)."""
     if isinstance(state, ham.ZakharovState):
-        u, n, v = _advance(stepper, (state.u.coef[None], state.n.coef[None],
-                                     state.v.coef[None]), dt, scheme)
-        _guard(u, n, v)
-        lat = state.u.lattice
-        return ham.ZakharovState(FourierField(lat, u[0], False, state.u.zero_mode),
-                                 FourierField(lat, n[0], True, state.n.zero_mode),
-                                 FourierField(lat, v[0], True, zero_mode=False))
-    out = _advance(stepper, state.coef[None], dt, scheme)
-    _guard(out)
-    return FourierField(state.lattice, out[0], state.reality, state.zero_mode)
-
-
-def _envelope(state) -> FourierField:
-    """The field that carries a state's lattice and mass: u for Zakharov."""
-    return state.u if isinstance(state, ham.ZakharovState) else state
+        lat = state.lattice
+        return ham.ZakharovState(FourierField(lat, coef[0], False, state.u.zero_mode),
+                                 FourierField(lat, coef[1], True, state.n.zero_mode),
+                                 FourierField(lat, coef[2], True, zero_mode=False))
+    return FourierField(state.lattice, coef, state.reality, state.zero_mode)
 
 
 def flow_step(model, state, dt: float, scheme: str = "strang"):
     """One split step of the model's truncated canonical flow."""
-    return _step(_make_stepper(model, _envelope(state).lattice), state, dt, scheme)
+    stepper = _make_stepper(model, state.lattice, dt)
+    out = _march(stepper, stepper.pack(state.coef[None]), 1, scheme)
+    _guard(out)
+    return _like(state, stepper.unpack(out)[0])
 
 
 def evolve(model, state, config: FlowConfig) -> Trajectory:
-    """Integrate to t_final recording per-step mass and energy."""
-    stepper = _make_stepper(model, _envelope(state).lattice)
+    """Integrate to t_final recording the mass and energy after every step
+    (see the module docstring for how they are computed)."""
+    lattice = state.lattice
     steps = config.steps
     dt = config.t_final / steps
-    times = [0.0]
-    mass = [_envelope(state).mass()]
-    en = [ham.energy(model, state)]
+    stepper = _make_stepper(model, lattice, dt)
+    start = state.coef[None]
+    cur = stepper.pack(start)
+    history = np.empty((max(1, min(steps, HISTORY_BYTES // cur.nbytes)),) + cur.shape,
+                       cur.dtype)
+    mass = [stepper.mass(start)]
+    energy = [ham.energy_batch(model, start, lattice)]
     recorded = [state]
-    cur = state
-    for i in range(steps):
-        cur = _step(stepper, cur, dt, config.scheme)
-        times.append((i + 1) * dt)
-        mass.append(_envelope(cur).mass())
-        en.append(ham.energy(model, cur))
-        if config.record_stride and (i + 1) % config.record_stride == 0 and i + 1 < steps:
-            recorded.append(cur)
-    recorded.append(cur)
-    return Trajectory(np.array(times), recorded, np.array(mass), np.array(en))
+    stride = config.record_stride
+    for done in range(0, steps, len(history)):
+        k = min(len(history), steps - done)
+        cur = _march(stepper, cur, k, config.scheme, history)
+        _guard(history[:k])
+        chunk = stepper.unpack(history[:k, 0])
+        mass.append(stepper.mass(chunk))
+        energy.append(ham.energy_batch(model, chunk, lattice))
+        if stride:
+            recorded += [_like(state, chunk[i].copy()) for i in range(k)
+                         if (done + i + 1) % stride == 0 and done + i + 1 < steps]
+    recorded.append(_like(state, chunk[-1].copy()))
+    return Trajectory(dt * np.arange(steps + 1), recorded, np.concatenate(mass),
+                      np.concatenate(energy))
 
 
 def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
@@ -265,14 +336,11 @@ def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
     if isinstance(model, ham.Zakharov):
         raise TypeError("evolve_ensemble pushes one coefficient stack; "
                         "a Zakharov state is a (u, n, v) triple")
-    stepper = _make_stepper(model, lattice)
     steps = config.steps
-    dt = config.t_final / steps
-    out = coefs.copy()
-    for _ in range(steps):
-        out = _advance(stepper, out, dt, config.scheme)
+    stepper = _make_stepper(model, lattice, config.t_final / steps)
+    out = _march(stepper, stepper.pack(coefs), steps, config.scheme)
     _guard(out)
-    return out
+    return stepper.unpack(out)
 
 
 def richardson_order(model, state, t_final: float, dts, scheme: str = "strang") -> dict:
@@ -395,10 +463,12 @@ def _filon_weights(omega: np.ndarray, h: float):
     return i0 - i1 / h, i1 / h
 
 
-def _gp_nonlinear(coefs: np.ndarray, vhat: np.ndarray, lattice: Lattice) -> np.ndarray:
+def _gp_nonlinear(coefs: np.ndarray, potential: FourierField) -> np.ndarray:
     """(V * |u|^2) u with the same critical-grid semantics as the stepper."""
-    vals = synthesize_grid(coefs, lattice, lattice.modes_per_axis)
-    return analyze_batch(_hartree_potential(vals, vhat, lattice) * vals, lattice)
+    lat = potential.lattice
+    vals = fft_synthesize(to_fft_order(coefs, lat.dim), lat.dim)
+    vals *= _hartree_potential(vals, _half_spectrum(potential.coef, lat), lat.dim)
+    return from_fft_order(fft_analyze(vals, lat.dim), lat.dim)
 
 
 def _duhamel_integral(g_nodes: np.ndarray, ksq: np.ndarray, h: float,
@@ -427,7 +497,7 @@ def duhamel_phi(phi: FourierField, potential: FourierField, lam: float,
     h = t / steps
     times = h * np.arange(steps + 1)
     u0 = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * phi.coef
-    g = _gp_nonlinear(u0, potential.coef, lat)
+    g = _gp_nonlinear(u0, potential)
     out = _duhamel_integral(g, ksq, h, lam)
     return FourierField(lat, out[-1], False, phi.zero_mode)
 
@@ -450,7 +520,7 @@ def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
     wmat = sobolev_weights(lat, s)
 
     def phi_map(w_nodes):
-        g = _gp_nonlinear(u0 + w_nodes, potential.coef, lat)
+        g = _gp_nonlinear(u0 + w_nodes, potential)
         return _duhamel_integral(g, ksq, h, lam)
 
     def sup_norm(nodes):

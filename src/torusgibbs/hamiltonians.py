@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (FourierField, Lattice, ProjectionSpec, analyze_batch,
-                       hermitianize, intensity_mode, lp_integral, lp_integral_batch,
+                       hermitianize, intensity_mode, lp_integral_batch,
                        projection_multiplier, sobolev_norm, synthesize_batch)
 
 PI2 = math.pi ** 2
@@ -148,7 +148,7 @@ class GrossPitaevskii(_Model):
     def log_density_gradient(self, u: FourierField) -> np.ndarray:
         """lam times the lattice coefficients of (V * |u|^2) u, alias-free."""
         lat = u.lattice
-        q = max(lat.oversample, 3)
+        q = max(lat.oversample, 2)     # the product has modes <= 2n; modes <= n are kept
         uvals = synthesize_batch(u.coef, lat, q)
         w = intensity_coefficients(u.coef, lat) * self.potential.coef
         return self.lam * analyze_batch(np.real(synthesize_batch(w, lat, q)) * uvals, lat)
@@ -202,13 +202,18 @@ class ZakharovState:
         if abs(self.v.zero_coef()) > 1e-13:
             raise ValueError("Zakharov v = dn/dt must have zero mean")
 
+    @property
+    def lattice(self) -> Lattice:
+        return self.u.lattice
+
+    @property
+    def coef(self) -> np.ndarray:
+        """The (3, 2n+1) stack of the u, n and v coefficients."""
+        return np.stack([self.u.coef, self.n.coef, self.v.coef])
+
     def coupled_density_coef(self) -> np.ndarray:
         """Lattice coefficients of n + |u|^2 (the projected combination)."""
-        lat = self.u.lattice
-        ugrid = synthesize_batch(self.u.coef, lat, 2)
-        ngrid = np.real(synthesize_batch(self.n.coef, lat, 2))
-        vals = ngrid + np.abs(ugrid) ** 2
-        return hermitianize(analyze_batch(vals, lat))
+        return _coupled_density(self.u.coef, self.n.coef, self.lattice)
 
     def tilde_n(self) -> FourierField:
         coef = self.coupled_density_coef() / np.sqrt(2.0)
@@ -230,6 +235,15 @@ class ZakharovState:
 def kinetic_energy(fld: FourierField) -> float:
     """(1/2) int |grad u|^2 dtheta/(2 pi)^D = (1/2) sum |k|^2 |c_k|^2."""
     return 0.5 * float(np.sum(fld.lattice.ksq() * np.abs(fld.coef) ** 2))
+
+
+def _coupled_density(u: np.ndarray, n: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Hermitian lattice coefficients of n + |u|^2 for 1D coefficient arrays
+    u and n (leading batch axes allowed)."""
+    ugrid = synthesize_batch(u, lattice, 2)
+    ngrid = np.real(synthesize_batch(n, lattice, 2))
+    coef = analyze_batch(ngrid + np.abs(ugrid) ** 2, lattice)
+    return 0.5 * (coef + np.conj(coef[..., ::-1]))
 
 
 def intensity_coefficients(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -329,8 +343,11 @@ def counterterm_mass(model: GrossPitaevskii, n: int) -> float:
 def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     """H = K - Phi + (rho/2) M for each field of a (B, ...) coefficient stack:
     kinetic (1/2) sum |k|^2 |c_k|^2, the model's log-density Phi, and the
-    reference mass rho times the mass sum |c_k|^2."""
+    reference mass rho times the mass sum |c_k|^2.  For Zakharov the stack is
+    (B, 3, 2n+1), the coef of each ZakharovState."""
     coefs = np.ascontiguousarray(coefs)       # row sums in the order of a single field's
+    if isinstance(model, Zakharov):
+        return _zakharov_energy_batch(coefs, lattice)
     axes = tuple(range(1, coefs.ndim))
     sq = np.abs(coefs) ** 2
     kinetic = 0.5 * np.sum(lattice.ksq() * sq, axis=axes)
@@ -338,15 +355,19 @@ def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     return kinetic - model.log_density(coefs, lattice) + 0.5 * rho * np.sum(sq, axis=axes)
 
 
+def _zakharov_energy_batch(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """K(u) - (1/4) int |u|^4 + (1/4) int (P_n(n+|u|^2))^2 + (1/4) sum |vhat/k|^2."""
+    u, n, v = coefs[:, 0], coefs[:, 1], coefs[:, 2]
+    kinetic = 0.5 * np.sum(lattice.ksq() * np.abs(u) ** 2, axis=-1)
+    coupled = 0.25 * np.sum(np.abs(_coupled_density(u, n, lattice)) ** 2, axis=-1)
+    k = lattice.axis_modes().astype(float)
+    nz = k != 0
+    wave = 0.25 * np.sum(np.abs(v[:, nz]) ** 2 / k[nz] ** 2, axis=-1)
+    return kinetic - 0.25 * lp_integral_batch(u, lattice, 4) + coupled + wave
+
+
 def energy(model, state) -> float:
     """Hamiltonian H(state); H(0) = 0 for NLS/KdV/GP."""
-    if isinstance(model, Zakharov):
-        s_coef = state.coupled_density_coef()
-        coupled = 0.25 * float(np.sum(np.abs(s_coef) ** 2))   # (1/4) int (P_n(n+|u|^2))^2
-        k = state.u.lattice.axis_modes().astype(float)
-        nz = k != 0
-        wave = 0.25 * float(np.sum(np.abs(state.v.coef[nz]) ** 2 / k[nz] ** 2))
-        return (kinetic_energy(state.u) - 0.25 * lp_integral(state.u, 4) + coupled + wave)
     return float(energy_batch(model, state.coef[None], state.lattice)[0])
 
 

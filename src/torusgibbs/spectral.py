@@ -217,9 +217,47 @@ def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
     else:
         buf = np.fft.fft2(values, axes=(-2, -1)) / (m * m)
     modes = np.arange(-lattice.n, lattice.n + 1) % m
-    if lattice.dim == 1:
-        return buf[..., modes]
-    return buf[..., modes[:, None], modes[None, :]]
+    for axis in range(-lattice.dim, 0):           # per-axis take keeps stacks C-ordered
+        buf = buf.take(modes, axis=axis)
+    return buf
+
+
+# FFT order: on the critical grid of m = 2n+1 points per axis, mode k sits at
+# index k mod m, so the centered coefficients and the FFT buffer differ by a
+# roll, and the unscaled (norm="forward") transforms are the whole pair.  A
+# real field may be carried as its half spectrum (modes 0..n on the last axis).
+
+def to_fft_order(coefs: np.ndarray, dim: int) -> np.ndarray:
+    """Centered coefficients (leading batch axes allowed) in FFT order."""
+    return np.fft.ifftshift(coefs, axes=tuple(range(-dim, 0)))
+
+
+def from_fft_order(fcoefs: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of to_fft_order."""
+    return np.fft.fftshift(fcoefs, axes=tuple(range(-dim, 0)))
+
+
+def fft_synthesize(fcoefs: np.ndarray, dim: int, real_points: int | None = None) -> np.ndarray:
+    """Grid values sum_k c_k e^{ik.theta} from FFT-ordered coefficients over
+    the last dim axes, on as many points per axis as coefficients.  With
+    real_points = m the input is a real field's half spectrum, zero-padded
+    along its last axis (only) to the real grid of m points per axis."""
+    if real_points is None:
+        return np.fft.ifft(fcoefs, norm="forward") if dim == 1 else \
+            np.fft.ifft2(fcoefs, norm="forward")
+    if dim == 1:
+        return np.fft.irfft(fcoefs, real_points, norm="forward")
+    return np.fft.irfft2(fcoefs, (real_points,) * dim, norm="forward")
+
+
+def fft_analyze(values: np.ndarray, dim: int) -> np.ndarray:
+    """FFT-ordered coefficients of grid values (inverse of fft_synthesize);
+    real values give the half spectrum, modes 0..m//2 on the last axis."""
+    if np.isrealobj(values):
+        return np.fft.rfft(values, norm="forward") if dim == 1 else \
+            np.fft.rfft2(values, norm="forward")
+    return np.fft.fft(values, norm="forward") if dim == 1 else \
+        np.fft.fft2(values, norm="forward")
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,21 @@ def _ensemble_cases():
     lat2 = Lattice(2, 4)
     gp = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), 0.8, 0.5, 1.0, 1.0)
     return {"nls": (tg.NLS(4, 0.5), Lattice(1, 8), False),
+            "nls-2d": (tg.NLS(4, 0.5), lat2, False),
             "kdv": (tg.KdV(1.0), Lattice(1, 8), True),
             "gp-2d": (gp, lat2, False)}
 
 
 def test_evolve_ensemble_matches_single_state():
-    cfg = flows.FlowConfig(1e-2, 0.1)
-    for case, (model, lat, reality) in _ensemble_cases().items():
-        ref = GaussianReference(lat, 1.0, "real" if reality else "complex")
-        coefs = ref.sample_batch(np.random.default_rng(8), 3)
-        batch = flows.evolve_ensemble(model, coefs, lat, cfg)
-        for i in range(3):
-            single = flows.evolve(model, FourierField(lat, coefs[i], reality), cfg)
-            assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12, case
+    for scheme in ("strang", "lie"):
+        cfg = flows.FlowConfig(1e-2, 0.1, scheme)
+        for case, (model, lat, reality) in _ensemble_cases().items():
+            ref = GaussianReference(lat, 1.0, "real" if reality else "complex")
+            coefs = ref.sample_batch(np.random.default_rng(8), 3)
+            batch = flows.evolve_ensemble(model, coefs, lat, cfg)
+            for i in range(3):
+                single = flows.evolve(model, FourierField(lat, coefs[i], reality), cfg)
+                assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12, (case, scheme)
 
 
 def test_evolve_ensemble_rejects_zakharov():
@@ -148,6 +150,41 @@ def test_flow_step_is_one_step_of_evolve(case, scheme):
     assert type(step) is type(state)
     for a, b in zip(_arrays(step), _arrays(traj.states[-1]), strict=True):
         assert np.array_equal(a, b)
+
+
+def _recorder_cases():
+    lat1, lat2 = Lattice(1, 16), Lattice(2, 6)
+    gp = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), 0.8, 0.5, 1.0, 1.0)
+    return {"nls": (tg.NLS(4, 1.0), smooth_state(lat1, 19, 0.6), 1e-3, 0.05),
+            # 1200 steps of 65 modes: more than one history buffer
+            "nls-n32": (tg.NLS(4, 1.0), smooth_state(Lattice(1, 32, 2), 20, 0.5, decay=3.0),
+                        2.5e-4, 0.3),
+            "kdv": (tg.KdV(1.0), smooth_state(lat1, 21, 0.6, reality=True), 1e-3, 0.05),
+            "gp": (gp, smooth_state(lat2, 22, 0.6), 1e-3, 0.05),
+            "zakharov": (tg.Zakharov(), _zakharov_state(lat1), 1e-3, 0.05)}
+
+
+def _mass(state):
+    return (state.u if isinstance(state, ham.ZakharovState) else state).mass()
+
+
+@pytest.mark.parametrize("case", ["nls", "nls-n32", "kdv", "gp", "zakharov"])
+def test_evolve_records_the_mass_and_energy_of_every_state(case):
+    model, state, dt, t_final = _recorder_cases()[case]
+    cfg = flows.FlowConfig(dt, t_final, record_stride=1)
+    traj = flows.evolve(model, state, cfg)
+    assert len(traj.states) == len(traj.mass) == len(traj.energy) == cfg.steps + 1
+    if case == "nls-n32":
+        assert cfg.steps > flows.HISTORY_BYTES // state.coef.nbytes
+    np.testing.assert_allclose(traj.mass, [_mass(s) for s in traj.states], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(traj.energy, [ham.energy(model, s) for s in traj.states],
+                               rtol=1e-12, atol=0)
+    strided = flows.evolve(model, state, flows.FlowConfig(dt, t_final, record_stride=7))
+    kept = traj.states[::7] + ([] if cfg.steps % 7 == 0 else traj.states[-1:])
+    assert len(strided.states) == len(kept)
+    for a, b in zip(strided.states, kept):
+        for x, y in zip(_arrays(a), _arrays(b), strict=True):
+            assert np.array_equal(x, y)
 
 
 def test_invariance_free_measure_under_free_flow():

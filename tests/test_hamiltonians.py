@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import torusgibbs as tg
 from torusgibbs import hamiltonians as ham
-from torusgibbs.spectral import (FourierField, Lattice, field_coords,
-                                 field_from_coords, hermitianize)
+from torusgibbs.spectral import (FourierField, Lattice, analyze_batch, field_coords,
+                                 field_from_coords, hermitianize, synthesize_batch)
 from conftest import rescale_into_ball
 
 
@@ -225,6 +225,21 @@ def test_gp_interaction_gradient_vanishes_for_constant_intensity():
     g = ham.gradient(gp, u)
     kinetic_only = lat.ksq() * u.coef
     assert np.max(np.abs(g.coef - kinetic_only)) < 1e-12
+
+
+@pytest.mark.parametrize("potential", [ham.gp_cosine_potential, ham.gp_soft_sphere_potential])
+def test_gp_gradient_on_the_alias_free_grid(potential):
+    # 2(2n+1) points resolve the product (V * |u|^2) u, modes <= 2n, for the
+    # modes <= n kept; the former 3(2n+1)-point grid is the reference
+    lat = Lattice(2, 16)
+    pot = potential(lat)
+    u = random_field(lat, 33, zero_mode=True, amp=0.8)
+    gp = tg.GrossPitaevskii(pot, lam=0.7, kappa=0.0, rho=1.0, bparam=1.0)
+    w = ham.intensity_coefficients(u.coef, lat) * pot.coef
+    ref = 0.7 * analyze_batch(np.real(synthesize_batch(w, lat, 3))
+                              * synthesize_batch(u.coef, lat, 3), lat)
+    got = gp.log_density_gradient(u)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_gradient_fd_second_order_all_models():

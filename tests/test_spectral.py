@@ -7,10 +7,11 @@ import torusgibbs as tg
 from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice,
                                  ProjectionSpec, analyze_batch,
                                  coef_from_coords, coords_from_coef,
-                                 dyadic_interval, field_coords,
-                                 field_from_coords, hermitianize, project,
-                                 projection_multiplier, sobolev_norm,
-                                 synthesize_batch, synthesize_grid)
+                                 dyadic_interval, fft_analyze, fft_synthesize,
+                                 field_coords, field_from_coords, from_fft_order,
+                                 hermitianize, project, projection_multiplier,
+                                 sobolev_norm, synthesize_batch, synthesize_grid,
+                                 to_fft_order)
 
 
 def random_field(lattice, seed, reality=False, zero_mode=True):
@@ -87,6 +88,32 @@ def test_synthesize_grid_on_the_critical_grid(dim):
     assert np.max(np.abs(analyze_batch(vals, lat)[0] - f.coef)) < 1e-12
     assert np.array_equal(synthesize_batch(f.coef, lat),
                           synthesize_grid(f.coef, lat, lat.grid_points()))
+    stack = analyze_batch(synthesize_grid(np.stack([f.coef] * 3), lat, m), lat)
+    assert stack.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fft_order_pair_matches_the_centered_pair(dim):
+    lat = Lattice(dim, 5)
+    m = lat.modes_per_axis
+    f = random_field(lat, 6 + dim)
+    stack = np.stack([f.coef, 2j * f.coef])
+    fstack = to_fft_order(stack, dim)
+    assert np.array_equal(from_fft_order(fstack, dim), stack)
+    vals = fft_synthesize(fstack, dim)
+    assert np.max(np.abs(vals - synthesize_grid(stack, lat, m))) < 1e-12
+    assert np.max(np.abs(from_fft_order(fft_analyze(vals, dim), dim) - stack)) < 1e-12
+    # a real field as its half spectrum, modes 0..n on the last axis
+    g = random_field(lat, 8 + dim, reality=True)
+    half = to_fft_order(g.coef, dim)[..., :lat.n + 1]
+    grid = fft_synthesize(half, dim, m)
+    assert np.isrealobj(grid)
+    assert np.max(np.abs(grid - synthesize_grid(g.coef, lat, m).real)) < 1e-12
+    assert np.max(np.abs(fft_analyze(grid, dim) - half)) < 1e-12
+    if dim == 1:                   # zero padding along the half-spectrum axis
+        fine = 3 * lat.n + 2
+        assert np.max(np.abs(fft_synthesize(half, 1, fine)
+                             - synthesize_grid(g.coef, lat, fine).real)) < 1e-12
 
 
 def test_transform_grid_too_small():
