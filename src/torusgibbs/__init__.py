@@ -3,8 +3,8 @@ the periodic NLS, KdV, Zakharov and Gross-Pitaevskii equations."""
 
 __version__ = "0.1.0"
 
-from .spectral import (FourierField, Lattice, ProjectionSpec, convolve,
-                       lp_integral, project, sobolev_norm)
+from .spectral import (FourierField, Lattice, ProjectionSpec, lp_integral, project,
+                       sobolev_norm)
 from .hamiltonians import (KdV, NLS, GrossPitaevskii, GrossPitaevskiiProjected,
                            HessianProbe, Zakharov, ZakharovState,
                            block_convexity_probe, convexity_margin, energy,

@@ -4,12 +4,13 @@ Duhamel fixed-point construction of GP mild solutions.
 
 State layout.  A flow keeps its states for the whole run as a stack of
 coefficient arrays in FFT order on the critical grid (2n+1 points per axis,
-mode k at index k mod 2n+1), so a transform is one unscaled
-spectral.fft_synthesize or fft_analyze call with no zero fill and no mode
-extraction; centered order is restored only where states leave the flow.
-NLS and GP carry the full complex spectrum, KdV the half spectrum of its
-real field (modes 0..n), and Zakharov the (u, n, v) triple as one (B, 3,
-2n+1) stack.
+mode k at index k mod 2n+1), so every transform is one call of spectral's
+one pair, fft_synthesize or fft_analyze, with no zero fill and no mode
+extraction; only KdV's dealiased product leaves the critical grid, through
+the pair's own zero fill (m points) and mode cut (modes <= n).  Centered
+order is restored only where states leave the flow.  NLS and GP carry the
+full complex spectrum, KdV the half spectrum of its real field (modes
+0..n), and Zakharov the (u, n, v) triple as one (B, 3, 2n+1) stack.
 
 Steps.  A stepper is built once per run for its time step: it holds the
 linear propagators (exact Fourier multipliers) for a full and a half step
@@ -27,9 +28,10 @@ exactly per mode with |u|^2 frozen (u only rotates by a real phase) and
 rotates u by the exact time integral of n.
 
 Recording.  evolve writes the state after every step into a history buffer
-of at most HISTORY_BYTES; each time the buffer is full, one finite-value
-check and one hamiltonians.energy_batch call cover all of it, and the
-mass and energy series and the recorded states are taken from it.
+of one spectral row block (at most 2**20 bytes); each time the buffer is
+full, one finite-value check and one hamiltonians.energy_batch call cover
+all of it, and the mass and energy series and the recorded states are
+taken from it.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from . import hamiltonians as ham
-from .spectral import (FourierField, Lattice, fft_analyze, fft_synthesize, from_fft_order,
-                       sobolev_weights, synthesize_batch, to_fft_order)
-
-HISTORY_BYTES = 2 ** 20     # states evolve holds between two energy evaluations
+from .spectral import (FourierField, Lattice, _row_blocks, fft_analyze, fft_synthesize,
+                       from_fft_order, lp_integral_batch, sobolev_weights, to_fft_order)
 
 
 class FlowError(RuntimeError):
@@ -141,21 +141,16 @@ class _NLSStepper(_Stepper):
         return fft_analyze(self._rotate(vals, theta), self.dim)
 
 
-def _half_spectrum(coef: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """A real field's centered coefficients as its FFT-order half spectrum."""
-    return to_fft_order(coef, lattice.dim)[..., :lattice.n + 1]
-
-
 def _hartree_potential(vals: np.ndarray, vhalf: np.ndarray, dim: int) -> np.ndarray:
     """Grid values of V * |u|^2 from the grid values of u on the critical
     grid, given the half spectrum of V."""
-    return fft_synthesize(vhalf * fft_analyze(_intensity(vals), dim), dim, vals.shape[-1])
+    return fft_synthesize(vhalf * fft_analyze(_intensity(vals), dim), dim, real=True)
 
 
 class _GPStepper(_NLSStepper):
     def __init__(self, model: ham.GrossPitaevskii, lattice: Lattice, dt: float):
         super().__init__(model, lattice, dt)
-        self.vhalf = _half_spectrum(model.potential.coef, lattice)
+        self.vhalf = to_fft_order(model.potential.coef, lattice.dim)[..., :lattice.n + 1]
         self.rc = model.reference_mass(lattice.n)
 
     def nonlinear(self, state):
@@ -184,8 +179,8 @@ class _KdVStepper(_Stepper):
         return np.concatenate([np.conj(state[..., :0:-1]), state], axis=-1)
 
     def _rhs(self, state):
-        grid = fft_synthesize(state, 1, self.mfine)
-        return self.dx * fft_analyze(grid * grid, 1)[..., :self.n + 1]
+        grid = fft_synthesize(state, 1, self.mfine, real=True)
+        return self.dx * fft_analyze(grid * grid, 1, self.n)
 
     def nonlinear(self, state):
         if self.lam == 0.0:
@@ -309,14 +304,14 @@ def evolve(model, state, config: FlowConfig) -> Trajectory:
     stepper = _make_stepper(model, lattice, dt)
     start = state.coef[None]
     cur = stepper.pack(start)
-    history = np.empty((max(1, min(steps, HISTORY_BYTES // cur.nbytes)),) + cur.shape,
-                       cur.dtype)
+    blocks = _row_blocks(steps, cur.nbytes)
+    history = np.empty((blocks[0].stop,) + cur.shape, cur.dtype)
     mass = [stepper.mass(start)]
     energy = [ham.energy_batch(model, start, lattice)]
     recorded = [state]
     stride = config.record_stride
-    for done in range(0, steps, len(history)):
-        k = min(len(history), steps - done)
+    for rows in blocks:
+        done, k = rows.start, rows.stop - rows.start
         cur = _march(stepper, cur, k, config.scheme, history)
         _guard(history[:k])
         chunk = stepper.unpack(history[:k, 0])
@@ -382,13 +377,9 @@ def default_invariance_functionals(lattice: Lattice, seed: int = 7):
         idx = tuple(z + kk for z, kk in zip(zero, k if isinstance(k, tuple) else (k,)))
         return stack[(slice(None),) + idx]
 
-    def quartic(stack):
-        grids = synthesize_batch(stack, lattice, 2)
-        return np.mean(np.abs(grids) ** 4, axis=axes)
-
     return [
         ("mass", lambda s: np.sum(np.abs(s) ** 2, axis=axes)),
-        ("quartic_integral", quartic),
+        ("quartic_integral", lambda s: lp_integral_batch(s, lattice, 4)),
         ("re_mode_1", lambda s: np.real(mode(s, 1 if lattice.dim == 1 else (1, 0)))),
         ("im_mode_1", lambda s: np.imag(mode(s, 1 if lattice.dim == 1 else (1, 0)))),
         ("abs_sq_mode_1", lambda s: np.abs(mode(s, 1 if lattice.dim == 1 else (1, 0))) ** 2),
@@ -466,8 +457,9 @@ def _filon_weights(omega: np.ndarray, h: float):
 def _gp_nonlinear(coefs: np.ndarray, potential: FourierField) -> np.ndarray:
     """(V * |u|^2) u with the same critical-grid semantics as the stepper."""
     lat = potential.lattice
+    vhalf = to_fft_order(potential.coef, lat.dim)[..., :lat.n + 1]
     vals = fft_synthesize(to_fft_order(coefs, lat.dim), lat.dim)
-    vals *= _hartree_potential(vals, _half_spectrum(potential.coef, lat), lat.dim)
+    vals *= _hartree_potential(vals, vhalf, lat.dim)
     return from_fft_order(fft_analyze(vals, lat.dim), lat.dim)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, ProjectionSpec, analyze_batch,
+from .spectral import (FourierField, Lattice, ProjectionSpec, _row_blocks, analyze_batch,
                        hermitianize, intensity_mode, lp_integral_batch,
                        projection_multiplier, sobolev_norm, synthesize_batch)
 
@@ -274,11 +274,13 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
     of coefficient arrays.  Sparsely supported potentials use shifted
     coefficient products; dense ones go through the zero-padded grid."""
     modes, vals = _potential_support(potential)
+    sparse = 0 < len(modes) <= 16
+    # values held per row: coefficient products, or the zero-padded grid
+    points = math.prod(lattice.shape) if sparse else lattice.grid_points(2) ** lattice.dim
     out = np.zeros(coefs.shape[0])
-    chunk = max(1, 2 ** 22 // (16 * math.prod(lattice.shape)))   # cap transients
-    for lo in range(0, coefs.shape[0], chunk):
-        sub = coefs[lo:lo + chunk]
-        if 0 < len(modes) <= 16:
+    for rows in _row_blocks(coefs.shape[0], 16 * points):
+        sub = coefs[rows]
+        if sparse:
             acc = np.zeros(sub.shape[0])
             for m, v in zip(modes, vals):
                 w = intensity_mode(sub, lattice, m)
@@ -287,7 +289,7 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
             w = intensity_coefficients(sub, lattice)
             axes = tuple(range(1, w.ndim))
             acc = np.real(np.sum(potential.coef * np.abs(w) ** 2, axis=axes))
-        out[lo:lo + chunk] = acc
+        out[rows] = acc
     return out
 
 

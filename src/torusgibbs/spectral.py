@@ -5,15 +5,24 @@ A field is stored as a complex coefficient array on the centered lattice
 d^D(theta) / (2 pi)^D, so the coefficients are orthonormal coordinates for
 L^2 and Parseval reads  mean_grid |u|^2 = sum_k |c_k|^2.  The mass ball
 {sum |c_k|^2 <= N} is therefore a Euclidean ball in coefficient space.
+
+Transforms.  One pair in FFT order (mode k at index k mod m): fft_synthesize
+zero-fills the middle of the spectrum to m >= 2n+1 points per axis and runs
+one unscaled inverse FFT, fft_analyze the forward FFT; real fields may travel
+as half spectra.  synthesize_batch and analyze_batch only reorder around it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
+
+_BLOCK_BYTES = 2 ** 20     # transient bytes one row block of a batched grid loop holds
 
 
 class GridResolutionError(ValueError):
@@ -49,16 +58,10 @@ class Lattice:
 
     def mode_arrays(self) -> tuple:
         """Per-axis mode arrays broadcast to the coefficient shape."""
-        m = self.axis_modes()
-        if self.dim == 1:
-            return (m,)
-        return (m[:, None], m[None, :])
+        return np.ix_(*[self.axis_modes()] * self.dim)
 
     def ksq(self) -> np.ndarray:
-        if self.dim == 1:
-            return self.axis_modes().astype(float) ** 2
-        k1, k2 = self.mode_arrays()
-        return (k1.astype(float) ** 2 + k2.astype(float) ** 2)
+        return sum(k.astype(float) ** 2 for k in self.mode_arrays())
 
     def abs_k(self) -> np.ndarray:
         return np.sqrt(self.ksq())
@@ -102,13 +105,9 @@ class FourierField:
                    zero_mode: bool = True):
         """Field with the given {k: coefficient} entries, k an int or tuple."""
         f = cls.zeros(lattice, reality, zero_mode)
-        n = lattice.n
         for k, v in entries.items():
-            if lattice.dim == 1:
-                f.coef[int(k) + n] = v
-            else:
-                k1, k2 = k
-                f.coef[k1 + n, k2 + n] = v
+            k = (k,) if lattice.dim == 1 else k
+            f.coef[tuple(int(kk) + lattice.n for kk in k)] = v
         if reality:
             f.coef = hermitianize(f.coef)
         return f
@@ -162,102 +161,113 @@ def _check_compatible(f: FourierField, g: FourierField) -> None:
 
 def hermitianize(coef: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric arrays: c_{-k} = conj(c_k)."""
-    if coef.ndim == 1:
-        flipped = coef[::-1]
-    else:
-        flipped = coef[::-1, ::-1]
-    return 0.5 * (coef + np.conj(flipped))
+    return 0.5 * (coef + np.conj(np.flip(coef)))
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _embed(coef: np.ndarray, n: int, m: int, dim: int) -> np.ndarray:
-    """Place centered coefficients into an FFT buffer of size m per axis."""
-    if m < 2 * n + 1:
-        raise GridResolutionError(
-            f"grid of {m} points per axis cannot hold modes up to |k| = {n}")
-    modes = np.arange(-n, n + 1) % m
-    if dim == 1:
-        buf = np.zeros(coef.shape[:-1] + (m,), dtype=np.complex128)
-        buf[..., modes] = coef
-    else:
-        buf = np.zeros(coef.shape[:-2] + (m, m), dtype=np.complex128)
-        buf[..., modes[:, None], modes[None, :]] = coef
-    return buf
+def _row_blocks(rows: int, row_bytes: int) -> list:
+    """Consecutive slices over `rows` rows, each at most _BLOCK_BYTES of
+    row_bytes-sized rows (at least one row)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def synthesize_grid(coefs: np.ndarray, lattice: Lattice, m: int) -> np.ndarray:
-    """Values on the uniform grid of exactly m >= 2n+1 points per axis, for a
-    batch of coefficient arrays (leading batch axes allowed).  The flows use
-    the critical grid m = 2n+1, where the transform pair is an l^2 isometry,
-    and KdV its dealiasing grid."""
-    buf = _embed(coefs, lattice.n, m, lattice.dim)
-    if lattice.dim == 1:
-        return np.fft.ifft(buf, axis=-1) * m
-    return np.fft.ifft2(buf, axes=(-2, -1)) * (m * m)
+@functools.lru_cache
+def _positions(n: int, m: int, shift: int = 0) -> np.ndarray:
+    """Positions of the modes 0..n, -n..-1 on an axis of m points, plus shift,
+    mod m; with m = 2n+1, shift n (n+1) maps centered to FFT order (back)."""
+    index = (np.r_[0:n + 1, m - n:m] + shift) % m
+    index.flags.writeable = False            # cached: shared by every caller
+    return index
 
 
-def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None = None) -> np.ndarray:
-    """Grid values for a batch of coefficient arrays on the FFT-friendly grid
-    lattice.grid_points(oversample)."""
-    return synthesize_grid(coefs, lattice, lattice.grid_points(oversample))
+@functools.lru_cache
+def _zero_fill(n: int, m: int, full: int, real: bool) -> list:
+    """(source, destination) index pairs that place the modes |k| <= n of
+    `full` FFT-ordered axes on m points, leaving the middle zero."""
+    spans = ((slice(0, n + 1),) * 2, (slice(n + 1, 2 * n + 1), slice(m - n, m)))
+    rest = (slice(None),) * real
+    return [((...,) + tuple(s for s, _ in axes) + rest, (...,) + tuple(d for _, d in axes) + rest)
+            for axes in itertools.product(spans, repeat=full)]
 
-
-def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Centered coefficients from grid values of any size m >= 2n+1 per axis
-    (inverse of synthesize_grid); real values are accepted as they are."""
-    m = values.shape[-1]
-    if m < lattice.modes_per_axis:
-        raise GridResolutionError(
-            f"grid of {m} points per axis cannot resolve modes up to |k| = {lattice.n}")
-    if lattice.dim == 1:
-        buf = np.fft.fft(values, axis=-1) / m
-    else:
-        buf = np.fft.fft2(values, axes=(-2, -1)) / (m * m)
-    modes = np.arange(-lattice.n, lattice.n + 1) % m
-    for axis in range(-lattice.dim, 0):           # per-axis take keeps stacks C-ordered
-        buf = buf.take(modes, axis=axis)
-    return buf
-
-
-# FFT order: on the critical grid of m = 2n+1 points per axis, mode k sits at
-# index k mod m, so the centered coefficients and the FFT buffer differ by a
-# roll, and the unscaled (norm="forward") transforms are the whole pair.  A
-# real field may be carried as its half spectrum (modes 0..n on the last axis).
 
 def to_fft_order(coefs: np.ndarray, dim: int) -> np.ndarray:
     """Centered coefficients (leading batch axes allowed) in FFT order."""
-    return np.fft.ifftshift(coefs, axes=tuple(range(-dim, 0)))
+    for axis in range(-dim, 0):
+        n = coefs.shape[axis] // 2
+        coefs = coefs.take(_positions(n, 2 * n + 1, n), axis=axis)
+    return coefs
 
 
 def from_fft_order(fcoefs: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of to_fft_order."""
-    return np.fft.fftshift(fcoefs, axes=tuple(range(-dim, 0)))
+    for axis in range(-dim, 0):
+        n = fcoefs.shape[axis] // 2
+        fcoefs = fcoefs.take(_positions(n, 2 * n + 1, n + 1), axis=axis)
+    return fcoefs
 
 
-def fft_synthesize(fcoefs: np.ndarray, dim: int, real_points: int | None = None) -> np.ndarray:
-    """Grid values sum_k c_k e^{ik.theta} from FFT-ordered coefficients over
-    the last dim axes, on as many points per axis as coefficients.  With
-    real_points = m the input is a real field's half spectrum, zero-padded
-    along its last axis (only) to the real grid of m points per axis."""
-    if real_points is None:
-        return np.fft.ifft(fcoefs, norm="forward") if dim == 1 else \
-            np.fft.ifft2(fcoefs, norm="forward")
-    if dim == 1:
-        return np.fft.irfft(fcoefs, real_points, norm="forward")
-    return np.fft.irfft2(fcoefs, (real_points,) * dim, norm="forward")
+def fft_synthesize(fcoefs: np.ndarray, dim: int, m: int | None = None,
+                   real: bool = False) -> np.ndarray:
+    """Grid values sum_k c_k e^{ik.theta} on m >= 2n+1 points per axis
+    (default 2n+1) from the FFT-ordered coefficients of the modes |k_j| <= n
+    over the last dim axes.  With real=True the input is a real field's half
+    spectrum (modes 0..n on the last axis) and the values are real."""
+    n = fcoefs.shape[-1] - 1 if real else fcoefs.shape[-1] // 2
+    m = 2 * n + 1 if m is None else m
+    if m < 2 * n + 1:
+        raise GridResolutionError(
+            f"grid of {m} points per axis cannot hold modes up to |k| = {n}")
+    full = dim - real                     # axes zero-filled here; irfft pads the last one
+    buf, out = fcoefs, None
+    if m > 2 * n + 1 and full:
+        buf = out = np.zeros(fcoefs.shape[:-dim] + (m,) * full + fcoefs.shape[-1:] * real,
+                             dtype=np.complex128)
+        for src, dst in _zero_fill(n, m, full, real):
+            buf[dst] = fcoefs[src]
+    if real:
+        return np.fft.irfft(buf, m, norm="forward") if dim == 1 else \
+            np.fft.irfft2(buf, (m, m), norm="forward")
+    return np.fft.ifft(buf, norm="forward", out=out) if dim == 1 else \
+        np.fft.ifftn(buf, axes=(-2, -1), norm="forward", out=out)
 
 
-def fft_analyze(values: np.ndarray, dim: int) -> np.ndarray:
-    """FFT-ordered coefficients of grid values (inverse of fft_synthesize);
-    real values give the half spectrum, modes 0..m//2 on the last axis."""
-    if np.isrealobj(values):
-        return np.fft.rfft(values, norm="forward") if dim == 1 else \
+def fft_analyze(values: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
+    """FFT-ordered coefficients of grid values (inverse of fft_synthesize), of
+    the modes |k_j| <= n if n is given; real values give their half spectrum."""
+    m = values.shape[-1]
+    if n is not None and m < 2 * n + 1:
+        raise GridResolutionError(
+            f"grid of {m} points per axis cannot resolve modes up to |k| = {n}")
+    real = np.isrealobj(values)
+    if real:
+        c = np.fft.rfft(values, norm="forward") if dim == 1 else \
             np.fft.rfft2(values, norm="forward")
-    return np.fft.fft(values, norm="forward") if dim == 1 else \
-        np.fft.fft2(values, norm="forward")
+    else:
+        c = np.fft.fft(values, norm="forward") if dim == 1 else \
+            np.fft.fft2(values, norm="forward")
+    if n is None or m == 2 * n + 1:
+        return c
+    for axis in range(-dim, -1 if real else 0):   # per-axis take keeps stacks C-ordered
+        c = c.take(_positions(n, m), axis=axis)
+    return c[..., :n + 1] if real else c
+
+
+def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None = None) -> np.ndarray:
+    """Grid values for a batch of centered coefficient arrays on the
+    FFT-friendly grid lattice.grid_points(oversample)."""
+    return fft_synthesize(to_fft_order(coefs, lattice.dim), lattice.dim,
+                          lattice.grid_points(oversample))
+
+
+def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Centered coefficients from grid values of any size m >= 2n+1 per axis
+    (inverse of synthesize_batch); real values give the full spectrum too."""
+    values = values.astype(np.complex128, copy=False)
+    return from_fft_order(fft_analyze(values, lattice.dim, lattice.n), lattice.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +388,24 @@ def lp_integral(fld: FourierField, p: int) -> float:
 
 
 def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray:
-    """lp_integral over a (B, ...) coefficient stack.  Odd p integrates the
-    real part, so the caller vouches that the fields are real."""
+    """lp_integral over a (B, ...) coefficient stack, synthesized in row
+    blocks.  Odd p synthesizes the real field from its half spectrum, so the
+    caller vouches that the fields are real."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    q = max(lattice.oversample, math.ceil(p / 2))
-    vals = synthesize_batch(coefs, lattice, q)
-    axes = tuple(range(1, vals.ndim))
-    if p % 2 == 0:
-        return np.mean(np.abs(vals) ** p, axis=axes)
-    return np.mean(np.real(vals) ** p, axis=axes)
-
-
-def convolve(f: FourierField, g: FourierField) -> FourierField:
-    """(f * g)(theta) = int f(theta - phi) g(phi) dphi/(2 pi)^D; in
-    coefficients, (f*g)^(m) = fhat(m) ghat(m)."""
-    _check_compatible(f, g)
-    return FourierField(f.lattice, f.coef * g.coef, f.reality and g.reality,
-                        f.zero_mode and g.zero_mode)
+    dim = lattice.dim
+    m = lattice.grid_points(max(lattice.oversample, math.ceil(p / 2)))
+    axes = tuple(range(1, dim + 1))
+    out = np.empty(coefs.shape[0])
+    for rows in _row_blocks(coefs.shape[0], 16 * m ** dim):
+        fcoefs = to_fft_order(coefs[rows], dim)
+        if p % 2:
+            vals = fft_synthesize(fcoefs[..., :lattice.n + 1], dim, m, real=True)
+        else:
+            vals = np.abs(fft_synthesize(fcoefs, dim, m))
+        out[rows] = np.mean(vals ** p, axis=axes)
+    return out
 
 
 def shift_slices(lattice: Lattice, m: tuple):
@@ -478,12 +487,7 @@ def coef_from_coords(coords: np.ndarray, lattice: Lattice, reality: bool,
     eff = size if zero_mode else size - 1
     flat = coords[:, :eff] + 1j * coords[:, eff:2 * eff]
     if not zero_mode:
-        z = np.ravel_multi_index(lattice.zero_index(), lattice.shape)
-        full = np.zeros((b, size), dtype=np.complex128)
-        keep = np.ones(size, dtype=bool)
-        keep[z] = False
-        full[:, keep] = flat
-        flat = full
+        flat = np.insert(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape), 0, axis=1)
     return flat.reshape((b,) + lattice.shape)
 
 

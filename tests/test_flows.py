@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import torusgibbs as tg
-from torusgibbs import flows, hamiltonians as ham
+from torusgibbs import flows, hamiltonians as ham, spectral
 from torusgibbs.experiments import smooth_state
 from torusgibbs.sampling import GaussianReference, SampleEnsemble
 from torusgibbs.spectral import FourierField, Lattice, sobolev_norm
@@ -175,7 +175,7 @@ def test_evolve_records_the_mass_and_energy_of_every_state(case):
     traj = flows.evolve(model, state, cfg)
     assert len(traj.states) == len(traj.mass) == len(traj.energy) == cfg.steps + 1
     if case == "nls-n32":
-        assert cfg.steps > flows.HISTORY_BYTES // state.coef.nbytes
+        assert cfg.steps > spectral._BLOCK_BYTES // state.coef.nbytes
     np.testing.assert_allclose(traj.mass, [_mass(s) for s in traj.states], rtol=1e-12, atol=0)
     np.testing.assert_allclose(traj.energy, [ham.energy(model, s) for s in traj.states],
                                rtol=1e-12, atol=0)

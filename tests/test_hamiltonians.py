@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgibbs as tg
-from torusgibbs import hamiltonians as ham
+from torusgibbs import hamiltonians as ham, spectral
 from torusgibbs.spectral import (FourierField, Lattice, analyze_batch, field_coords,
                                  field_from_coords, hermitianize, synthesize_batch)
 from conftest import rescale_into_ball
@@ -95,6 +95,7 @@ def _density_cases():
     gp_cos = tg.GrossPitaevskii(ham.gp_cosine_potential(lat2), lam=0.8, kappa=1.0)
     proj = ham.GrossPitaevskiiProjected(ham.gp_cosine_potential(lat2, amplitude=-1.0),
                                         lam=1.0, n_project=2)
+    lat32 = Lattice(1, 32, 2)
     return {"nls-p4": (tg.NLS(4, 0.7), lat1, False),
             "nls-p6": (tg.NLS(6, 0.4), lat1, False),
             "nls-2d": (tg.NLS(4, 0.2), lat2, False),
@@ -102,13 +103,21 @@ def _density_cases():
             "gp-bounded": (gp, Lattice(2, 3, 2), False),
             "gp-cosine": (gp_cos, lat2, False),
             "gp-projected": (proj, lat2, False),
-            "none": (None, lat1, False)}
+            "none": (None, lat1, False),
+            # stacks over more than one row block of the p-integral's grid
+            "nls-p4-blocks": (tg.NLS(4, 0.7), lat32, False),
+            "kdv-blocks": (tg.KdV(0.9), lat32, True)}
 
 
 @pytest.mark.parametrize("case", sorted(_density_cases()))
 def test_log_density_rows_match_single_row_calls(case):
     model, lat, reality = _density_cases()[case]
-    coefs = _density_stack(lat, reality)
+    count = 5
+    if case.endswith("-blocks"):
+        row_bytes = 16 * lat.grid_points(2)
+        count = 2 * (spectral._BLOCK_BYTES // row_bytes) + 7
+        assert len(spectral._row_blocks(count, row_bytes)) == 3
+    coefs = _density_stack(lat, reality, count)
     stacked = ham.interaction_log_density(model, coefs, lat)
     assert stacked.shape == (len(coefs),)
     single = [ham.interaction_log_density(model, c[None], lat)[0] for c in coefs]

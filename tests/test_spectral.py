@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,7 @@ from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice,
                                  dyadic_interval, fft_analyze, fft_synthesize,
                                  field_coords, field_from_coords, from_fft_order,
                                  hermitianize, project, projection_multiplier,
-                                 sobolev_norm, synthesize_batch, synthesize_grid,
-                                 to_fft_order)
+                                 sobolev_norm, synthesize_batch, to_fft_order)
 
 
 def random_field(lattice, seed, reality=False, zero_mode=True):
@@ -77,43 +79,60 @@ def test_parseval_identity():
         assert abs(mean_sq - f.mass()) < 1e-12 * max(1.0, f.mass())
 
 
+def _slow_synthesis(coef, n, m, dim):
+    """Direct O(m n) sum of c_k e^{ik.theta} over centered coefficients on
+    the grid of m points per axis (leading batch axes allowed)."""
+    theta = 2 * np.pi * np.arange(m) / m
+    e = np.exp(1j * np.outer(theta, np.arange(-n, n + 1)))
+    if dim == 1:
+        return coef @ e.T
+    return e @ coef @ e.T
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_synthesize_grid_on_the_critical_grid(dim):
     lat = Lattice(dim, 5, 2)
     f = random_field(lat, 4 + dim)
     m = lat.modes_per_axis
-    vals = synthesize_grid(f.coef[None], lat, m)
+    vals = fft_synthesize(to_fft_order(f.coef[None], dim), dim)
     assert vals.shape == (1,) + (m,) * dim
+    assert np.max(np.abs(vals[0] - _slow_synthesis(f.coef, lat.n, m, dim))) < 1e-12
     assert abs(float(np.mean(np.abs(vals) ** 2)) - f.mass()) < 1e-12 * f.mass()
     assert np.max(np.abs(analyze_batch(vals, lat)[0] - f.coef)) < 1e-12
-    assert np.array_equal(synthesize_batch(f.coef, lat),
-                          synthesize_grid(f.coef, lat, lat.grid_points()))
-    stack = analyze_batch(synthesize_grid(np.stack([f.coef] * 3), lat, m), lat)
+    # the centered wrapper pads to the FFT-friendly grid
+    big = lat.grid_points()
+    assert big > m
+    assert np.max(np.abs(synthesize_batch(f.coef, lat)
+                         - _slow_synthesis(f.coef, lat.n, big, dim))) < 1e-12
+    stack = analyze_batch(synthesize_batch(np.stack([f.coef] * 3), lat), lat)
     assert stack.flags.c_contiguous
+    assert np.max(np.abs(stack - f.coef)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fft_order_pair_matches_the_centered_pair(dim):
     lat = Lattice(dim, 5)
-    m = lat.modes_per_axis
+    n, m = lat.n, lat.modes_per_axis
     f = random_field(lat, 6 + dim)
     stack = np.stack([f.coef, 2j * f.coef])
     fstack = to_fft_order(stack, dim)
     assert np.array_equal(from_fft_order(fstack, dim), stack)
-    vals = fft_synthesize(fstack, dim)
-    assert np.max(np.abs(vals - synthesize_grid(stack, lat, m))) < 1e-12
-    assert np.max(np.abs(from_fft_order(fft_analyze(vals, dim), dim) - stack)) < 1e-12
+    for points in (m, 16, 3 * n + 2):        # the critical grid and zero fill to even/odd m
+        vals = fft_synthesize(fstack, dim, points)
+        assert vals.shape == (2,) + (points,) * dim
+        for row, coef in zip(vals, stack):
+            assert np.max(np.abs(row - _slow_synthesis(coef, n, points, dim))) < 1e-12
+        assert np.max(np.abs(fft_analyze(vals, dim, n) - fstack)) < 1e-12
+    assert np.max(np.abs(fft_analyze(fft_synthesize(fstack, dim), dim) - fstack)) < 1e-12
     # a real field as its half spectrum, modes 0..n on the last axis
     g = random_field(lat, 8 + dim, reality=True)
-    half = to_fft_order(g.coef, dim)[..., :lat.n + 1]
-    grid = fft_synthesize(half, dim, m)
-    assert np.isrealobj(grid)
-    assert np.max(np.abs(grid - synthesize_grid(g.coef, lat, m).real)) < 1e-12
-    assert np.max(np.abs(fft_analyze(grid, dim) - half)) < 1e-12
-    if dim == 1:                   # zero padding along the half-spectrum axis
-        fine = 3 * lat.n + 2
-        assert np.max(np.abs(fft_synthesize(half, 1, fine)
-                             - synthesize_grid(g.coef, lat, fine).real)) < 1e-12
+    half = to_fft_order(g.coef, dim)[..., :n + 1]
+    for points in (m, 16, 3 * n + 2):
+        grid = fft_synthesize(half, dim, points, real=True)
+        assert np.isrealobj(grid) and grid.shape == (points,) * dim
+        assert np.max(np.abs(grid - _slow_synthesis(g.coef, n, points, dim).real)) < 1e-12
+        assert np.max(np.abs(fft_analyze(grid, dim, n) - half)) < 1e-12
+    assert np.max(np.abs(fft_analyze(fft_synthesize(half, dim, real=True), dim) - half)) < 1e-12
 
 
 def test_transform_grid_too_small():
@@ -122,7 +141,34 @@ def test_transform_grid_too_small():
     with pytest.raises(GridResolutionError):
         analyze_batch(vals, lat)
     with pytest.raises(GridResolutionError):
-        synthesize_grid(np.zeros(lat.shape, dtype=complex), lat, 16)
+        fft_analyze(vals, 1, lat.n)
+    with pytest.raises(GridResolutionError):
+        fft_synthesize(np.zeros(lat.shape, dtype=complex), 1, 16)
+    with pytest.raises(GridResolutionError):
+        fft_synthesize(np.zeros(lat.n + 1, dtype=complex), 1, 16, real=True)
+
+
+def test_no_fft_outside_spectral():
+    # every transform goes through spectral's pair; scipy.fft only sizes grids
+    offences = []
+    for path in sorted(pathlib.Path(tg.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                offences.append(where)
+            elif isinstance(node, ast.Import):
+                offences += [where for a in node.names
+                             if a.name.startswith(("numpy.fft", "scipy.fft"))]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {a.name for a in node.names}
+                if node.module.startswith("numpy.fft") or (
+                        node.module.startswith("scipy.fft") and names != {"next_fast_len"}) or (
+                        node.module in ("numpy", "scipy") and "fft" in names):
+                    offences.append(where)
+    assert offences == []
 
 
 def test_hermitian_symmetry_preserved():
@@ -235,16 +281,6 @@ def test_lp_integral_odd_p_rules():
     grid = synthesize_batch(r.coef, lat, 4)
     assert tg.lp_integral(r, 3) == pytest.approx(float(np.mean(np.real(grid) ** 3)),
                                                  rel=1e-12, abs=1e-13)
-
-
-def test_convolve_examples():
-    lat = Lattice(1, 4)
-    f = FourierField.from_modes(lat, {1: 2.0})
-    g = FourierField.from_modes(lat, {1: 3.0})
-    assert tg.convolve(f, g).coef[lat.n + 1] == pytest.approx(6.0)
-    ident = FourierField(lat, np.ones(lat.shape, dtype=complex))
-    u = random_field(lat, 29)
-    assert np.allclose(tg.convolve(u, ident).coef, u.coef)
 
 
 def test_intensity_times_potential_zero_mode_only():
