@@ -73,7 +73,7 @@ def mode_direction(lattice: Lattice, k, part: str = "re", reality: bool = False,
     f.coef[idx] = 1.0 if part == "re" else 1j
     if reality:
         from .spectral import hermitianize
-        f.coef = 2.0 * hermitianize(f.coef)
+        f.coef = 2.0 * hermitianize(f.coef, lattice.dim)
     return field_coords(f)
 
 

@@ -161,7 +161,7 @@ def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
             + 1j * rng.standard_normal(lattice.shape))
     coef = coef * np.exp(-lattice.abs_k() / decay)
     if reality:
-        coef = hermitianize(coef)
+        coef = hermitianize(coef, lattice.dim)
     fld = FourierField(lattice, coef, reality, zero_mode=True)
     if not zero_mode:
         fld.coef[lattice.zero_index()] = 0.0

@@ -346,8 +346,17 @@ def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     """H = K - Phi + (rho/2) M for each field of a (B, ...) coefficient stack:
     kinetic (1/2) sum |k|^2 |c_k|^2, the model's log-density Phi, and the
     reference mass rho times the mass sum |c_k|^2.  For Zakharov the stack is
-    (B, 3, 2n+1), the coef of each ZakharovState."""
+    (B, 3, 2n+1), the coef of each ZakharovState.  Taken in row blocks,
+    counting four complex grids of twice the resolution per row (the
+    log-density's and the Zakharov coupling's transforms)."""
     coefs = np.ascontiguousarray(coefs)       # row sums in the order of a single field's
+    out = np.empty(coefs.shape[0])
+    for rows in _row_blocks(coefs.shape[0], 64 * lattice.grid_points(2) ** lattice.dim):
+        out[rows] = _energy_rows(model, coefs[rows], lattice)
+    return out
+
+
+def _energy_rows(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     if isinstance(model, Zakharov):
         return _zakharov_energy_batch(coefs, lattice)
     axes = tuple(range(1, coefs.ndim))
@@ -404,7 +413,7 @@ def gradient(model, state):
     coef = (lat.ksq() * u.coef - model.log_density_gradient(u)
             + model.reference_mass(lat.n) * u.coef)
     if model.reality:
-        coef = hermitianize(coef)
+        coef = hermitianize(coef, lat.dim)
     return _respect_zero_mode(FourierField(lat, coef, model.reality, u.zero_mode))
 
 
@@ -680,4 +689,4 @@ def gp_soft_sphere_potential(lattice: Lattice, amplitude: float = 1.0,
     s1 = np.sin(th / 2) ** 2
     vals = amplitude * np.exp(-(s1[:, None] + s1[None, :]) / width ** 2)
     coef = analyze_batch(vals, lattice)
-    return FourierField(lattice, hermitianize(coef), reality=True)
+    return FourierField(lattice, hermitianize(coef, lattice.dim), reality=True)

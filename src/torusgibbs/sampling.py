@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hamiltonians as ham
-from .spectral import FourierField, Lattice, coords_from_coef, sobolev_weights
+from .spectral import FourierField, Lattice, _row_blocks, coords_from_coef, sobolev_weights
 # unused here; perfbench/test_perfbench.py checks that its tracer rebinds this name
 from .spectral import synthesize_batch  # noqa: F401
 
@@ -73,29 +73,54 @@ class GaussianReference:
         return v
 
     def _std(self) -> np.ndarray:
+        """Standard deviation of each drawn normal: per lattice mode for
+        complex fields, per j = 1..n for real ones."""
         cached = getattr(self, "_std_cache", None)
         if cached is None:
             lat = self.lattice
-            cached = 1.0 / np.sqrt(self.rho + lat.ksq()) if self.rho > 0 else \
-                _massless_std(lat)
+            if self.field_type == "real":
+                j = np.arange(1, lat.n + 1, dtype=float)
+                cached = np.ones_like(j) if self.spectrum == "white" else \
+                    1.0 / np.sqrt(self.rho + j ** 2)
+            else:
+                cached = 1.0 / np.sqrt(self.rho + lat.ksq()) if self.rho > 0 else \
+                    _massless_std(lat)
             object.__setattr__(self, "_std_cache", cached)
         return cached
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        lat = self.lattice
+        """count draws as a (count, ...) coefficient stack.  The stream holds
+        the real parts of all rows (the cos coefficients a_j of real fields)
+        first, then their imaginary parts (the sin coefficients b_j)."""
+        std = self._std()
+        return self._complete(rng, rng.standard_normal((count,) + std.shape) * std)
+
+    def sample_blocks(self, rng: np.random.Generator, count: int):
+        """Yield (rows, coefs) row blocks of at most spectral._BLOCK_BYTES
+        whose concatenation is sample_batch(rng, count), bit for bit.  The
+        scaled real parts of all rows are drawn first and held (half a batch);
+        the imaginary parts are drawn one block at a time."""
+        std = self._std()
+        real = rng.standard_normal((count,) + std.shape)
+        real *= std
+        for rows in _row_blocks(count, 16 * math.prod(self.lattice.shape)):
+            yield rows, self._complete(rng, real[rows])
+
+    def _complete(self, rng: np.random.Generator, real: np.ndarray) -> np.ndarray:
+        """Coefficient rows from the scaled real parts of their draws, drawing
+        the imaginary parts from rng."""
+        std = self._std()
         if self.field_type == "complex":
-            g = rng.standard_normal((2, count) + lat.shape)
-            coefs = (g[0] + 1j * g[1]) * self._std()
+            coefs = np.empty(real.shape, dtype=np.complex128)
+            coefs.real = real
+            np.multiply(rng.standard_normal(real.shape), std, out=coefs.imag)
             if not self.zero_mode:
-                coefs[(slice(None),) + lat.zero_index()] = 0.0
+                coefs[(slice(None),) + self.lattice.zero_index()] = 0.0
             return coefs
-        n = lat.n
-        j = np.arange(1, n + 1, dtype=float)
-        sig = np.ones_like(j) if self.spectrum == "white" else 1.0 / np.sqrt(self.rho + j ** 2)
-        a = rng.standard_normal((count, n)) * sig
-        b = rng.standard_normal((count, n)) * sig
-        coefs = np.zeros((count, 2 * n + 1), dtype=np.complex128)
-        coefs[:, n + 1:] = 0.5 * (a - 1j * b)
+        n = self.lattice.n
+        b = rng.standard_normal(real.shape) * std
+        coefs = np.zeros((real.shape[0], 2 * n + 1), dtype=np.complex128)
+        coefs[:, n + 1:] = 0.5 * (real - 1j * b)
         coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
         return coefs
 
@@ -427,12 +452,11 @@ def partition_estimate(model, domain: PhaseDomain, reference: GaussianReference,
 
 
 def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
-                          n_samples: int, seed: int, coefs_full=None,
-                          lattice_full: Lattice | None = None,
-                          rise_threshold: float = 5.0) -> dict:
+                          n_samples: int, seed: int, rise_threshold: float = 5.0) -> dict:
     """Z estimates and maximal importance weights across truncation levels,
     on common random fields (one full-resolution draw, projected, so the
-    truncations are coupled sample by sample).
+    truncations are coupled sample by sample; the draws stream in row
+    blocks, see _truncation_pass).
 
     The trend statistics are taken over the fixed population of samples
     inside the ball at the largest n (mass grows with n, so that is the
@@ -444,27 +468,40 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
     |dZ| nonincreasing, last pair within 3 combined stderr); else marginal.
     """
     n_list = sorted(int(n) for n in n_list)
-    if lattice_full is None:
-        lattice_full = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
-    if coefs_full is None:
-        ref = GaussianReference(lattice_full, rho=0.0, field_type="complex")
-        coefs_full = ref.sample_batch(np.random.default_rng(seed), n_samples)
+    mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
+    return _classify(p, lam, mass_bound, n_list, mass, logd, rise_threshold)
+
+
+def _truncation_pass(p: int, lam: float, n_list: list, n_samples: int, seed: int):
+    """Per-draw mass and NLS log-density, shape (len(n_list), n_samples),
+    of n_samples massless reference fields at the largest n projected to
+    each n of the ascending n_list.  The draws stream in row blocks, each
+    projected in place from the largest n down."""
     if p % 2:
         raise ValueError("normalizability probe supports even p")
+    lattice = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
+    ref = GaussianReference(lattice, rho=0.0, field_type="complex")
     model = ham.NLS(p, lam)
-    modes = np.abs(lattice_full.axis_modes())
-    top = coefs_full.copy()
-    top[:, modes > max(n_list)] = 0.0
-    population = np.sum(np.abs(top) ** 2, axis=1) <= mass_bound
+    modes = np.abs(lattice.axis_modes())
+    mass = np.empty((len(n_list), n_samples))
+    logd = np.empty_like(mass)
+    for rows, coefs in ref.sample_blocks(np.random.default_rng(seed), n_samples):
+        for i in reversed(range(len(n_list))):
+            coefs[:, modes > n_list[i]] = 0.0
+            mass[i, rows] = np.sum(np.abs(coefs) ** 2, axis=1)
+            logd[i, rows] = ham.interaction_log_density(model, coefs, lattice)
+    return mass, logd
+
+
+def _classify(p: int, lam: float, mass_bound: float, n_list: list, mass: np.ndarray,
+              logd: np.ndarray, rise_threshold: float) -> dict:
+    """The normalizability_probe report from the arrays of _truncation_pass."""
+    population = mass[-1] <= mass_bound
     pop_count = int(population.sum())
     rows = []
     pop_max, pop_mean = [], []
-    for n in n_list:
-        proj = coefs_full.copy()
-        proj[:, modes > n] = 0.0
-        mass = np.sum(np.abs(proj) ** 2, axis=1)
-        logd = ham.interaction_log_density(model, proj, lattice_full)
-        logw = np.where(mass <= mass_bound, logd, -np.inf)
+    for n, mass_n, logd_n in zip(n_list, mass, logd):
+        logw = np.where(mass_n <= mass_bound, logd_n, -np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.where(np.isfinite(logw), np.exp(np.minimum(logw, 340.0)), 0.0)
             z = float(np.mean(w))
@@ -474,7 +511,7 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
                else -math.inf}
         rows.append(row)
         if pop_count:
-            sub = logd[population]
+            sub = logd_n[population]
             pop_max.append(float(np.max(sub)))
             pop_mean.append(float(np.mean(sub)))
     sparse = pop_count < 25
@@ -507,20 +544,18 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
                            rounds: int = 9, p: int = 6,
                            rise_threshold: float = 5.0) -> dict:
     """Operational N_0 estimator: bisection (in log N) for the largest mass
-    bound the probe classifies stable, on common random fields per seed."""
+    bound the probe classifies stable, on common random fields per seed.
+    One streamed pass gives every draw's mass and log-density at each n;
+    each bisection mass only reclassifies those arrays."""
     n_list = sorted(int(n) for n in n_list)
-    lattice_full = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
-    ref = GaussianReference(lattice_full, rho=0.0, field_type="complex")
-    coefs = ref.sample_batch(np.random.default_rng(seed), n_samples)
+    mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
 
-    def stable(mass):
-        rep = normalizability_probe(p, lam, mass, n_list, n_samples, seed,
-                                    coefs_full=coefs, lattice_full=lattice_full,
-                                    rise_threshold=rise_threshold)
-        return rep["classification"] == "stable", rep
+    def stable(bound):
+        rep = _classify(p, lam, bound, n_list, mass, logd, rise_threshold)
+        return rep["classification"] == "stable"
 
-    ok_lo, _ = stable(mass_lo)
-    ok_hi, _ = stable(mass_hi)
+    ok_lo = stable(mass_lo)
+    ok_hi = stable(mass_hi)
     if not ok_lo or ok_hi:
         return {"estimate": None, "bracket": (mass_lo, mass_hi),
                 "note": "bisection bracket invalid: endpoints "
@@ -529,8 +564,7 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
     lo, hi = mass_lo, mass_hi
     for _ in range(rounds):
         mid = math.sqrt(lo * hi)
-        ok, _ = stable(mid)
-        if ok:
+        if stable(mid):
             lo = mid
         else:
             hi = mid
@@ -586,7 +620,8 @@ def decay_mass_lower_bound(k1: float, k2: float, s: float) -> float:
 def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
                       lattice: Lattice, n_samples: int, seed: int) -> dict:
     """Empirical reference mass of the decay domain against the closed-form
-    lower bound; the bound is reported even when vacuous (negative)."""
+    lower bound; the bound is reported even when vacuous (negative).  Each
+    4096-draw chunk streams in row blocks (GaussianReference.sample_blocks)."""
     if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
         raise ValueError("requires K2 exp(K2^2/2) > 4")
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
@@ -597,8 +632,8 @@ def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
     chunk = 4096
     while total < n_samples:
         m = min(chunk, n_samples - total)
-        batch = ref.sample_batch(rng, m)
-        hits += int(dom.contains_batch(batch, lattice).sum())
+        for _, batch in ref.sample_blocks(rng, m):
+            hits += int(dom.contains_batch(batch, lattice).sum())
         total += m
     p_hat = hits / total
     se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)

@@ -109,7 +109,7 @@ class FourierField:
             k = (k,) if lattice.dim == 1 else k
             f.coef[tuple(int(kk) + lattice.n for kk in k)] = v
         if reality:
-            f.coef = hermitianize(f.coef)
+            f.coef = hermitianize(f.coef, lattice.dim)
         return f
 
     # -- algebra ------------------------------------------------------------
@@ -146,7 +146,7 @@ class FourierField:
     def check(self, tol: float = 1e-14) -> None:
         """Validate the reality / zero-mode invariants."""
         if self.reality:
-            err = np.max(np.abs(self.coef - hermitianize(self.coef)))
+            err = np.max(np.abs(self.coef - hermitianize(self.coef, self.lattice.dim)))
             scale = max(1.0, float(np.max(np.abs(self.coef))))
             if err > tol * scale:
                 raise ValueError(f"reality flag set but Hermitian symmetry violated by {err:.3e}")
@@ -159,9 +159,10 @@ def _check_compatible(f: FourierField, g: FourierField) -> None:
         raise ValueError("fields live on incompatible lattices")
 
 
-def hermitianize(coef: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian-symmetric arrays: c_{-k} = conj(c_k)."""
-    return 0.5 * (coef + np.conj(np.flip(coef)))
+def hermitianize(coef: np.ndarray, dim: int) -> np.ndarray:
+    """Project onto Hermitian-symmetric arrays, c_{-k} = conj(c_k), over the
+    last dim axes (the modes); leading axes index a stack of fields."""
+    return 0.5 * (coef + np.conj(np.flip(coef, axis=tuple(range(-dim, 0)))))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +461,7 @@ def coords_from_coef(coefs: np.ndarray, lattice: Lattice, reality: bool,
         return np.concatenate(cols, axis=1)
     flat = coefs.reshape(b, -1)
     if not zero_mode:
-        z = np.ravel_multi_index(lattice.zero_index(), lattice.shape)
-        keep = np.ones(flat.shape[1], dtype=bool)
-        keep[z] = False
-        flat = flat[:, keep]
+        flat = np.delete(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape), axis=1)
     return np.concatenate([np.real(flat), np.imag(flat)], axis=1)
 
 

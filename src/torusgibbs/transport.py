@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 from . import hamiltonians as ham
 from .concentration import _jackknife
 from .sampling import ChainConfig, GaussianReference, PhaseDomain, _ess, run_pcn_chain
-from .spectral import FourierField, Lattice, coord_layout
+from .spectral import FourierField, Lattice, _row_blocks, coord_layout
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +266,27 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     """Ent(nu_n | nu) = E_{nu_n}[U(P_n u) - U(u)] + log Z - log Z_n, sampling
     nu_n by pCN and estimating both partition functions by importance
     sampling from the common Gaussian reference (shared draws, so the log
-    ratio is jackknifed on paired weights)."""
+    ratio is jackknifed on paired weights).  The chain's log-density
+    differences are taken in row blocks and the reference draws stream in
+    row blocks (GaussianReference.sample_blocks), so the peak holds half of
+    the draws' coefficients."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_n = ham.GrossPitaevskiiProjected(potential, lam, n_project=n)
     model_full = ham.GrossPitaevskiiProjected(potential, lam)
     ens, stats = run_pcn_chain(model_n, domain, reference, chain)
-    du = (ham.interaction_log_density(model_n, ens.coefs, lattice)
-          - ham.interaction_log_density(model_full, ens.coefs, lattice))
+    du = np.empty(len(ens))
+    for rows in _row_blocks(len(ens), ens.coefs[0].nbytes):
+        du[rows] = (ham.interaction_log_density(model_n, ens.coefs[rows], lattice)
+                    - ham.interaction_log_density(model_full, ens.coefs[rows], lattice))
+    del ens
     mean_du, se_du = _jackknife(du, lambda x: float(np.mean(x)))
-    rng = np.random.default_rng(z_seed)
-    draws = reference.sample_batch(rng, n_z_samples)
-    inside = domain.contains_batch(draws, lattice)
-    lw_full = ham.interaction_log_density(model_full, draws, lattice)
-    lw_n = ham.interaction_log_density(model_n, draws, lattice)
+    inside = np.empty(n_z_samples, dtype=bool)
+    lw_full = np.empty(n_z_samples)
+    lw_n = np.empty(n_z_samples)
+    for rows, draws in reference.sample_blocks(np.random.default_rng(z_seed), n_z_samples):
+        inside[rows] = domain.contains_batch(draws, lattice)
+        lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
+        lw_n[rows] = ham.interaction_log_density(model_n, draws, lattice)
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
     w_n = np.where(inside, np.exp(np.minimum(lw_n, 700.0)), 0.0)
     log_ratio, se_ratio = _jackknife(np.column_stack([w_full, w_n]), _log_mean_ratio)

@@ -39,20 +39,22 @@ def test_criterion_1_convexity_identity():
     lat = Lattice(1, 16)
     rng = np.random.default_rng(1001)
     m = lat.grid_points(2)
-    worst = 0.0
+    worst = imag = 0.0
     for _ in range(10):
         batch = 1000
         coefs = rng.standard_normal((4, batch) + lat.shape) \
             + 1j * rng.standard_normal((4, batch) + lat.shape)
-        grids = [np.real(tg.spectral.synthesize_batch(hermitianize(c), lat, 2))
-                 for c in coefs]
+        # each row made Hermitian, so each grid is a real field
+        vals = [tg.spectral.synthesize_batch(hermitianize(c, lat.dim), lat, 2) for c in coefs]
+        imag = max([imag] + [float(np.max(np.abs(v.imag))) for v in vals])
         t = rng.uniform(0.05, 0.95, size=batch)
-        lhs, rhs = ham.convexity_identity_values(*grids, t)
+        lhs, rhs = ham.convexity_identity_values(*[np.real(v) for v in vals], t)
         rel = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
         worst = max(worst, float(np.max(rel)))
     elapsed = time.time() - t0
-    report(1, worst < 1e-12 and elapsed < 5.0,
-           f"max rel |lhs-rhs| = {worst:.2e} over 10^4 tuples in {elapsed:.2f}s")
+    report(1, worst < 1e-12 and imag < 1e-12 and elapsed < 5.0,
+           f"max rel |lhs-rhs| = {worst:.2e}, max |Im u| = {imag:.1e} over 10^4 tuples "
+           f"in {elapsed:.2f}s")
 
 
 # -- 2. convexity margins ------------------------------------------------------
@@ -150,7 +152,7 @@ def test_criterion_3_fd_consistency_all_models():
 
     def real_state(lattice, amp=1.0, zero_mode=False):
         coef = hermitianize(rng.standard_normal(lattice.shape)
-                            + 1j * rng.standard_normal(lattice.shape))
+                            + 1j * rng.standard_normal(lattice.shape), lattice.dim)
         f = FourierField(lattice, coef, True, zero_mode=True)
         if not zero_mode:
             f.coef[lattice.zero_index()] = 0.0

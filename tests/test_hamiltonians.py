@@ -16,7 +16,7 @@ def random_field(lattice, seed, reality=False, zero_mode=False, amp=1.0):
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
     if reality:
-        coef = hermitianize(coef)
+        coef = hermitianize(coef, lattice.dim)
     f = FourierField(lattice, coef, reality, zero_mode=True)
     if not zero_mode:
         f.coef[lattice.zero_index()] = 0.0
@@ -83,7 +83,7 @@ def _density_stack(lattice, reality, count=5, seed=0):
     shape = (count,) + lattice.shape
     coefs = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     if reality:
-        coefs = np.stack([hermitianize(c) for c in coefs])
+        coefs = hermitianize(coefs, lattice.dim)
     return coefs
 
 
@@ -200,7 +200,7 @@ def test_identity_random_fields(seed, t):
     lat = Lattice(1, 8)
     rng = np.random.default_rng(seed)
     fields = [FourierField(lat, hermitianize(
-        rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)),
+        rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape), lat.dim),
         reality=True) for _ in range(4)]
     lhs, rhs = ham.nls_convexity_identity(*fields, t)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))

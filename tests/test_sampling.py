@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
                                  normalizability_probe, partition_estimate,
                                  rejection_sample_domain, run_pcn_chain,
                                  sample_zakharov_ensemble, tail_mass_estimate)
+from torusgibbs import spectral
 from torusgibbs.spectral import FourierField, Lattice
 
 
@@ -67,6 +69,76 @@ def test_sampling_determinism():
     a = ref.sample_batch(np.random.default_rng(42), 3)
     b = ref.sample_batch(np.random.default_rng(42), 3)
     assert np.array_equal(a, b)
+
+
+def _pinned_draw(ref, rng, count):
+    """The reference draw written as a formula: all real parts, then all
+    imaginary parts (a_j, then b_j, for real fields)."""
+    lat = ref.lattice
+    if ref.field_type == "complex":
+        ksq = lat.ksq()
+        if ref.rho > 0:
+            std = 1.0 / np.sqrt(ref.rho + ksq)
+        else:
+            ksq[lat.zero_index()] = 1.0
+            std = 1.0 / np.sqrt(ksq)
+        g = rng.standard_normal((2, count) + lat.shape)
+        coefs = (g[0] + 1j * g[1]) * std
+        if not ref.zero_mode:
+            coefs[(slice(None),) + lat.zero_index()] = 0.0
+        return coefs
+    n = lat.n
+    j = np.arange(1, n + 1, dtype=float)
+    sig = np.ones_like(j) if ref.spectrum == "white" else 1.0 / np.sqrt(ref.rho + j ** 2)
+    a = rng.standard_normal((count, n)) * sig
+    b = rng.standard_normal((count, n)) * sig
+    coefs = np.zeros((count, 2 * n + 1), dtype=np.complex128)
+    coefs[:, n + 1:] = 0.5 * (a - 1j * b)
+    coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
+    return coefs
+
+
+REFERENCES = {
+    "complex-massless-1d": (Lattice(1, 6), 0.0, "complex", "massive"),
+    "complex-massive-1d": (Lattice(1, 6), 1.5, "complex", "massive"),
+    "complex-massless-2d": (Lattice(2, 3), 0.0, "complex", "massive"),
+    "complex-massive-2d": (Lattice(2, 3), 0.7, "complex", "massive"),
+    "real-massive": (Lattice(1, 7), 0.0, "real", "massive"),
+    "real-massive-rho": (Lattice(1, 7), 2.0, "real", "massive"),
+    "real-white": (Lattice(1, 7), 0.0, "real", "white"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCES))
+@pytest.mark.parametrize("count", [1, 37])
+def test_sample_batch_is_the_pinned_formula_bitwise(kind, count):
+    ref = GaussianReference(*REFERENCES[kind])
+    assert ref.zero_mode == (ref.field_type == "complex" and ref.rho > 0)
+    rng, pinned_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2):          # the stream continues where the last batch ended
+        got = ref.sample_batch(rng, count)
+        want = _pinned_draw(ref, pinned_rng, count)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("lattice, field_type, count", [
+    (Lattice(2, 16), "complex", 200),      # 60 rows per block
+    (Lattice(1, 64), "complex", 1200),     # 508 rows per block
+    (Lattice(1, 64), "real", 1100),
+])
+def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
+    ref = GaussianReference(lattice, 0.0, field_type)
+    rng, batch_rng = np.random.default_rng(9), np.random.default_rng(9)
+    blocks = list(ref.sample_blocks(rng, count))
+    assert len(blocks) >= 3
+    assert all(coefs.nbytes <= spectral._BLOCK_BYTES for _, coefs in blocks)
+    assert [rows.stop for rows, _ in blocks[:-1]] == [rows.start for rows, _ in blocks[1:]]
+    assert blocks[-1][0].stop == count
+    batch = ref.sample_batch(batch_rng, count)
+    assert np.array_equal(np.concatenate([c for _, c in blocks]).view(np.uint64),
+                          batch.view(np.uint64))
+    assert rng.standard_normal() == batch_rng.standard_normal()
 
 
 # -- phase domains -----------------------------------------------------------
@@ -245,6 +317,34 @@ def test_normalizability_classifications():
     assert rep8["mean_log_weight_rise"] > 100
 
 
+def test_critical_mass_takes_one_log_density_per_block_and_n(monkeypatch):
+    n_list, n_samples, seed = [8, 16, 32], 1200, 23
+    calls = []
+    log_density = ham.NLS.log_density
+
+    def counted(self, coefs, lattice):
+        calls.append(len(coefs))
+        return log_density(self, coefs, lattice)
+
+    monkeypatch.setattr(ham.NLS, "log_density", counted)
+    est = estimate_critical_mass(1.0, n_list, n_samples, seed, 1.0, 16.0, rounds=4)
+    blocks = spectral._row_blocks(n_samples, 16 * (2 * max(n_list) + 1))
+    assert len(blocks) >= 2
+    assert len(calls) == len(blocks) * len(n_list)         # not 6 probes x 3 n
+    assert sum(calls) == n_samples * len(n_list)
+    # the bisection classifies as the probe does at every mass it tries
+    def stable(mass):
+        return normalizability_probe(6, 1.0, mass, n_list, n_samples, seed)["classification"] \
+            == "stable"
+
+    lo, hi = 1.0, 16.0
+    assert stable(lo) and not stable(hi)
+    for _ in range(4):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    assert est["bracket"] == (lo, hi)
+
+
 def test_critical_mass_estimator_reproducible():
     a = estimate_critical_mass(1.0, [8, 16, 32], 4000, seed=20)
     b = estimate_critical_mass(1.0, [8, 16, 32], 4000, seed=21)
@@ -286,6 +386,19 @@ def test_truncation_tail_moment_analytic():
         emp = float(np.mean(np.sum(np.abs(coefs[:, modes > n]) ** 2, axis=1)))
         analytic = 4.0 * float(polygamma(1, n + 1))
         assert abs(emp - analytic) / analytic < 0.05
+
+
+def test_decay_domain_mass_streams_its_draws():
+    lat = Lattice(2, 16)
+    count = 4000                      # one 4096-draw chunk
+    tracemalloc.start()
+    try:
+        decay_domain_mass(7.5, 3.0, 0.2, 0.1, lat, count, seed=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = 16 * count * lat.modes_per_axis ** 2
+    assert peak < batch / 2 + 6 * spectral._BLOCK_BYTES     # half a batch and a few blocks
 
 
 def test_decay_domain_mass_vacuous_bound_flagged():

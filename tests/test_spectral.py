@@ -20,7 +20,7 @@ def random_field(lattice, seed, reality=False, zero_mode=True):
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
     if reality:
-        coef = hermitianize(coef)
+        coef = hermitianize(coef, lattice.dim)
     f = FourierField(lattice, coef, reality, zero_mode=True)
     if not zero_mode:
         f.coef[lattice.zero_index()] = 0.0
@@ -181,6 +181,16 @@ def test_hermitian_symmetry_preserved():
     p.check()
 
 
+@pytest.mark.parametrize("lat", [Lattice(1, 4), Lattice(2, 3)])
+def test_hermitianize_projects_each_field_of_a_stack(lat):
+    rng = np.random.default_rng(44)
+    stack = rng.standard_normal((4,) + lat.shape) + 1j * rng.standard_normal((4,) + lat.shape)
+    h = hermitianize(stack, lat.dim)
+    for row, hrow in zip(stack, h, strict=True):
+        assert np.array_equal(hrow, hermitianize(row, lat.dim))
+        FourierField(lat, hrow, reality=True).check()
+
+
 # -- projections -------------------------------------------------------------
 
 def test_dirichlet_keeps_low_modes_only():
@@ -321,6 +331,16 @@ def test_coordinate_roundtrip(reality, zero_mode):
     assert np.max(np.abs(g.coef - f.coef)) < 1e-13
     # orthonormality: the coordinate norm is the L^2 mass
     assert np.dot(x, x) == pytest.approx(f.mass(), rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("lat", [Lattice(1, 8), Lattice(2, 3)])
+@pytest.mark.parametrize("zero_mode", [True, False])
+def test_batch_coordinates_are_c_ordered_rows_of_field_coords(lat, zero_mode):
+    coefs = np.stack([random_field(lat, 50 + i, zero_mode=zero_mode).coef for i in range(5)])
+    x = coords_from_coef(coefs, lat, False, zero_mode)
+    assert x.flags.c_contiguous
+    for row, c in zip(x, coefs, strict=True):
+        assert np.array_equal(row, field_coords(FourierField(lat, c, False, zero_mode)))
 
 
 def test_coordinate_roundtrip_2d():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from torusgibbs import hamiltonians as ham
 from torusgibbs import transport as trans
 from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain, \
     SampleEnsemble
+from torusgibbs import spectral
 from torusgibbs.spectral import Lattice
 
 
@@ -249,3 +251,20 @@ def test_relative_entropy_positive_and_decreasing():
         assert row["reliable"]
         ents.append(row["entropy"])
     assert ents[0] > ents[1] > -1e-3
+
+
+def test_relative_entropy_streams_its_reference_draws():
+    lat = Lattice(2, 24)
+    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
+    dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
+    chain = ChainConfig(steps=40, burn_in=10, thin=2, seed=30, beta=0.5)
+    count = 2000
+    tracemalloc.start()
+    try:
+        row = trans.relative_entropy_truncation(pot, 1.0, dom, lat, 8, chain, count, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(row["entropy"])
+    batch = 16 * count * lat.modes_per_axis ** 2
+    assert peak < batch / 2 + 6 * spectral._BLOCK_BYTES     # half a batch and a few blocks
