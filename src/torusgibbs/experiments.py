@@ -356,11 +356,13 @@ def _run_transport(cfg: dict) -> tuple[dict, bool | None]:
         cost = trans.CostSpec()
         exact, _ = trans.wasserstein_exact(mu, nu, cost)
         scale = float(np.mean(cost.matrix(xs, ys)))
-        val, plan, _ = trans.sinkhorn(mu, nu, cost, eps=p.get("eps_rel", 5e-3) * scale)
+        val, plan, converged = trans.sinkhorn(mu, nu, cost, eps=p.get("eps_rel", 5e-3) * scale)
         rel = abs(val - exact) / exact
-        res = {"exact": exact, "sinkhorn": val, "rel_err": rel,
-               "marginal_residual": plan.marginal_residual}
-        return {"results": res}, bool(rel < p.get("tol", 0.02))
+        res = {"exact": exact, "sinkhorn": val, "rel_err": rel, "converged": converged,
+               "marginal_residual": plan.marginal_residual,
+               "pre_rounding_residual": plan.pre_rounding_residual,
+               "level_iterations": list(plan.level_iterations)}
+        return {"results": res}, bool(rel < p.get("tol", 0.02) and converged)
     if task == "tail_sum":
         rows = [trans.gaussian_tail_bound(n, p.get("s", 0.25))
                 for n in p.get("n_list", [4, 8, 16])]

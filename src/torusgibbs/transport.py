@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
 
 from . import hamiltonians as ham
 from .concentration import _jackknife
@@ -74,6 +73,14 @@ class TransportPlan:
     plan: np.ndarray
     marginal_residual: float
     objective: float                # sum_ij plan_ij cost_ij
+    level_iterations: tuple = ()    # Sinkhorn iterations run at each eps level
+    pre_rounding_residual: float | None = None   # Sinkhorn residual before rounding
+
+
+def logsumexp(x: np.ndarray, axis: int | None = None):
+    """log(sum(exp(x))) along axis for finite x, shifted by the maximum."""
+    m = np.max(x, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _plan_residual(plan, a, b) -> float:
@@ -124,7 +131,10 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
              eps_scaling: bool = True):
     """Log-domain Sinkhorn with a geometric eps-scaling schedule and warm
     starts; the returned objective is the plan cost sum plan * cost, which
-    decreases toward the exact optimum as eps drops."""
+    decreases toward the exact optimum as eps drops.  An iteration is two
+    calls of this module's logsumexp on the kernel -cost/eps; levels before the
+    last stop at marginal residual sqrt(tol), the last at tol, then up to 10
+    Newton steps finish.  `converged` reads the residual before rounding."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     c = cost.matrix(mu.points, nu.points)
@@ -142,22 +152,25 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
         eps_list = [eps]
     f = np.zeros(len(a))
     g = np.zeros(len(b))
-    for e in eps_list:
-        for it in range(max_iter):
-            f = -e * logsumexp((g[None, :] - c) / e + lb[None, :], axis=1)
-            g = -e * logsumexp((f[:, None] - c) / e + la[:, None], axis=0)
-            if it % 10 == 9:
-                plan = np.exp((f[:, None] + g[None, :] - c) / e
-                              + la[:, None] + lb[None, :])
-                if _plan_residual(plan, a, b) < tol:
-                    break
+    levels = []
+    for level, e in enumerate(eps_list):
+        k = -c / e
+        stop = tol if level == len(eps_list) - 1 else math.sqrt(tol)
+        it = 0
+        for it in range(1, max_iter + 1):
+            f = -e * logsumexp(k + (g / e + lb)[None, :], axis=1)
+            g = -e * logsumexp(k + (f / e + la)[:, None], axis=0)
+            if it % 10 == 0 and _plan_residual(
+                    np.exp(k + (f / e + la)[:, None] + (g / e + lb)[None, :]), a, b) < stop:
+                break
+        levels.append(it)
     plan, pre_resid = _newton_polish(f, g, c, la, lb, a, b, eps_list[-1], tol)
     converged = pre_resid < max(tol, 1e-8)
     plan = _round_to_marginals(plan, a, b)
     resid = _plan_residual(plan, a, b)
     obj = float(np.sum(plan * c))
     value = obj ** (1.0 / cost.order)
-    return value, TransportPlan(plan, resid, obj), converged
+    return value, TransportPlan(plan, resid, obj, tuple(levels), pre_resid), converged
 
 
 def _newton_polish(f, g, c, la, lb, a, b, e: float, tol: float):

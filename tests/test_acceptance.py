@@ -397,7 +397,7 @@ def test_criterion_10_transport():
     scale = float(np.mean(cost.matrix(xs, ys)))
     val, plan, conv = trans.sinkhorn(mu, nu, cost, eps=5e-3 * scale)
     sink_rel = abs(val - exact) / exact
-    sink_ok = sink_rel < 0.02 and plan.marginal_residual < 1e-8
+    sink_ok = sink_rel < 0.02 and conv and plan.marginal_residual < 1e-8
     # (b) conditional-expectation coupling vs the analytic Gaussian tail
     from scipy.special import polygamma
     lat = Lattice(1, 1024)
@@ -430,7 +430,8 @@ def test_criterion_10_transport():
     tail_rows = [trans.gaussian_tail_bound(n, 0.25) for n in (4, 8, 16)]
     tail_ok = all(r["holds"] for r in tail_rows)
     report(10, sink_ok and coupling_ok and ent_ok and tail_ok,
-           f"sinkhorn rel {sink_rel:.4f}; coupling rels "
+           f"sinkhorn rel {sink_rel:.4f}, converged {conv} (pre-rounding residual "
+           f"{plan.pre_rounding_residual:.1e}); coupling rels "
            + ", ".join(f"{r:.3f}" for r in rels)
            + "; Ent trend " + " > ".join(f"{e:.4f}" for e in ents)
            + f"; tail sums hold: {tail_ok}")

@@ -105,6 +105,36 @@ def test_sinkhorn_not_converged_after_one_iteration():
     assert conv is False
 
 
+@pytest.mark.parametrize("size", [32, 160])
+def test_logsumexp_matches_scipy(size):
+    from scipy.special import logsumexp
+    x = np.random.default_rng(size).uniform(-700.0, 50.0, (size, size))
+    x[3] = -700.0
+    x[3, 5] = 50.0                      # one dominant entry in a row
+    for axis in (0, 1, None):
+        want = logsumexp(x, axis=axis)
+        got = trans.logsumexp(x, axis=axis)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_sinkhorn_intermediate_levels_stop_early():
+    # criterion 10a's clouds at eps = 5e-3 x mean cost: every level before the
+    # last reaches its sqrt(tol) residual well inside the default max_iter
+    rng = np.random.default_rng(1012)
+    xs = rng.standard_normal((32, 4))
+    ys = rng.standard_normal((32, 4)) + 0.5
+    mu, nu = trans.EmpiricalMeasure(xs), trans.EmpiricalMeasure(ys)
+    cost = trans.CostSpec()
+    exact, _ = trans.wasserstein_exact(mu, nu, cost)
+    scale = float(np.mean(cost.matrix(xs, ys)))
+    val, plan, conv = trans.sinkhorn(mu, nu, cost, eps=5e-3 * scale)
+    assert len(plan.level_iterations) > 1
+    assert all(0 < it < 2000 for it in plan.level_iterations[:-1])
+    assert conv and plan.pre_rounding_residual < 1e-8
+    assert abs(val - exact) / exact < 0.02
+
+
 def test_sinkhorn_epsilon_sweep_monotone_and_biased_up():
     mu, nu = clouds(6, m=24, d=3)
     cost = trans.CostSpec()
