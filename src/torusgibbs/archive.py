@@ -51,26 +51,25 @@ def write_ensemble(path: str, ensemble: SampleEnsemble, extra_meta: dict | None 
         fh.write(raw)
 
 
+def _parse_header(fh) -> dict:
+    """Check the magic bytes and the format version of an open archive and
+    parse its JSON header, leaving fh at the payload."""
+    if fh.read(4) != MAGIC:
+        raise ArchiveError("not a torusgibbs ensemble archive")
+    version, hlen = struct.unpack("<HI", fh.read(6))
+    if version != FORMAT_VERSION:
+        raise ArchiveError(f"unsupported archive version {version}")
+    return json.loads(fh.read(hlen).decode("utf-8"))
+
+
 def read_header(path: str) -> dict:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ArchiveError("not a torusgibbs ensemble archive")
-        version, hlen = struct.unpack("<HI", fh.read(6))
-        if version != FORMAT_VERSION:
-            raise ArchiveError(f"unsupported archive version {version}")
-        return json.loads(fh.read(hlen).decode("utf-8"))
+        return _parse_header(fh)
 
 
 def read_ensemble(path: str) -> SampleEnsemble:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ArchiveError("not a torusgibbs ensemble archive")
-        version, hlen = struct.unpack("<HI", fh.read(6))
-        if version != FORMAT_VERSION:
-            raise ArchiveError(f"unsupported archive version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        header = _parse_header(fh)
         raw = fh.read()
     if hashlib.sha256(raw).hexdigest() != header["payload_sha256"]:
         raise ArchiveError("payload checksum mismatch; refusing partial load")

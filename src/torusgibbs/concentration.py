@@ -1,6 +1,6 @@
 """Empirical functional-inequality machinery: entropy and Dirichlet energy
-in dual Sobolev metrics, LSI/Poincare ratio reports, Lipschitz-tail fits,
-and the annular multiplicative-increment decomposition of |u|^2 hat.
+in dual Sobolev metrics, LSI/Poincare ratio reports, and the annular
+multiplicative-increment decomposition of |u|^2 hat.
 
 Gradients are taken in the orthonormal real coordinate system of the field
 (see spectral.field_coords); the dual H^{-s} metric weights coordinate k by
@@ -152,16 +152,6 @@ class MetricSpec:
     s_dual: float = 1.0
 
 
-def dirichlet_energy(coords: np.ndarray, functional: TestFunctional,
-                     lattice: Lattice, metric: MetricSpec, reality: bool,
-                     zero_mode: bool, n_batches: int = 30):
-    """E ||grad f||^2 in the dual metric, with jackknife stderr."""
-    w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
-    g = functional.gradients(coords)
-    sq = np.sum(w[None, :] * g ** 2, axis=1)
-    return _jackknife(sq, lambda x: float(np.mean(x)), n_batches)
-
-
 def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
                    metric: MetricSpec, reality: bool, zero_mode: bool,
                    alpha_predicted: float | None = None, mode: str = "lsi",
@@ -209,39 +199,6 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
     return out
 
 
-def lipschitz_concentration(values: np.ndarray, lip_const: float,
-                            alpha: float | None = None, n_bins: int = 12,
-                            fit_tolerance: float = 0.25) -> dict:
-    """Fit log P(|f - mean| > t) against t^2; under LSI(alpha) the slope
-    must be <= -alpha/(2 L^2) up to the fit tolerance."""
-    dev = np.abs(values - np.mean(values))
-    m = len(dev)
-    qs = np.quantile(dev, np.linspace(0.5, 0.995, n_bins))
-    ts, tails = [], []
-    for t in qs:
-        p = float(np.mean(dev > t))
-        if 0 < p < 1:
-            ts.append(t)
-            tails.append(p)
-    flagged = len(ts) < 4
-    slope = float("nan")
-    r2 = float("nan")
-    if not flagged:
-        x = np.asarray(ts) ** 2
-        y = np.log(tails)
-        slope, intercept = np.polyfit(x, y, 1)
-        yh = slope * x + intercept
-        sst = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 - float(np.sum((y - yh) ** 2)) / sst if sst > 0 else float("nan")
-    out = {"slope_vs_t_sq": float(slope), "r_squared": float(r2),
-           "n_tail_points": len(ts), "flagged": bool(flagged)}
-    if alpha is not None and not flagged:
-        required = -alpha / (2.0 * lip_const ** 2) * (1.0 - fit_tolerance)
-        out["required_slope"] = required
-        out["pass"] = bool(slope <= required)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # multiplicative increments (annular decomposition of |u|^2 hat)
 # ---------------------------------------------------------------------------
@@ -277,22 +234,6 @@ def multiplicative_increments(fld: FourierField, m: tuple, r_max: int) -> Increm
         ring = (absj > r - 1) & (absj <= r)
         series[r - 1] = prod[ring].sum()
     return IncrementSeries(tuple(m), series, np.arange(1, r_eff + 1), truncated)
-
-
-def increment_envelope_fit(ensemble_coefs: np.ndarray, lattice: Lattice, m: tuple,
-                           r_max: int) -> dict:
-    """Fitted decay exponent of max over samples of |d_r| against r; on the
-    decay domain this should come out <= -(1/2) - eps (plus fit slack)."""
-    per_r = []
-    for i in range(ensemble_coefs.shape[0]):
-        ser = multiplicative_increments(
-            FourierField(lattice, ensemble_coefs[i], zero_mode=False), m, r_max)
-        per_r.append(np.abs(ser.d))
-    env = np.max(np.array(per_r), axis=0)
-    radii = np.arange(1, env.size + 1)
-    good = env > 0
-    slope = float(np.polyfit(np.log(radii[good]), np.log(env[good]), 1)[0])
-    return {"m": tuple(m), "envelope": env.tolist(), "exponent": slope}
 
 
 def exp_square_moment(ensemble_coefs: np.ndarray, lattice: Lattice, m_list,

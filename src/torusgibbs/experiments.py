@@ -31,9 +31,6 @@ class SchemaError(ValueError):
     """Config fails schema validation (exit code 2)."""
 
 
-EXPERIMENT_KINDS = ("sample", "flow", "invariance", "lsi", "convexity",
-                    "normalizability", "transport", "gp-solve", "zakharov", "tail")
-
 _TOP_KEYS = {"experiment", "seed", "output_dir", "lattice", "model", "domain",
              "reference", "sampler", "flow", "params"}
 
@@ -54,8 +51,9 @@ def validate_config(cfg: dict) -> None:
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
-    if cfg.get("experiment") not in EXPERIMENT_KINDS:
-        raise SchemaError(f"experiment must be one of {EXPERIMENT_KINDS}")
+    kinds = tuple(_RUNNERS)
+    if cfg.get("experiment") not in kinds:
+        raise SchemaError(f"experiment must be one of {kinds}")
     if not isinstance(cfg.get("seed", 0), int):
         raise SchemaError("seed must be an integer")
     for block, allowed in _BLOCK_KEYS.items():

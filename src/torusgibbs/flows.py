@@ -389,21 +389,18 @@ def default_invariance_functionals(lattice: Lattice, seed: int = 7):
     ]
 
 
-def invariance_test(model, ensemble, config: FlowConfig, functionals=None,
-                    energy_tol: float = 1e-3) -> dict:
-    """Compare ensemble means of cylindrical functionals before and after the
-    truncated flow; PASS when every difference is within 3 combined stderr.
-    Flow energy drift beyond energy_tol (relative, per sample) invalidates
-    the run (flagged)."""
+def invariance_test(model, ensemble, config: FlowConfig, energy_tol: float = 1e-3) -> dict:
+    """Compare ensemble means of the default cylindrical functionals before
+    and after the truncated flow; PASS when every difference is within 3
+    combined stderr.  Flow energy drift beyond energy_tol (relative, per
+    sample) invalidates the run (flagged)."""
     lattice = ensemble.lattice
     coefs0 = ensemble.coefs
-    if functionals is None:
-        functionals = default_invariance_functionals(lattice)
     coefs1 = evolve_ensemble(model, coefs0, lattice, config)
     rows = []
     all_pass = True
     b = coefs0.shape[0]
-    for name, fn in functionals:
+    for name, fn in default_invariance_functionals(lattice):
         v0 = np.asarray(fn(coefs0), dtype=float)
         v1 = np.asarray(fn(coefs1), dtype=float)
         m0, m1 = float(np.mean(v0)), float(np.mean(v1))
@@ -476,22 +473,6 @@ def _duhamel_integral(g_nodes: np.ndarray, ksq: np.ndarray, h: float,
         acc = decay * acc + decay * (w0 * g_nodes[i - 1] + w1 * g_nodes[i])
         out[i] = acc
     return 1j * lam * out
-
-
-def duhamel_phi(phi: FourierField, potential: FourierField, lam: float,
-                t: float, steps: int) -> FourierField:
-    """Phi(u0)(., t) for u0(., tau) = e^{i tau Laplacian} phi; requires
-    Vhat(0) = 0."""
-    if abs(potential.zero_coef()) > 1e-13:
-        raise ValueError("duhamel_phi requires Vhat(0) = 0")
-    lat = phi.lattice
-    ksq = lat.ksq()
-    h = t / steps
-    times = h * np.arange(steps + 1)
-    u0 = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * phi.coef
-    g = _gp_nonlinear(u0, potential)
-    out = _duhamel_integral(g, ksq, h, lam)
-    return FourierField(lat, out[-1], False, phi.zero_mode)
 
 
 def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, ProjectionSpec, _row_blocks, analyze_batch,
-                       hermitianize, intensity_mode, lp_integral_batch,
-                       projection_multiplier, sobolev_norm, synthesize_batch)
+from .spectral import (FourierField, Lattice, _row_blocks, analyze_batch, dirichlet_multiplier,
+                       hermitianize, intensity_mode, lp_integral_batch, sobolev_norm,
+                       synthesize_batch)
 
 PI2 = math.pi ** 2
 
@@ -180,8 +180,7 @@ class GrossPitaevskiiProjected(_Model):
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         if self.n_project and self.n_project < lattice.n:
-            coefs = coefs * projection_multiplier(ProjectionSpec.dirichlet(self.n_project),
-                                                  lattice)
+            coefs = coefs * dirichlet_multiplier(lattice, self.n_project)
         return gp_wick_interaction_batch(coefs, lattice, self.potential, self.lam)
 
 
@@ -215,27 +214,10 @@ class ZakharovState:
         """Lattice coefficients of n + |u|^2 (the projected combination)."""
         return _coupled_density(self.u.coef, self.n.coef, self.lattice)
 
-    def tilde_n(self) -> FourierField:
-        coef = self.coupled_density_coef() / np.sqrt(2.0)
-        return FourierField(self.u.lattice, coef, reality=True)
-
-    def w_field(self) -> FourierField:
-        lat = self.u.lattice
-        k = lat.axis_modes().astype(float)
-        coef = np.zeros_like(self.v.coef)
-        nz = k != 0
-        coef[nz] = -self.v.coef[nz] / (k[nz] ** 2 * np.sqrt(2.0))
-        return FourierField(lat, coef, reality=True, zero_mode=False)
-
 
 # ---------------------------------------------------------------------------
 # helper integrals
 # ---------------------------------------------------------------------------
-
-def kinetic_energy(fld: FourierField) -> float:
-    """(1/2) int |grad u|^2 dtheta/(2 pi)^D = (1/2) sum |k|^2 |c_k|^2."""
-    return 0.5 * float(np.sum(fld.lattice.ksq() * np.abs(fld.coef) ** 2))
-
 
 def _coupled_density(u: np.ndarray, n: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Hermitian lattice coefficients of n + |u|^2 for 1D coefficient arrays
@@ -312,23 +294,6 @@ def number_operator(n: int, rho: float) -> float:
     k = np.arange(-n, n + 1, dtype=float)
     ksq = k[:, None] ** 2 + k[None, :] ** 2
     return float(np.sum(2.0 / (ksq + rho)))
-
-
-def number_operator_growth(n_list, rho: float) -> dict:
-    """Fit N_n against log n.  A 2 log n rate is sometimes attributed to
-    this sum; direct summation gives a slope near 4 pi, so the fitted
-    constant is reported and the discrepancy flagged rather than asserted."""
-    n_arr = np.asarray(sorted(n_list), dtype=float)
-    vals = np.array([number_operator(int(n), rho) for n in n_arr])
-    slope, _ = np.polyfit(np.log(n_arr), vals, 1)
-    return {
-        "n": n_arr.tolist(),
-        "N_n": vals.tolist(),
-        "slope_vs_log_n": float(slope),
-        "slope_over_4pi": float(slope / (4 * math.pi)),
-        "claimed_constant": 2.0,
-        "discrepancy_flag": bool(abs(slope - 2.0) > 0.5),
-    }
 
 
 def counterterm_mass(model: GrossPitaevskii, n: int) -> float:
@@ -505,17 +470,6 @@ def convexity_identity_values(fg, gg, pg, qg, t):
     return np.mean(lhs, axis=-1), np.mean(rhs, axis=-1)
 
 
-def nls_convexity_identity(f: FourierField, g: FourierField, p: FourierField,
-                           q: FourierField, t: float):
-    """Integrated (lhs, rhs); |lhs - rhs| is pure roundoff."""
-    if not (0.0 < t < 1.0):
-        raise ValueError("t must lie in (0, 1)")
-    lat = f.lattice
-    grids = [np.real(synthesize_batch(x.coef, lat, 2)) for x in (f, g, p, q)]
-    lhs, rhs = convexity_identity_values(*grids, t)
-    return float(lhs), float(rhs)
-
-
 @dataclass
 class ConvexityMargin:
     value: float          # measured gap minus the predicted lower bound
@@ -622,45 +576,6 @@ def lsi_constant_predicted(model, mass_bound: float | None = None,
             return LSIPrediction(min(1.0, 1.0 - 14.0 * PI2 * b / 3.0), True)
         return LSIPrediction(None, False, "requires B < 3/(14 pi^2)")
     raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# dyadic-block convexity probe
-# ---------------------------------------------------------------------------
-
-def block_convexity_probe(J, model: NLS, mass_bound: float, trials: int,
-                          lattice: Lattice, seed: int = 0) -> dict:
-    """Minimum over random u in Omega_N and random block-supported v of
-    Hess H_{Delta(J)}(u)[v] / int |P_J v|^2, reported against the
-    (D/4) |Delta(J)|^{2/D} scaling.  Sign and exponent are the claim; the
-    unspecified constant is not."""
-    jj = tuple(J) if isinstance(J, (tuple, list)) else (J,)
-    if len(jj) != lattice.dim:
-        raise ValueError("block index J must have one entry per axis")
-    if not 2 <= model.p <= 2 + 4 / lattice.dim:
-        raise ValueError("block probe requires 2 <= p <= 2 + 4/D")
-    mult = projection_multiplier(ProjectionSpec.dyadic_block(*jj), lattice)
-    size = int(np.sum(mult > 0))
-    if size == 0:
-        raise ValueError("empty dyadic block for this lattice")
-    rng = np.random.default_rng(seed)
-    ratios = np.empty(trials)
-    for i in range(trials):
-        ucoef = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        u = FourierField(lattice, ucoef)
-        u = (math.sqrt(mass_bound) * rng.uniform(0.2, 1.0) / math.sqrt(u.mass())) * u
-        vcoef = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        v = FourierField(lattice, vcoef * mult)
-        pu = FourierField(lattice, u.coef * mult)
-        ratios[i] = hessian_quadratic_form(model, pu, v).value / v.mass()
-    dd = lattice.dim
-    return {
-        "J": jj,
-        "block_size": size,
-        "min_ratio": float(np.min(ratios)),
-        "scaling_reference": (dd / 4.0) * size ** (2.0 / dd),
-        "positive": bool(np.min(ratios) > 0),
-    }
 
 
 # ---------------------------------------------------------------------------

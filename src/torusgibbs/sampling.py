@@ -1,5 +1,5 @@
 """Gaussian reference measures, phase-domain restrictions, pCN sampling of
-the Gibbs densities, partition-function and normalizability probes.
+the Gibbs densities, normalizability probes and domain-mass estimates.
 
 Every Gibbs measure here is (interaction density) x (Gaussian reference)
 restricted to a phase domain, so the sampler uses the reference-preserving
@@ -124,10 +124,6 @@ class GaussianReference:
         coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
         return coefs
 
-    def sample(self, rng: np.random.Generator) -> FourierField:
-        coef = self.sample_batch(rng, 1)[0]
-        return FourierField(self.lattice, coef, self.reality, self.zero_mode)
-
 
 def _massless_std(lat: Lattice) -> np.ndarray:
     ksq = lat.ksq().copy()
@@ -214,9 +210,6 @@ class PhaseDomain:
             ptw_ok = np.all(absq <= capsq, axis=axes)
             return hs_ok & ptw_ok & zero_ok
         raise ValueError(f"contains_batch unsupported for kind {self.kind!r}")
-
-    def contains(self, fld: FourierField) -> bool:
-        return bool(self.contains_batch(fld.coef[None, ...], fld.lattice)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,38 +410,12 @@ def rejection_sample_domain(reference: GaussianReference, domain: PhaseDomain,
 
 
 # ---------------------------------------------------------------------------
-# partition function and normalizability
+# normalizability
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PartitionEstimate:
-    z: float
-    stderr: float
-    ess: float
-    log_max_weight: float
-    reliable: bool
-
 
 def _ess(w: np.ndarray) -> float:
     s = float(np.sum(w))
     return s * s / float(np.sum(w ** 2)) if s > 0 else 0.0
-
-
-def partition_estimate(model, domain: PhaseDomain, reference: GaussianReference,
-                       n_samples: int, seed: int) -> PartitionEstimate:
-    """Importance estimate Z = E_mu[I_domain exp(phi)] from reference draws;
-    for lam = 0 this is the reference mass of the domain."""
-    rng = np.random.default_rng(seed)
-    coefs = reference.sample_batch(rng, n_samples)
-    inside = domain.contains_batch(coefs, reference.lattice)
-    logw = np.full(n_samples, -np.inf)
-    logw[inside] = ham.interaction_log_density(model, coefs[inside], reference.lattice)
-    w = np.where(np.isfinite(logw), np.exp(logw), 0.0)
-    z = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / math.sqrt(n_samples))
-    ess = _ess(w)
-    lm = float(np.max(logw)) if np.isfinite(logw).any() else -np.inf
-    return PartitionEstimate(z, se, ess, lm, ess >= 30)
 
 
 def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,

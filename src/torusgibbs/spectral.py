@@ -114,9 +114,6 @@ class FourierField:
 
     # -- algebra ------------------------------------------------------------
 
-    def copy(self) -> "FourierField":
-        return FourierField(self.lattice, self.coef.copy(), self.reality, self.zero_mode)
-
     def __add__(self, other: "FourierField") -> "FourierField":
         _check_compatible(self, other)
         return FourierField(self.lattice, self.coef + other.coef,
@@ -272,83 +269,14 @@ def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# projections
+# Dirichlet projection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Dirichlet P_m, dyadic block Delta(J), or de la Vallee Poussin K_J."""
-
-    kind: str                      # "dirichlet" | "dyadic_block" | "vallee_poussin"
-    m: int | None = None           # dirichlet cutoff
-    J: tuple | None = None         # per-axis dyadic indices
-
-    @classmethod
-    def dirichlet(cls, m: int):
-        return cls("dirichlet", m=m)
-
-    @classmethod
-    def dyadic_block(cls, *J: int):
-        return cls("dyadic_block", J=tuple(J))
-
-    @classmethod
-    def vallee_poussin(cls, *J: int):
-        return cls("vallee_poussin", J=tuple(J))
-
-
-def dyadic_interval(j: int) -> np.ndarray:
-    """Delta_j = {2^{j-1}, ..., 2^j - 1}; Delta_0 = {0}; mirrored for j < 0."""
-    if j == 0:
-        return np.array([0])
-    if j > 0:
-        return np.arange(2 ** (j - 1), 2 ** j)
-    return -dyadic_interval(-j)[::-1]
-
-
-def _axis_block_mask(j: int, modes: np.ndarray) -> np.ndarray:
-    block = dyadic_interval(j)
-    return (modes >= block.min()) & (modes <= block.max())
-
-
-def _axis_vp_multiplier(j: int, modes: np.ndarray) -> np.ndarray:
-    """Trapezoid multiplier: 1 on Delta_j, 0 outside the triple block,
-    linear on the flanking blocks."""
-    if j < 0:
-        return _axis_vp_multiplier(-j, -modes)
-    inner = dyadic_interval(j)
-    lo, hi = int(inner.min()), int(inner.max())
-    left_zero = int(dyadic_interval(j - 1).min()) - 1
-    right_zero = int(dyadic_interval(j + 1).max()) + 1
-    x = modes.astype(float)
-    mult = np.zeros_like(x)
-    plateau = (x >= lo) & (x <= hi)
-    mult[plateau] = 1.0
-    lramp = (x > left_zero) & (x < lo)
-    mult[lramp] = (x[lramp] - left_zero) / (lo - left_zero)
-    rramp = (x > hi) & (x < right_zero)
-    mult[rramp] = (right_zero - x[rramp]) / (right_zero - hi)
-    return mult
-
-
-def projection_multiplier(spec: ProjectionSpec, lattice: Lattice) -> np.ndarray:
-    modes = lattice.axis_modes()
-    if spec.kind == "dirichlet":
-        axis = (np.abs(modes) <= spec.m).astype(float)
-        per_axis = [axis] * lattice.dim
-    elif spec.kind == "dyadic_block":
-        per_axis = [_axis_block_mask(j, modes).astype(float) for j in spec.J]
-    elif spec.kind == "vallee_poussin":
-        per_axis = [_axis_vp_multiplier(j, modes) for j in spec.J]
-    else:
-        raise ValueError(f"unknown projection kind {spec.kind!r}")
-    if lattice.dim == 1:
-        return per_axis[0]
-    return per_axis[0][:, None] * per_axis[1][None, :]
-
-
-def project(fld: FourierField, spec: ProjectionSpec) -> FourierField:
-    mult = projection_multiplier(spec, fld.lattice)
-    return FourierField(fld.lattice, fld.coef * mult, fld.reality, fld.zero_mode)
+def dirichlet_multiplier(lattice: Lattice, m: int) -> np.ndarray:
+    """The Dirichlet truncation P_m as a float 0/1 array over the lattice:
+    1 on the modes with every |k_j| <= m."""
+    axis = (np.abs(lattice.axis_modes()) <= m).astype(float)
+    return axis if lattice.dim == 1 else axis[:, None] * axis[None, :]
 
 
 # ---------------------------------------------------------------------------

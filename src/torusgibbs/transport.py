@@ -1,10 +1,10 @@
 """Wasserstein distances (exact LP oracle plus entropic solver), truncation
-coupling bounds, relative entropy between Gibbs truncations, transportation
-inequality checks and the Gaussian tail-sum bound.
+coupling bounds, relative entropy between Gibbs truncations and the Gaussian
+tail-sum bound.
 
 All D_{L^2} style numbers produced here are explicit-coupling upper bounds
-(coordinate projection or regression estimate of E(x | F_n)); the true
-infimum over couplings of metric measure spaces is never computed.
+(the coordinate projection E(x | F_n)); the true infimum over couplings of
+metric measure spaces is never computed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from . import hamiltonians as ham
 from .concentration import _jackknife
 from .sampling import ChainConfig, GaussianReference, PhaseDomain, _ess, run_pcn_chain
-from .spectral import FourierField, Lattice, _row_blocks, coord_layout
+from .spectral import FourierField, Lattice, _row_blocks, coord_layout, dirichlet_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +50,15 @@ class EmpiricalMeasure:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
 class CostSpec:
-    """cost(x, y) = (sum_i w_i (x_i - y_i)^2)^{order/2}; ground weights w
-    default to 1 (coefficient l^2) or an H^{-s} weight vector."""
+    """cost(x, y) = sum_i (x_i - y_i)^2, the squared coefficient l^2 distance;
+    transport values are plan costs to the power 1/order."""
 
-    order: float = 2.0
-    ground_weights: np.ndarray | None = None
+    order = 2.0
 
     def matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         dx = xs[:, None, :] - ys[None, :, :]
-        if self.ground_weights is not None:
-            d2 = np.einsum("ijk,k->ij", dx ** 2, self.ground_weights)
-        else:
-            d2 = np.sum(dx ** 2, axis=-1)
-        d2 = np.maximum(d2, 0.0)
-        return d2 ** (self.order / 2.0)
+        return np.sum(dx ** 2, axis=-1)
 
 
 @dataclass
@@ -127,8 +120,7 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
 
 
 def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
-             eps: float, max_iter: int = 2000, tol: float = 1e-9,
-             eps_scaling: bool = True):
+             eps: float, max_iter: int = 2000, tol: float = 1e-9):
     """Log-domain Sinkhorn with a geometric eps-scaling schedule and warm
     starts; the returned objective is the plan cost sum plan * cost, which
     decreases toward the exact optimum as eps drops.  An iteration is two
@@ -141,15 +133,12 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     a, b = mu.weights, nu.weights
     la, lb = np.log(a + 1e-300), np.log(b + 1e-300)
     scale = float(np.max(c)) if np.max(c) > 0 else 1.0
-    if eps_scaling:
-        eps_list = []
-        e = max(scale / 8.0, eps)
-        while e > eps * 1.0001:
-            eps_list.append(e)
-            e /= 2.0
-        eps_list.append(eps)
-    else:
-        eps_list = [eps]
+    eps_list = []
+    e = max(scale / 8.0, eps)
+    while e > eps * 1.0001:
+        eps_list.append(e)
+        e /= 2.0
+    eps_list.append(eps)
     f = np.zeros(len(a))
     g = np.zeros(len(b))
     levels = []
@@ -233,39 +222,24 @@ def sinkhorn_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSp
 def head_coordinate_mask(lattice: Lattice, n: int, reality: bool,
                          zero_mode: bool) -> np.ndarray:
     """Boolean mask over the field_coords layout selecting modes |k_j| <= n."""
-    flags = np.abs(lattice.axis_modes()) <= n
-    if lattice.dim == 2:
-        flags = flags[:, None] & flags[None, :]
-    return coord_layout(flags, lattice, reality, zero_mode)
+    return coord_layout(dirichlet_multiplier(lattice, n) > 0, lattice, reality, zero_mode)
 
 
 def truncation_coupling_bound(coords: np.ndarray, lattice: Lattice, n: int,
-                              reality: bool = False, zero_mode: bool = True,
-                              estimator: str = "projection", knn: int = 8) -> dict:
+                              reality: bool = False, zero_mode: bool = True) -> dict:
     """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2; an upper bound for
     the squared L^2 transportation distance between the n-truncation and the
-    full ensemble.  estimator "projection" (exact for product references)
-    conditions by zeroing; "knn" regresses tail coordinates on the head."""
+    full ensemble.  E(x|F_n) is the projection that zeroes the tail, exact
+    for product references."""
     if n >= lattice.n:
-        return {"n": n, "value": 0.0, "stderr": 0.0, "estimator": estimator,
+        return {"n": n, "value": 0.0, "stderr": 0.0, "estimator": "projection",
                 "degenerate": True}
-    mask = head_coordinate_mask(lattice, n, reality, zero_mode)
-    tail = coords[:, ~mask]
-    if estimator == "projection":
-        per = np.sum(tail ** 2, axis=1)
-    elif estimator == "knn":
-        head = coords[:, mask]
-        d2 = np.sum((head[:, None, :] - head[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        idx = np.argpartition(d2, knn, axis=1)[:, :knn]
-        cond = tail[idx].mean(axis=1)
-        per = np.sum((tail - cond) ** 2, axis=1)
-    else:
-        raise ValueError("estimator must be 'projection' or 'knn'")
+    tail = coords[:, ~head_coordinate_mask(lattice, n, reality, zero_mode)]
+    per = np.sum(tail ** 2, axis=1)
     b = per.shape[0]
     return {"n": n, "value": float(np.mean(per)),
             "stderr": float(np.std(per, ddof=1) / math.sqrt(b)),
-            "estimator": estimator, "degenerate": False}
+            "estimator": "projection", "degenerate": False}
 
 
 # ---------------------------------------------------------------------------
@@ -313,43 +287,6 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
 
 def _log_mean_ratio(pair: np.ndarray) -> float:
     return math.log(np.mean(pair[:, 0])) - math.log(np.mean(pair[:, 1]))
-
-
-# ---------------------------------------------------------------------------
-# transportation inequality check
-# ---------------------------------------------------------------------------
-
-def transport_inequality_check(coords: np.ndarray, tilt_xi: np.ndarray, t: float,
-                               alpha: float, cost: CostSpec = CostSpec(),
-                               eps_rel: float = 0.02, support: int = 160,
-                               seed: int = 0, n_resample: int = 2) -> dict:
-    """W_2(omega, nu)^2 <= (2/alpha) Ent(omega | nu) for the exponential
-    tilt omega = Z_t^{-1} e^{t <x, xi>} nu, with Ent computed from the exact
-    density ratio and W_2 from the debiased entropic divergence on
-    subsampled supports."""
-    g = coords @ tilt_xi
-    lw = t * g
-    lw -= lw.max()
-    w = np.exp(lw)
-    w /= w.sum()
-    log_mgf = float(logsumexp(t * g) - math.log(len(g)))
-    ent = float(np.sum(w * (t * g))) - log_mgf
-    rng = np.random.default_rng(seed)
-    w2_sq = []
-    for _ in range(n_resample):
-        idx = rng.choice(len(g), size=min(support, len(g)), replace=False)
-        mu = EmpiricalMeasure(coords[idx])
-        nu = EmpiricalMeasure(coords[idx], w[idx])
-        cmat_scale = float(np.mean(cost.matrix(mu.points[:16], mu.points[:16])))
-        eps = max(eps_rel * max(cmat_scale, 1e-12), 1e-9)
-        val = sinkhorn_divergence(mu, nu, cost, eps)
-        w2_sq.append(val ** cost.order)
-    w2_sq = np.asarray(w2_sq)
-    est = float(np.mean(w2_sq))
-    se = float(np.std(w2_sq, ddof=1) / math.sqrt(len(w2_sq))) if len(w2_sq) > 1 else 0.0
-    rhs = 2.0 * ent / alpha
-    return {"w2_squared": est, "w2_stderr": se, "entropy": ent, "alpha": alpha,
-            "rhs": rhs, "pass": bool(est <= rhs + 3.0 * se + 1e-12)}
 
 
 # ---------------------------------------------------------------------------

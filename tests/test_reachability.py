@@ -1,0 +1,55 @@
+import ast
+import pathlib
+
+import torusgibbs as tg
+
+SRC = pathlib.Path(tg.__file__).parent
+REPO = SRC.parent.parent
+
+# public names kept although no root reaches them, each with its reason
+ALLOWED = {
+    "read_ensemble": "the reader the archive round-trip tests check write_ensemble against",
+}
+
+
+def _referenced(node, strings=False) -> set:
+    """Identifiers a node loads (names and attributes, not import aliases);
+    with strings, also the dotted parts of its string constants."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.update(sub.value.split("."))
+    return out
+
+
+def test_every_public_name_is_reached():
+    # roots: the CLI and the runners, the acceptance criteria, perfbench (whose
+    # tracer names its targets as strings) and every module-level statement
+    defs = {}                          # top-level name -> names its body loads
+    reached = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name in ("cli.py", "experiments.py"):
+            reached |= _referenced(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, set()).update(_referenced(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _referenced(node)
+    for path in [REPO / "tests" / "test_acceptance.py", REPO / "tests" / "conftest.py"]:
+        reached |= _referenced(ast.parse(path.read_text()))
+    for path in sorted((REPO / "perfbench").glob("*.py")):
+        reached |= _referenced(ast.parse(path.read_text()), strings=True)
+    todo = list(reached)
+    while todo:
+        for name in defs.get(todo.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    orphans = sorted(n for n in defs if not n.startswith("_") and n not in reached
+                     and n not in ALLOWED)
+    assert not orphans, f"public names no root reaches: {orphans}"

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 import torusgibbs as tg
 from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice,
-                                 ProjectionSpec, analyze_batch,
-                                 coef_from_coords, coords_from_coef,
-                                 dyadic_interval, fft_analyze, fft_synthesize,
+                                 analyze_batch, coef_from_coords, coords_from_coef,
+                                 dirichlet_multiplier, fft_analyze, fft_synthesize,
                                  field_coords, field_from_coords, from_fft_order,
-                                 hermitianize, project, projection_multiplier,
-                                 sobolev_norm, synthesize_batch, to_fft_order)
+                                 hermitianize, sobolev_norm, synthesize_batch,
+                                 to_fft_order)
 
 
 def random_field(lattice, seed, reality=False, zero_mode=True):
@@ -177,8 +176,7 @@ def test_hermitian_symmetry_preserved():
     f.check()
     g = FourierField(lat, analyze_batch(synthesize_batch(f.coef, lat), lat), reality=True)
     g.check()
-    p = project(f, ProjectionSpec.dirichlet(3))
-    p.check()
+    FourierField(lat, f.coef * dirichlet_multiplier(lat, 3), reality=True).check()
 
 
 @pytest.mark.parametrize("lat", [Lattice(1, 4), Lattice(2, 3)])
@@ -193,54 +191,38 @@ def test_hermitianize_projects_each_field_of_a_stack(lat):
 
 # -- projections -------------------------------------------------------------
 
+def _dirichlet(u, m):
+    return FourierField(u.lattice, u.coef * dirichlet_multiplier(u.lattice, m),
+                        u.reality, u.zero_mode)
+
+
 def test_dirichlet_keeps_low_modes_only():
     lat = Lattice(1, 8)
     f = FourierField.from_modes(lat, {1: 1.0, 3: 2.0})
-    out = project(f, ProjectionSpec.dirichlet(2))
+    out = _dirichlet(f, 2)
     assert out.coef[lat.n + 1] == 1.0
     assert out.coef[lat.n + 3] == 0.0
-
-
-def test_dyadic_block_definition():
-    assert list(dyadic_interval(2)) == [2, 3]
-    assert list(dyadic_interval(0)) == [0]
-    assert list(dyadic_interval(-2)) == [-3, -2]
-    lat = Lattice(1, 8)
-    f = FourierField(lat, np.ones(lat.shape, dtype=complex))
-    out = project(f, ProjectionSpec.dyadic_block(2))
-    kept = {int(k) for k in lat.axis_modes()[np.abs(out.coef) > 0]}
-    assert kept == {2, 3}
-
-
-def test_vallee_poussin_reproduces_block_fields():
-    # K_J * P_J u = P_J u for random u, J = 3 (block {4..7})
-    lat = Lattice(1, 16)
-    u = random_field(lat, 5)
-    pj = project(u, ProjectionSpec.dyadic_block(3))
-    kj = projection_multiplier(ProjectionSpec.vallee_poussin(3), lat)
-    reproduced = kj * pj.coef
-    assert np.max(np.abs(reproduced - pj.coef)) < 1e-14
-    # multiplier vanishes outside the triple block
-    modes = lat.axis_modes()
-    outside = (np.abs(modes) < 2) | (np.abs(modes) > 15)
-    assert np.max(np.abs(kj[outside & (modes >= 0)])) == 0.0
+    lat2 = Lattice(2, 3)
+    k1, k2 = lat2.mode_arrays()
+    mult = dirichlet_multiplier(lat2, 1)
+    assert mult.dtype == float
+    assert np.array_equal(mult, ((np.abs(k1) <= 1) & (np.abs(k2) <= 1)).astype(float))
 
 
 @settings(max_examples=25, deadline=None)
-@given(m=st.integers(min_value=1, max_value=8), j=st.integers(min_value=1, max_value=3))
-def test_projection_idempotent(m, j):
+@given(m=st.integers(min_value=1, max_value=8))
+def test_projection_idempotent(m):
     lat = Lattice(1, 8)
     u = random_field(lat, 7)
-    for spec in (ProjectionSpec.dirichlet(m), ProjectionSpec.dyadic_block(j)):
-        once = project(u, spec)
-        twice = project(once, spec)
-        assert np.array_equal(once.coef, twice.coef)
+    once = _dirichlet(u, m)
+    twice = _dirichlet(once, m)
+    assert np.array_equal(once.coef, twice.coef)
 
 
 def test_dirichlet_contraction_in_sobolev_norms():
     lat = Lattice(1, 12)
     u = random_field(lat, 11)
-    p = project(u, ProjectionSpec.dirichlet(5))
+    p = _dirichlet(u, 5)
     for s in (-0.7, 0.0, 1.0, 1.7):
         assert sobolev_norm(p, s) <= sobolev_norm(u, s) + 1e-13
 

@@ -196,49 +196,6 @@ def test_coupling_bound_dominates_direct_w2():
     assert w2 ** 2 <= bound + 1e-9
 
 
-def test_coupling_knn_close_to_projection_for_product_measure():
-    lat = Lattice(1, 12)
-    ref = GaussianReference(lat, 0.0, "complex")
-    rng = np.random.default_rng(11)
-    ens = SampleEnsemble(lat, ref.sample_batch(rng, 900), False, False)
-    coords = ens.coords()
-    proj = trans.truncation_coupling_bound(coords, lat, 4, zero_mode=False)
-    knn = trans.truncation_coupling_bound(coords, lat, 4, zero_mode=False,
-                                          estimator="knn")
-    assert abs(knn["value"] - proj["value"]) / proj["value"] < 0.25
-
-
-# -- transportation inequality ------------------------------------------------
-
-def test_t2_gaussian_pair_calibration():
-    # N(0, sigma^2) vs its exponential tilt: the tilt by t x of a Gaussian is
-    # the mean shift m = t sigma^2; W2^2 = m^2 and Ent = m^2 / (2 sigma^2).
-    # T2(1/sigma^2) saturates exactly, so this pins the estimators down; the
-    # PASS flag itself is only meaningful away from saturation (below).
-    rng = np.random.default_rng(12)
-    sigma, t = 1.3, 0.6
-    xs = sigma * rng.standard_normal((4000, 1))
-    rep = trans.transport_inequality_check(xs, np.array([1.0]), t,
-                                           alpha=1.0 / sigma ** 2,
-                                           support=160, seed=13)
-    m = t * sigma ** 2
-    assert rep["entropy"] == pytest.approx(m ** 2 / (2 * sigma ** 2), rel=0.1)
-    assert rep["w2_squared"] == pytest.approx(m ** 2, rel=0.25)
-    away = trans.transport_inequality_check(xs, np.array([1.0]), t,
-                                            alpha=0.6 / sigma ** 2,
-                                            support=160, seed=13)
-    assert away["pass"]
-
-
-def test_t2_identical_measures():
-    rng = np.random.default_rng(14)
-    xs = rng.standard_normal((500, 2))
-    rep = trans.transport_inequality_check(xs, np.array([1.0, 0.0]), 0.0, alpha=1.0,
-                                           support=100, seed=15)
-    assert rep["entropy"] == pytest.approx(0.0, abs=1e-12)
-    assert rep["pass"]
-
-
 # -- Gaussian tail bound ---------------------------------------------------------
 
 def test_gaussian_tail_bound_formula_and_shape():
