@@ -40,11 +40,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import hamiltonians as ham
-from .spectral import (FourierField, Lattice, _row_blocks, fft_analyze, fft_synthesize,
-                       from_fft_order, lp_integral_batch, sobolev_weights, to_fft_order)
+from .spectral import (FourierField, Lattice, _fast_len, _row_blocks, fft_analyze,
+                       fft_synthesize, from_fft_order, lp_integral_batch, sobolev_weights,
+                       to_fft_order)
 
 
 class FlowError(RuntimeError):
@@ -170,7 +170,7 @@ class _KdVStepper(_Stepper):
         super().__init__(lattice, dt, k ** 3)         # u_t = -u_theta^3: d/dt chat = i k^3 chat
         self.lam = model.lam
         self.dx = -0.5j * self.lam * k                # (-lam/2) d/dtheta
-        self.mfine = next_fast_len(3 * lattice.n + 2)   # 3/2-rule dealiasing
+        self.mfine = _fast_len(3 * lattice.n + 2)   # 3/2-rule dealiasing
 
     def pack(self, coefs):
         return coefs[..., self.n:].copy()

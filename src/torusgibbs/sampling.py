@@ -292,8 +292,10 @@ def _pcn_step(model, domain: PhaseDomain, reference: GaussianReference,
     interaction.  Returns (state, phi, accepted)."""
     lat = reference.lattice
     sq = math.sqrt(max(0.0, 1.0 - beta * beta))
-    prop = sq * state + beta * reference.sample_batch(rng, 1)
-    logu = math.log(rng.uniform())
+    prop = reference.sample_batch(rng, 1)
+    prop *= beta
+    prop += sq * state
+    logu = math.log(rng.random())
     if domain.contains_batch(prop, lat)[0]:
         phi_prop = ham.interaction_log_density(model, prop, lat)[0]
         if phi_prop - phi >= logu:

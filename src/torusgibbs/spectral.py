@@ -10,6 +10,8 @@ Transforms.  One pair in FFT order (mode k at index k mod m): fft_synthesize
 zero-fills the middle of the spectrum to m >= 2n+1 points per axis and runs
 one unscaled inverse FFT, fft_analyze the forward FFT; real fields may travel
 as half spectra.  synthesize_batch and analyze_batch only reorder around it.
+Grid sizes are 11-smooth lengths (_fast_len), which the FFT factors into
+its fast radices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 _BLOCK_BYTES = 2 ** 20     # transient bytes one row block of a batched grid loop holds
 
@@ -69,7 +70,7 @@ class Lattice:
     def grid_points(self, oversample: int | None = None) -> int:
         """FFT-friendly grid size per axis resolving q*(2n+1) points."""
         q = self.oversample if oversample is None else oversample
-        return next_fast_len(max(q * self.modes_per_axis, self.modes_per_axis))
+        return _fast_len(max(q * self.modes_per_axis, self.modes_per_axis))
 
     def zero_index(self) -> tuple:
         return (self.n,) * self.dim
@@ -165,6 +166,21 @@ def hermitianize(coef: np.ndarray, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # transforms (see the module docstring)
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache
+def _fast_len(target: int) -> int:
+    """The smallest 2*3*5*7*11-smooth integer >= target (target >= 1); the
+    same length as scipy.fft.next_fast_len(target)."""
+    m = target
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
 
 def _row_blocks(rows: int, row_bytes: int) -> list:
     """Consecutive slices over `rows` rows, each at most _BLOCK_BYTES of
@@ -272,11 +288,14 @@ def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
 # Dirichlet projection
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
 def dirichlet_multiplier(lattice: Lattice, m: int) -> np.ndarray:
     """The Dirichlet truncation P_m as a float 0/1 array over the lattice:
-    1 on the modes with every |k_j| <= m."""
+    1 on the modes with every |k_j| <= m.  Cached and read-only."""
     axis = (np.abs(lattice.axis_modes()) <= m).astype(float)
-    return axis if lattice.dim == 1 else axis[:, None] * axis[None, :]
+    mult = axis if lattice.dim == 1 else axis[:, None] * axis[None, :]
+    mult.flags.writeable = False             # cached: shared by every caller
+    return mult
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from . import hamiltonians as ham
 from .concentration import _jackknife
@@ -86,6 +85,7 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     """Exact optimal transport on oracle-size instances (support <= 256).
     Uniform equal-size clouds use the assignment solver; the general case
     solves the LP with HiGHS.  Returns (W_s value, TransportPlan)."""
+    from scipy.optimize import linear_sum_assignment, linprog
     m, n = len(mu), len(nu)
     if max(m, n) > 256:
         raise ValueError("exact oracle is limited to 256 support points; use sinkhorn")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +94,25 @@ def test_flow_experiment_pass_flag(tmp_path):
     }
     report, code = run_experiment(cfg, output_dir=str(tmp_path / "flow"))
     assert code == 0 and report["passed"] is True
+
+
+def test_no_scipy_on_the_import_path(tmp_path):
+    # a fresh interpreter that imports the package and the CLI and runs a
+    # flow loads no scipy module; only the exact LP oracle and the transport
+    # tail sum import it, inside their bodies
+    cfg = {"experiment": "flow", "seed": 1, "lattice": {"dim": 1, "n": 8, "oversample": 2},
+           "model": {"kind": "kdv", "lam": 1.0}, "flow": {"dt": 1e-3, "t_final": 0.01}}
+    script = (
+        "import json, sys\n"
+        "import torusgibbs\n"
+        "import torusgibbs.cli\n"
+        "from torusgibbs.experiments import run_experiment\n"
+        f"report, code = run_experiment(json.loads({json.dumps(cfg)!r}), {str(tmp_path)!r})\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tg.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0", "[]"]
 
 
 def test_flow_numerical_failure_exit_3(tmp_path):

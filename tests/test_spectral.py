@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgibbs as tg
-from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice,
+from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice, _fast_len,
                                  analyze_batch, coef_from_coords, coords_from_coef,
                                  dirichlet_multiplier, fft_analyze, fft_synthesize,
                                  field_coords, field_from_coords, from_fft_order,
@@ -148,26 +148,29 @@ def test_transform_grid_too_small():
 
 
 def test_no_fft_outside_spectral():
-    # every transform goes through spectral's pair; scipy.fft only sizes grids
+    # every transform goes through spectral's numpy.fft pair, and spectral
+    # sizes the grids itself: no module, spectral included, imports scipy.fft
     offences = []
     for path in sorted(pathlib.Path(tg.__file__).parent.glob("*.py")):
-        if path.name == "spectral.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
-            if (isinstance(node, ast.Attribute) and node.attr == "fft"
-                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-                offences.append(where)
-            elif isinstance(node, ast.Import):
-                offences += [where for a in node.names
-                             if a.name.startswith(("numpy.fft", "scipy.fft"))]
+            if isinstance(node, ast.Import):
+                used = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = {a.name for a in node.names}
-                if node.module.startswith("numpy.fft") or (
-                        node.module.startswith("scipy.fft") and names != {"next_fast_len"}) or (
-                        node.module in ("numpy", "scipy") and "fft" in names):
-                    offences.append(where)
+                used = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                used = ["numpy.fft"]
+            else:
+                continue
+            if any(u.startswith("scipy.fft") or (u.startswith("numpy.fft")
+                                                 and path.name != "spectral.py") for u in used):
+                offences.append(f"{path.name}:{node.lineno}")
     assert offences == []
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+    assert [_fast_len(t) for t in range(1, 4097)] == [next_fast_len(t) for t in range(1, 4097)]
 
 
 def test_hermitian_symmetry_preserved():
