@@ -1,8 +1,8 @@
 """Command line entry points: run a config, inspect an ensemble archive,
 summarize a directory of reports.
 
-Exit codes: 0 success, 1 a PASS criterion failed, 2 config schema violation,
-3 numerical or runtime failure.
+Exit codes: 0 success, 1 a PASS criterion failed, 2 config rejected before
+any work, 3 a fault during the computation.
 """
 
 from __future__ import annotations

@@ -4,16 +4,28 @@ and JSON/CSV reporting.
 
 One experiment = one config file = one report.  Runs are deterministic
 given (config, seed).
+
+Every settable config value is declared once, as a parameter of the code
+that reads it: the `params` of a kind are the keyword-only parameters of its
+runner (or of the task `params.task`, or `params.bisect`, picks), and each
+block is bound to its constructor (`Lattice`, `ChainConfig` for `sampler`,
+`FlowConfig` for `flow`, and per `kind` the model, domain and potential
+constructors).  `validate_config` binds a config to those signatures, so a
+key nothing reads or a value of the wrong type is rejected before any work.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
 import time
+import types
+import typing
 from dataclasses import asdict
+from typing import Literal
 
 import numpy as np
 
@@ -24,130 +36,144 @@ from . import flows
 from . import hamiltonians as ham
 from . import sampling as samp
 from . import transport as trans
-from .spectral import FourierField, Lattice, hermitianize
+from .spectral import FourierField, Lattice, hermitianize, sobolev_norm
 
 
 class SchemaError(ValueError):
     """Config fails schema validation (exit code 2)."""
 
 
-_TOP_KEYS = {"experiment", "seed", "output_dir", "lattice", "model", "domain",
-             "reference", "sampler", "flow", "params"}
+# ---------------------------------------------------------------------------
+# declarations and their binding
+# ---------------------------------------------------------------------------
 
-_BLOCK_KEYS = {
-    "lattice": {"dim", "n", "oversample"},
-    "model": {"kind", "p", "lam", "mass_bound", "potential", "kappa",
-              "rho", "bparam", "n_project"},
-    "domain": {"kind", "mass", "kappa", "s", "k1", "k2", "eps"},
-    "reference": {"rho", "field_type", "spectrum"},
-    "sampler": {"steps", "burn_in", "thin", "beta", "pilot_steps", "chain_id"},
-    "flow": {"dt", "t_final", "scheme", "record_stride"},
-}
+# kind -> constructor; a block without `kind` takes the first
+_MODELS = {"nls": ham.NLS, "kdv": ham.KdV, "gp": ham.GrossPitaevskii,
+           "gp_projected": ham.GrossPitaevskiiProjected, "zakharov": ham.Zakharov}
+_DOMAINS = {"unrestricted": samp.PhaseDomain.unrestricted,
+            "mass_ball": samp.PhaseDomain.mass_ball,
+            "mass_and_sobolev": samp.PhaseDomain.mass_and_sobolev,
+            "decay": samp.PhaseDomain.decay}
+_POTENTIALS = {"cosine": ham.gp_cosine_potential,
+               "soft_sphere": ham.gp_soft_sphere_potential}
+# the annotations that make a parameter a config block, each with what
+# builds the block: a constructor, or a kind map (as is a dict annotation)
+_BLOCKS = {Lattice: Lattice, samp.ChainConfig: samp.ChainConfig,
+           flows.FlowConfig: flows.FlowConfig, samp.PhaseDomain: _DOMAINS,
+           FourierField: _POTENTIALS}
 
 
-def validate_config(cfg: dict) -> None:
+def _models(*kinds: str) -> dict:
+    """The model kinds a runner takes, the first one its default."""
+    return {k: _MODELS[k] for k in kinds}
+
+
+def _hartree(potential: FourierField, lam: float = 0.0) -> ham.GrossPitaevskii:
+    """gp-solve's model: its Duhamel fixed point has no Wick counterterm, so
+    kappa, rho and bparam keep GrossPitaevskii's defaults."""
+    return ham.GrossPitaevskii(potential, lam)
+
+
+def _signature(fn) -> list:
+    return list(inspect.signature(fn, eval_str=True).parameters.values())
+
+
+def _typed(value, hint) -> bool:
+    """Whether a JSON value fits an annotation; an int passes for a float,
+    a bool for neither."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Literal:
+        return any(value == a and type(value) is type(a) for a in args)
+    if origin in (typing.Union, types.UnionType):
+        return any(_typed(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_typed(v, args[0]) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _select(options: dict, block: dict, key: str, where: str):
+    """Pop block[key], by default the first option, and return its option."""
+    choice = block.pop(key, next(iter(options)))
+    if not _typed(choice, Literal[tuple(options)]):
+        raise SchemaError(f"{where}.{key} must be one of {list(options)}")
+    return options[choice]
+
+
+def _build(spec, block, where: str, given: dict):
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where} must be an object")
+    if isinstance(spec, dict):
+        block = dict(block)
+        spec = _select(spec, block, "kind", where)
+    args = _arguments(_signature(spec), block, where, given)
+    try:
+        return spec(**args)
+    except ValueError as exc:                     # the constructor's own range checks
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _arguments(params: list, block: dict, where: str, given: dict) -> dict:
+    """Keyword arguments for `params` from a config block.  Each key of the
+    block must name a parameter and fit its annotation; a parameter named in
+    `given` takes that value and is not settable; a parameter annotated with
+    a block is built from the block under its name, with the values bound so
+    far given; an unset parameter keeps its default."""
+    names = {p.name for p in params}
+    unknown = sorted(k for k in block if k not in names or k in given)
+    if unknown:
+        raise SchemaError(f"unknown keys in {where}: {unknown}")
+    args = {}
+    for p in params:
+        spec = p.annotation if isinstance(p.annotation, dict) else _BLOCKS.get(p.annotation)
+        if p.name in given:
+            args[p.name] = given[p.name]
+        elif spec is not None:
+            args[p.name] = _build(spec, block.get(p.name, {}), f"{where}.{p.name}",
+                                  {**given, **args})
+        elif p.name in block:
+            if not _typed(block[p.name], p.annotation):
+                raise SchemaError(f"{where}.{p.name} must be "
+                                  f"{inspect.formatannotation(p.annotation)}")
+            args[p.name] = block[p.name]
+        elif p.default is p.empty:
+            raise SchemaError(f"{where}.{p.name} is required")
+    return args
+
+
+def validate_config(cfg: dict):
+    """Bind a config to its runner's declarations; returns the runner and
+    its resolved arguments, or raises SchemaError."""
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
-    unknown = set(cfg) - _TOP_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
     kinds = tuple(_RUNNERS)
-    if cfg.get("experiment") not in kinds:
+    if not _typed(cfg.get("experiment"), Literal[kinds]):
         raise SchemaError(f"experiment must be one of {kinds}")
-    if not isinstance(cfg.get("seed", 0), int):
-        raise SchemaError("seed must be an integer")
-    for block, allowed in _BLOCK_KEYS.items():
-        if block in cfg:
-            if not isinstance(cfg[block], dict):
-                raise SchemaError(f"{block} must be an object")
-            extra = set(cfg[block]) - allowed
-            if extra:
-                raise SchemaError(f"unknown keys in {block}: {sorted(extra)}")
-    if "params" in cfg and not isinstance(cfg["params"], dict):
+    seed = cfg.get("seed", 0)
+    if not _typed(seed, int) or seed < 0:
+        raise SchemaError("seed must be a non-negative integer")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
         raise SchemaError("params must be an object")
-    if "lattice" in cfg:
-        lat = cfg["lattice"]
-        if lat.get("dim") not in (1, 2):
-            raise SchemaError("lattice.dim must be 1 or 2")
-        if not isinstance(lat.get("n"), int) or lat["n"] < 1:
-            raise SchemaError("lattice.n must be a positive integer")
+    runner = _RUNNERS[cfg["experiment"]]
+    if isinstance(runner, tuple):
+        params = dict(params)
+        runner = _select(runner[1], params, runner[0], "params")
+    sig = _signature(runner)
+    given = {"seed": seed, "output_dir": cfg.get("output_dir")}
+    blocks = {k: v for k, v in cfg.items()
+              if k not in ("experiment", "seed", "output_dir", "params")}
+    args = _arguments([p for p in sig if p.kind != p.KEYWORD_ONLY], blocks, "config", given)
+    args.update(_arguments([p for p in sig if p.kind == p.KEYWORD_ONLY], params, "params",
+                           given))
+    return runner, args
 
 
-# ---------------------------------------------------------------------------
-# builders
-# ---------------------------------------------------------------------------
-
-def build_lattice(cfg: dict) -> Lattice:
-    lat = cfg.get("lattice", {"dim": 1, "n": 8})
-    return Lattice(lat["dim"], lat["n"], lat.get("oversample", 1))
-
-
-def build_potential(pcfg: dict, lattice: Lattice) -> FourierField:
-    kind = pcfg.get("kind", "cosine")
-    if kind == "cosine":
-        return ham.gp_cosine_potential(lattice, pcfg.get("amplitude", 1.0))
-    if kind == "soft_sphere":
-        return ham.gp_soft_sphere_potential(lattice, pcfg.get("amplitude", 1.0),
-                                            pcfg.get("width", 0.8))
-    raise SchemaError(f"unknown potential kind {kind!r}")
-
-
-def build_model(cfg: dict, lattice: Lattice):
-    m = cfg.get("model", {"kind": "nls"})
-    kind = m.get("kind")
-    if kind == "nls":
-        return ham.NLS(m.get("p", 4), m.get("lam", 0.0))
-    if kind == "kdv":
-        return ham.KdV(m.get("lam", 0.0))
-    if kind == "zakharov":
-        return ham.Zakharov(m.get("mass_bound", 0.01))
-    if kind == "gp":
-        pot = build_potential(m.get("potential", {}), lattice)
-        return ham.GrossPitaevskii(pot, m.get("lam", 0.0), m.get("kappa", 0.0),
-                                   m.get("rho", 1.0), m.get("bparam", 1.0))
-    if kind == "gp_projected":
-        pot = build_potential(m.get("potential", {}), lattice)
-        return ham.GrossPitaevskiiProjected(pot, m.get("lam", 0.0),
-                                            m.get("n_project", 0))
-    raise SchemaError(f"unknown model kind {kind!r}")
-
-
-def build_domain(cfg: dict) -> samp.PhaseDomain:
-    d = cfg.get("domain", {"kind": "unrestricted"})
-    kind = d.get("kind", "unrestricted")
-    if kind == "unrestricted":
-        return samp.PhaseDomain.unrestricted()
-    if kind == "mass_ball":
-        return samp.PhaseDomain.mass_ball(d["mass"])
-    if kind == "mass_and_sobolev":
-        return samp.PhaseDomain.mass_and_sobolev(d["mass"], d["kappa"], d["s"])
-    if kind == "decay":
-        return samp.PhaseDomain.decay(d["k1"], d["k2"], d["s"], d["eps"])
-    raise SchemaError(f"unknown domain kind {kind!r}")
-
-
-def build_reference(cfg: dict, model, lattice: Lattice) -> samp.GaussianReference:
-    if "reference" in cfg:
-        r = cfg["reference"]
-        return samp.GaussianReference(lattice, r.get("rho", 0.0),
-                                      r.get("field_type", "complex"),
-                                      r.get("spectrum", "massive"))
+def build_reference(model, lattice: Lattice) -> samp.GaussianReference:
+    """The Gaussian reference of the model's Gibbs measure on the lattice."""
     return samp.GaussianReference(lattice, model.reference_mass(lattice.n),
                                   "real" if model.reality else "complex")
-
-
-def build_chain(cfg: dict) -> samp.ChainConfig:
-    s = cfg.get("sampler", {})
-    return samp.ChainConfig(steps=s.get("steps", 2000), burn_in=s.get("burn_in", 500),
-                            thin=s.get("thin", 2), seed=cfg.get("seed", 0),
-                            beta=s.get("beta"), pilot_steps=s.get("pilot_steps", 600),
-                            chain_id=s.get("chain_id", 0))
-
-
-def build_flow(cfg: dict) -> flows.FlowConfig:
-    f = cfg.get("flow", {"dt": 1e-3, "t_final": 1.0})
-    return flows.FlowConfig(f.get("dt", 1e-3), f.get("t_final", 1.0),
-                            f.get("scheme", "strang"), f.get("record_stride", 0))
 
 
 def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
@@ -170,65 +196,49 @@ def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: block parameters come from the config's blocks, keyword-only
+# parameters from its params
 # ---------------------------------------------------------------------------
 
-def _run_sample(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    domain = build_domain(cfg)
-    chain = build_chain(cfg)
-    if isinstance(model, ham.Zakharov):
-        count = cfg.get("params", {}).get("count", chain.steps // max(chain.thin, 1))
-        ens, stats = samp.sample_zakharov_ensemble(model, lattice, count, chain)
-        results = {"count": len(ens), "u_acceptance": stats.acceptance_rate,
-                   "beta": stats.beta}
-        return {"results": results}, None
-    reference = build_reference(cfg, model, lattice)
-    ens, stats = samp.run_pcn_chain(model, domain, reference, chain)
+def _run_sample(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_projected"),
+                domain: samp.PhaseDomain, sampler: samp.ChainConfig,
+                output_dir: str | None) -> tuple[dict, bool | None]:
+    ens, stats = samp.run_pcn_chain(model, domain, build_reference(model, lattice), sampler)
     results = {"count": len(ens), "acceptance_rate": stats.acceptance_rate,
                "beta": stats.beta, "warnings": stats.warnings,
                "mean_mass": float(np.mean(np.sum(np.abs(ens.coefs) ** 2,
                                                  axis=tuple(range(1, ens.coefs.ndim)))))}
     out = {"results": results}
-    outdir = cfg.get("output_dir")
-    if outdir:
-        arch.write_ensemble(os.path.join(outdir, "ensemble.tgbs"), ens)
+    if output_dir:
+        arch.write_ensemble(os.path.join(output_dir, "ensemble.tgbs"), ens)
         out["artifacts"] = {"ensemble": "ensemble.tgbs"}
     return out, None
 
 
-def _run_flow(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    fcfg = build_flow(cfg)
-    p = cfg.get("params", {})
-    state = smooth_state(lattice, cfg.get("seed", 0),
-                         amplitude=p.get("amplitude", 0.5),
-                         decay=p.get("decay", 3.0),
-                         reality=model.reality,
-                         zero_mode=False)
+def _run_flow(lattice: Lattice, model: _models("nls", "kdv", "gp", "zakharov"),
+              flow: flows.FlowConfig, seed: int, *, amplitude: float = 0.5,
+              decay: float = 3.0, mass_tol: float | None = None,
+              energy_tol: float | None = None, richardson: bool = False,
+              richardson_dts: list[float] = (4e-3, 2e-3, 1e-3, 5e-4),
+              richardson_t: float = 0.25) -> tuple[dict, bool | None]:
+    """An absent tolerance is no gate; Richardson passes at order 2 +- 0.2."""
+    state = smooth_state(lattice, seed, amplitude, decay, reality=model.reality)
     if isinstance(model, ham.Zakharov):
-        n0 = smooth_state(lattice, cfg.get("seed", 0) + 1, p.get("amplitude", 0.3),
-                          reality=True, zero_mode=False)
-        v0 = smooth_state(lattice, cfg.get("seed", 0) + 2, p.get("amplitude", 0.3),
-                          reality=True, zero_mode=False)
+        n0 = smooth_state(lattice, seed + 1, amplitude, reality=True)
+        v0 = smooth_state(lattice, seed + 2, amplitude, reality=True)
         state = ham.ZakharovState(state, n0, v0)
-    traj = flows.evolve(model, state, fcfg)
+    traj = flows.evolve(model, state, flow)
     results = {"mass_drift": traj.max_mass_drift(),
                "energy_drift": traj.max_energy_drift(),
-               "steps": fcfg.steps}
-    passed = None
-    if "mass_tol" in p or "energy_tol" in p:
-        passed = (traj.max_mass_drift() <= p.get("mass_tol", math.inf)
-                  and traj.max_energy_drift() <= p.get("energy_tol", math.inf))
-    if p.get("richardson"):
-        dts = p.get("richardson_dts", [4e-3, 2e-3, 1e-3, 5e-4])
-        order = flows.richardson_order(model, state, p.get("richardson_t", 0.25), dts)
+               "steps": flow.steps}
+    gates = [drift <= tol for drift, tol in ((results["mass_drift"], mass_tol),
+                                             (results["energy_drift"], energy_tol))
+             if tol is not None]
+    if richardson:
+        order = flows.richardson_order(model, state, richardson_t, richardson_dts)
         results["richardson"] = order
-        ok = abs(order["order"] - 2.0) <= p.get("order_tol", 0.2)
-        passed = ok if passed is None else (passed and ok)
-    return {"results": results}, passed
+        gates.append(abs(order["order"] - 2.0) <= 0.2)
+    return {"results": results}, all(gates) if gates else None
 
 
 def _gibbs_ensemble(lattice, model, domain, reference, chain):
@@ -242,25 +252,21 @@ def _gibbs_ensemble(lattice, model, domain, reference, chain):
     return samp.run_pcn_chain(model, domain, reference, chain)
 
 
-def _run_invariance(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    domain = build_domain(cfg)
-    reference = build_reference(cfg, model, lattice)
-    chain = build_chain(cfg)
-    fcfg = build_flow(cfg)
-    p = cfg.get("params", {})
-    if p.get("gaussian_control"):
-        rng = np.random.default_rng(chain.seed)
-        coefs = reference.sample_batch(rng, p.get("count", 2000))
+def _run_invariance(lattice: Lattice, model: _models("nls", "kdv", "gp"),
+                    domain: samp.PhaseDomain, sampler: samp.ChainConfig,
+                    flow: flows.FlowConfig, *, gaussian_control: bool = False,
+                    count: int = 2000, energy_tol: float = 1e-3,
+                    expect_fail_functional: str | None = None) -> tuple[dict, bool | None]:
+    reference = build_reference(model, lattice)
+    if gaussian_control:
+        rng = np.random.default_rng(sampler.seed)
+        coefs = reference.sample_batch(rng, count)
         ens = samp.SampleEnsemble(lattice, coefs, reference.reality, reference.zero_mode)
     else:
-        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
-    rep = flows.invariance_test(model, ens, fcfg,
-                                energy_tol=p.get("energy_tol", 1e-3))
-    expected_fail = p.get("expect_fail_functional")
-    if expected_fail:
-        row = next(r for r in rep["rows"] if r["functional"] == expected_fail)
+        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, sampler)
+    rep = flows.invariance_test(model, ens, flow, energy_tol=energy_tol)
+    if expect_fail_functional:
+        row = next(r for r in rep["rows"] if r["functional"] == expect_fail_functional)
         passed = not row["pass"]                 # negative control must fail
         rep["negative_control_detected"] = passed
     else:
@@ -268,38 +274,28 @@ def _run_invariance(cfg: dict) -> tuple[dict, bool | None]:
     return {"results": rep}, bool(passed)
 
 
-def _run_lsi(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    domain = build_domain(cfg)
-    reference = build_reference(cfg, model, lattice)
-    chain = build_chain(cfg)
-    p = cfg.get("params", {})
-    ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
+def _run_lsi(lattice: Lattice, model: _models("nls", "kdv", "gp"),
+             domain: samp.PhaseDomain, sampler: samp.ChainConfig, *,
+             n0: float | None = None, max_mode: int = 4, tanh_scale: float = 1.0,
+             s_dual: float = 1.0,
+             mode: Literal["lsi", "poincare"] = "lsi") -> tuple[dict, bool | None]:
+    ens, _ = _gibbs_ensemble(lattice, model, domain, build_reference(model, lattice), sampler)
     coords = ens.coords()
-    pred = ham.lsi_constant_predicted(
-        model, mass_bound=cfg.get("domain", {}).get("mass"),
-        kappa=cfg.get("domain", {}).get("kappa"), s=cfg.get("domain", {}).get("s"),
-        n0=p.get("n0"))
+    pred = ham.lsi_constant_predicted(model, mass_bound=domain.mass, kappa=domain.kappa,
+                                      s=domain.s, n0=n0)
     dictionary = conc.default_dictionary(lattice, ens.reality, ens.zero_mode,
-                                         max_mode=p.get("max_mode", 4),
-                                         tanh_scale=p.get("tanh_scale", 1.0))
-    rep = conc.lsi_gap_report(coords, dictionary, lattice,
-                              conc.MetricSpec(p.get("s_dual", 1.0)),
+                                         max_mode=max_mode, tanh_scale=tanh_scale)
+    rep = conc.lsi_gap_report(coords, dictionary, lattice, conc.MetricSpec(s_dual),
                               ens.reality, ens.zero_mode,
                               alpha_predicted=pred.alpha if pred.in_regime else None,
-                              mode=p.get("mode", "lsi"))
+                              mode=mode)
     rep["prediction"] = asdict(pred)
     return {"results": rep}, rep.get("pass")
 
 
-def _run_convexity(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    p = cfg.get("params", {})
-    mass_bound = p.get("mass_bound", 1.0)
-    trials = p.get("trials", 1000)
-    seed = cfg.get("seed", 0)
+def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
+                   mass_bound: float = 1.0, trials: int = 1000,
+                   tolerance: float = -1e-12) -> tuple[dict, bool | None]:
     rng = np.random.default_rng(seed)
     reality = model.reality
     ref = samp.GaussianReference(lattice, 0.0, "real" if reality else "complex")
@@ -318,113 +314,96 @@ def _run_convexity(cfg: dict) -> tuple[dict, bool | None]:
         margins[i] = ham.convexity_margin(model, pair[0], pair[1], t, mass_bound).value
     results = {"min_margin": float(np.min(margins)),
                "mean_margin": float(np.mean(margins)), "trials": trials}
-    tol = p.get("tolerance", -1e-12)
-    passed = results["min_margin"] >= tol
+    passed = results["min_margin"] >= tolerance
     return {"results": results}, bool(passed)
 
 
-def _run_normalizability(cfg: dict) -> tuple[dict, bool | None]:
-    p = cfg.get("params", {})
-    seed = cfg.get("seed", 0)
-    if p.get("bisect"):
-        rep = samp.estimate_critical_mass(p.get("lam", 1.0), p.get("n_list", [8, 16, 32]),
-                                          p.get("n_samples", 2000), seed,
-                                          p.get("mass_lo", 0.25), p.get("mass_hi", 64.0))
-        return {"results": rep}, rep["estimate"] is not None
-    rep = samp.normalizability_probe(p.get("p", 4), p.get("lam", 0.0),
-                                     p.get("mass_bound", 1.0),
-                                     p.get("n_list", [8, 16, 32]),
-                                     p.get("n_samples", 2000), seed)
-    expect = p.get("expect")
+def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 0.0,
+                         mass_bound: float = 1.0, n_list: list[int] = (8, 16, 32),
+                         n_samples: int = 2000,
+                         expect: Literal["stable", "marginal", "divergent"] | None = None
+                         ) -> tuple[dict, bool | None]:
+    rep = samp.normalizability_probe(p, lam, mass_bound, n_list, n_samples, seed)
     passed = None if expect is None else rep["classification"] == expect
     return {"results": rep}, passed
 
 
-def _run_transport(cfg: dict) -> tuple[dict, bool | None]:
-    p = cfg.get("params", {})
-    task = p.get("task", "sinkhorn_vs_exact")
-    seed = cfg.get("seed", 0)
-    if task == "sinkhorn_vs_exact":
-        rng = np.random.default_rng(seed)
-        m = p.get("points", 32)
-        d = p.get("dim", 4)
-        xs = rng.standard_normal((m, d))
-        ys = rng.standard_normal((m, d)) + 0.5
-        mu, nu = trans.EmpiricalMeasure(xs), trans.EmpiricalMeasure(ys)
-        cost = trans.CostSpec()
-        exact, _ = trans.wasserstein_exact(mu, nu, cost)
-        scale = float(np.mean(cost.matrix(xs, ys)))
-        val, plan, converged = trans.sinkhorn(mu, nu, cost, eps=p.get("eps_rel", 5e-3) * scale)
-        rel = abs(val - exact) / exact
-        res = {"exact": exact, "sinkhorn": val, "rel_err": rel, "converged": converged,
-               "marginal_residual": plan.marginal_residual,
-               "pre_rounding_residual": plan.pre_rounding_residual,
-               "level_iterations": list(plan.level_iterations)}
-        return {"results": res}, bool(rel < p.get("tol", 0.02) and converged)
-    if task == "tail_sum":
-        rows = [trans.gaussian_tail_bound(n, p.get("s", 0.25))
-                for n in p.get("n_list", [4, 8, 16])]
-        return {"results": {"rows": rows}}, all(r["holds"] for r in rows)
-    if task == "coupling":
-        lattice = build_lattice(cfg)
-        ref = samp.GaussianReference(lattice, 0.0, "complex")
-        rng = np.random.default_rng(seed)
-        coefs = ref.sample_batch(rng, p.get("n_samples", 4000))
-        ens = samp.SampleEnsemble(lattice, coefs, False, False)
-        coords = ens.coords()
-        rows = []
-        ok = True
-        for n in p.get("n_list", [4, 8, 16]):
-            row = trans.truncation_coupling_bound(coords, lattice, n,
-                                                  zero_mode=False)
-            analytic = 4.0 * _tail_inverse_square(n)
-            row["analytic"] = analytic
-            row["rel_err"] = abs(row["value"] - analytic) / analytic
-            ok = ok and row["rel_err"] < p.get("tol", 0.05)
-            rows.append(row)
-        return {"results": {"rows": rows}}, bool(ok)
-    raise SchemaError(f"unknown transport task {task!r}")
+def _run_critical_mass(seed: int, *, lam: float = 1.0, n_list: list[int] = (8, 16, 32),
+                       n_samples: int = 2000, mass_lo: float = 0.25,
+                       mass_hi: float = 64.0) -> tuple[dict, bool | None]:
+    rep = samp.estimate_critical_mass(lam, n_list, n_samples, seed, mass_lo, mass_hi)
+    return {"results": rep}, rep["estimate"] is not None
+
+
+def _sinkhorn_vs_exact(seed: int, *, points: int = 32, dim: int = 4, eps_rel: float = 5e-3,
+                       tol: float = 0.02) -> tuple[dict, bool | None]:
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((points, dim))
+    ys = rng.standard_normal((points, dim)) + 0.5
+    mu, nu = trans.EmpiricalMeasure(xs), trans.EmpiricalMeasure(ys)
+    cost = trans.CostSpec()
+    exact, _ = trans.wasserstein_exact(mu, nu, cost)
+    scale = float(np.mean(cost.matrix(xs, ys)))
+    val, plan, converged = trans.sinkhorn(mu, nu, cost, eps=eps_rel * scale)
+    rel = abs(val - exact) / exact
+    res = {"exact": exact, "sinkhorn": val, "rel_err": rel, "converged": converged,
+           "marginal_residual": plan.marginal_residual,
+           "pre_rounding_residual": plan.pre_rounding_residual,
+           "level_iterations": list(plan.level_iterations)}
+    return {"results": res}, bool(rel < tol and converged)
+
+
+def _tail_sum(*, s: float = 0.25, n_list: list[int] = (4, 8, 16)) -> tuple[dict, bool | None]:
+    rows = [trans.gaussian_tail_bound(n, s) for n in n_list]
+    return {"results": {"rows": rows}}, all(r["holds"] for r in rows)
+
+
+def _coupling(lattice: Lattice, seed: int, *, n_samples: int = 4000,
+              n_list: list[int] = (4, 8, 16), tol: float = 0.05) -> tuple[dict, bool | None]:
+    ref = samp.GaussianReference(lattice, 0.0, "complex")
+    rng = np.random.default_rng(seed)
+    coefs = ref.sample_batch(rng, n_samples)
+    ens = samp.SampleEnsemble(lattice, coefs, False, False)
+    coords = ens.coords()
+    rows = []
+    ok = True
+    for n in n_list:
+        row = trans.truncation_coupling_bound(coords, lattice, n, zero_mode=False)
+        analytic = 4.0 * _tail_inverse_square(n)
+        row["analytic"] = analytic
+        row["rel_err"] = abs(row["value"] - analytic) / analytic
+        ok = ok and row["rel_err"] < tol
+        rows.append(row)
+    return {"results": {"rows": rows}}, bool(ok)
 
 
 def _tail_inverse_square(n: int) -> float:
-    from scipy.special import polygamma
-    return float(polygamma(1, n + 1))
+    """sum_{k > n} k^-2 = pi^2/6 - sum_{k <= n} k^-2, the trigamma psi_1(n+1)."""
+    return math.pi ** 2 / 6.0 - math.fsum(1.0 / k ** 2 for k in range(1, n + 1))
 
 
-def _run_gp_solve(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    p = cfg.get("params", {})
-    pot = build_potential(cfg.get("model", {}).get("potential", {"kind": "cosine"}),
-                          lattice)
-    lam = cfg.get("model", {}).get("lam", 0.5)
-    phi = smooth_state(lattice, cfg.get("seed", 0), p.get("amplitude", 0.5),
-                       zero_mode=False)
-    t_final = p.get("t_final", 0.2)
-    steps = p.get("steps", 64)
-    res = flows.gp_fixed_point(phi, pot, lam, t_final, steps, s=p.get("s", 0.125))
-    model = ham.GrossPitaevskii(pot, lam, kappa=0.0, rho=1.0, bparam=1.0)
-    fcfg = flows.FlowConfig(p.get("dt", 1e-3), t_final)
-    traj = flows.evolve(model, phi, fcfg)
-    from .spectral import sobolev_norm
-    diff = sobolev_norm(res.u_final - traj.states[-1], -p.get("s", 0.125))
+def _run_gp_solve(lattice: Lattice, model: {"gp": _hartree}, seed: int, *,
+                  amplitude: float = 0.5, t_final: float = 0.2, steps: int = 64,
+                  s: float = 0.125, dt: float = 1e-3,
+                  tol: float = 1e-8) -> tuple[dict, bool | None]:
+    phi = smooth_state(lattice, seed, amplitude)
+    res = flows.gp_fixed_point(phi, model.potential, model.lam, t_final, steps, s=s)
+    traj = flows.evolve(model, phi, flows.FlowConfig(dt, t_final))
+    diff = sobolev_norm(res.u_final - traj.states[-1], -s)
     results = {"contraction": res.contraction, "horizon_ok": res.horizon_ok,
                "residuals": res.residuals[:12], "k0": res.k0,
                "fixed_vs_splitstep_h_minus_s": diff}
-    passed = res.horizon_ok and res.residuals[-1] < p.get("tol", 1e-8)
+    passed = res.horizon_ok and res.residuals[-1] < tol
     return {"results": results}, bool(passed)
 
 
-def _run_zakharov(cfg: dict) -> tuple[dict, bool | None]:
-    lattice = build_lattice(cfg)
-    model = build_model(cfg, lattice)
-    chain = build_chain(cfg)
-    p = cfg.get("params", {})
-    count = p.get("count", 50)
-    ens, stats = samp.sample_zakharov_ensemble(model, lattice, count, chain)
-    fcfg = build_flow(cfg)
+def _run_zakharov(lattice: Lattice, model: _models("zakharov"), sampler: samp.ChainConfig,
+                  flow: flows.FlowConfig, *, count: int = 50,
+                  flow_states: int = 5) -> tuple[dict, bool | None]:
+    ens, stats = samp.sample_zakharov_ensemble(model, lattice, count, sampler)
     drifts = []
-    for i in range(min(len(ens), p.get("flow_states", 5))):
-        traj = flows.evolve(model, ens.state(i), fcfg)
+    for i in range(min(len(ens), flow_states)):
+        traj = flows.evolve(model, ens.state(i), flow)
         drifts.append({"mass_drift": traj.max_mass_drift(),
                        "energy_drift": traj.max_energy_drift()})
     results = {"count": len(ens), "u_acceptance": stats.acceptance_rate,
@@ -433,50 +412,48 @@ def _run_zakharov(cfg: dict) -> tuple[dict, bool | None]:
     return {"results": results}, None
 
 
-def _run_tail(cfg: dict) -> tuple[dict, bool | None]:
-    p = cfg.get("params", {})
-    task = p.get("task", "sobolev_tail")
-    seed = cfg.get("seed", 0)
-    if task == "decay_mass":
-        lattice = build_lattice(cfg)
-        rows = []
-        ok = True
-        for k1, k2 in p.get("grid", [[7.5, 3.0], [8.0, 3.5], [8.5, 4.0]]):
-            row = samp.decay_domain_mass(k1, k2, p.get("s", 0.2), p.get("eps", 0.1),
-                                         lattice, p.get("n_samples", 20000), seed)
-            rows.append(row)
-            if row["bound_positive"]:
-                ok = ok and row["holds"]
-        masses = [r["empirical"] for r in rows]
-        increasing = all(b >= a - 3 * (rows[i]["stderr"] + rows[i + 1]["stderr"])
-                         for i, (a, b) in enumerate(zip(masses, masses[1:])))
-        return {"results": {"rows": rows, "mass_increasing": increasing}}, \
-            bool(ok and increasing)
-    if task == "sobolev_tail":
-        lattice = build_lattice(cfg)
-        model = build_model(cfg, lattice)
-        domain = build_domain(cfg)
-        reference = build_reference(cfg, model, lattice)
-        chain = build_chain(cfg)
-        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, chain)
-        rep = samp.tail_mass_estimate(ens, p.get("s", 0.35))
-        passed = (not rep["degenerate"] and rep["slope_vs_kappa_sq"] < 0
-                  and rep["r_squared"] > p.get("r2_tol", 0.9))
-        return {"results": rep}, bool(passed)
-    raise SchemaError(f"unknown tail task {task!r}")
+def _decay_mass(lattice: Lattice, seed: int, *,
+                grid: list[list[float]] = ((7.5, 3.0), (8.0, 3.5), (8.5, 4.0)),
+                s: float = 0.2, eps: float = 0.1,
+                n_samples: int = 20000) -> tuple[dict, bool | None]:
+    rows = []
+    ok = True
+    for k1, k2 in grid:
+        row = samp.decay_domain_mass(k1, k2, s, eps, lattice, n_samples, seed)
+        rows.append(row)
+        if row["bound_positive"]:
+            ok = ok and row["holds"]
+    masses = [r["empirical"] for r in rows]
+    increasing = all(b >= a - 3 * (rows[i]["stderr"] + rows[i + 1]["stderr"])
+                     for i, (a, b) in enumerate(zip(masses, masses[1:])))
+    return {"results": {"rows": rows, "mass_increasing": increasing}}, \
+        bool(ok and increasing)
 
 
+def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_projected"),
+                  domain: samp.PhaseDomain, sampler: samp.ChainConfig, *,
+                  s: float = 0.35, r2_tol: float = 0.9) -> tuple[dict, bool | None]:
+    ens, _ = _gibbs_ensemble(lattice, model, domain, build_reference(model, lattice), sampler)
+    rep = samp.tail_mass_estimate(ens, s)
+    passed = (not rep["degenerate"] and rep["slope_vs_kappa_sq"] < 0
+              and rep["r_squared"] > r2_tol)
+    return {"results": rep}, bool(passed)
+
+
+# kind -> runner, or (key, {value: runner}) when params[key] picks the task,
+# the first value by default
 _RUNNERS = {
     "sample": _run_sample,
     "flow": _run_flow,
     "invariance": _run_invariance,
     "lsi": _run_lsi,
     "convexity": _run_convexity,
-    "normalizability": _run_normalizability,
-    "transport": _run_transport,
+    "normalizability": ("bisect", {False: _run_normalizability, True: _run_critical_mass}),
+    "transport": ("task", {"sinkhorn_vs_exact": _sinkhorn_vs_exact, "tail_sum": _tail_sum,
+                           "coupling": _coupling}),
     "gp-solve": _run_gp_solve,
     "zakharov": _run_zakharov,
-    "tail": _run_tail,
+    "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
 
 
@@ -510,23 +487,21 @@ def _jsonable(obj):
 
 
 def run_experiment(cfg: dict, output_dir: str | None = None) -> tuple[dict, int]:
-    """Validate and execute one experiment; returns (report, exit_code)."""
-    validate_config(cfg)
-    if output_dir:
+    """Validate and execute one experiment; returns (report, exit_code).  A
+    config the declarations reject raises SchemaError before any work."""
+    if output_dir and isinstance(cfg, dict):
         cfg = dict(cfg, output_dir=output_dir)
+    runner, args = validate_config(cfg)
     if cfg.get("output_dir"):
         os.makedirs(cfg["output_dir"], exist_ok=True)
-    runner = _RUNNERS[cfg["experiment"]]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            body, passed = runner(cfg)
-    except (RuntimeError, FloatingPointError) as exc:   # FlowError is a RuntimeError
+            body, passed = runner(**args)
+    except Exception as exc:       # any fault of the computation: an error report, exit 3
         report = {"experiment": cfg["experiment"], "config": cfg,
                   "version": __version__, "error": str(exc), "passed": False}
         _write_report(report, cfg.get("output_dir"))
         return report, 3
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaError(f"invalid experiment parameters: {exc}") from exc
     report = {"experiment": cfg["experiment"], "config": _jsonable(cfg),
               "version": __version__, "passed": passed}
     report.update(_jsonable(body))

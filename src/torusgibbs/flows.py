@@ -53,8 +53,8 @@ class FlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    dt: float
-    t_final: float
+    dt: float = 1e-3
+    t_final: float = 1.0
     scheme: str = "strang"        # "strang" | "lie"
     record_stride: int = 0        # 0: record endpoints only
 

@@ -265,9 +265,9 @@ class ZakharovEnsemble:
 
 @dataclass
 class ChainConfig:
-    steps: int
-    burn_in: int = 0
-    thin: int = 1
+    steps: int = 2000
+    burn_in: int = 500
+    thin: int = 2
     seed: int = 0
     beta: float | None = None        # None: pilot-tuned to 25-40% acceptance
     pilot_steps: int = 600

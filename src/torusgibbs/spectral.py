@@ -34,8 +34,8 @@ class GridResolutionError(ValueError):
 class Lattice:
     """Centered mode lattice {k : |k_j| <= n} with a default oversampling."""
 
-    dim: int
-    n: int
+    dim: int = 1
+    n: int = 8
     oversample: int = 1
 
     def __post_init__(self):

@@ -10,10 +10,11 @@ import torusgibbs as tg
 from torusgibbs import archive as arch
 from torusgibbs import hamiltonians as ham
 from torusgibbs.cli import main
-from torusgibbs.experiments import (SchemaError, build_model, build_reference, run_experiment,
-                                    validate_config)
+from torusgibbs import experiments
+from torusgibbs.experiments import (SchemaError, _tail_inverse_square, build_reference,
+                                    run_experiment, validate_config)
 from torusgibbs.sampling import GaussianReference, SampleEnsemble
-from torusgibbs.spectral import Lattice
+from torusgibbs.spectral import GridResolutionError, Lattice
 
 
 # -- schema --------------------------------------------------------------------
@@ -98,8 +99,8 @@ def test_flow_experiment_pass_flag(tmp_path):
 
 def test_no_scipy_on_the_import_path(tmp_path):
     # a fresh interpreter that imports the package and the CLI and runs a
-    # flow loads no scipy module; only the exact LP oracle and the transport
-    # tail sum import it, inside their bodies
+    # flow loads no scipy module; only the exact LP oracle imports it, inside
+    # its body
     cfg = {"experiment": "flow", "seed": 1, "lattice": {"dim": 1, "n": 8, "oversample": 2},
            "model": {"kind": "kdv", "lam": 1.0}, "flow": {"dt": 1e-3, "t_final": 0.01}}
     script = (
@@ -129,9 +130,7 @@ def test_flow_numerical_failure_exit_3(tmp_path):
 
 
 def test_runtime_error_in_runner_exits_3(tmp_path, monkeypatch):
-    from torusgibbs import experiments
-
-    def boom(cfg):
+    def boom(seed):
         raise RuntimeError("rejection sampler got 0/10 points")
 
     monkeypatch.setitem(experiments._RUNNERS, "tail", boom)
@@ -345,17 +344,18 @@ def test_lsi_unrestricted_free_field(tmp_path):
 
 
 def test_build_reference_follows_the_model():
-    lat2 = Lattice(2, 4)
+    lat1, lat2 = {"dim": 1, "n": 8}, {"dim": 2, "n": 4}
     gp = {"kind": "gp", "lam": 0.5, "kappa": 2.0, "potential": {"kind": "soft_sphere"}}
-    cases = [({"kind": "nls", "p": 4, "lam": 0.3}, Lattice(1, 8), 0.0, "complex"),
-             ({"kind": "kdv", "lam": 0.3}, Lattice(1, 8), 0.0, "real"),
+    cases = [({"kind": "nls", "p": 4, "lam": 0.3}, lat1, 0.0, "complex"),
+             ({"kind": "kdv", "lam": 0.3}, lat1, 0.0, "real"),
              (gp, lat2, None, "complex"),
              ({"kind": "gp_projected", "lam": 1.0, "n_project": 2}, lat2, 0.0, "complex")]
     for mcfg, lat, rho, field_type in cases:
-        model = build_model({"model": mcfg}, lat)
-        ref = build_reference({}, model, lat)
+        _, args = validate_config({"experiment": "sample", "lattice": lat, "model": mcfg})
+        model, lattice = args["model"], args["lattice"]
+        ref = build_reference(model, lattice)
         if rho is None:                          # GP: the Wick counterterm mass
-            rho = ham.counterterm_mass(model, lat.n)
+            rho = ham.counterterm_mass(model, lattice.n)
             assert rho > 0
         assert (ref.rho, ref.field_type, ref.spectrum) == (rho, field_type, "massive")
 
@@ -368,3 +368,96 @@ def test_invalid_runner_params_exit_2(tmp_path):
                    "n_list": [4, 8], "n_samples": 100},
     }))
     assert main(["run", str(cfg)]) == 2
+
+
+# -- declared parameters: every kind rejects what it does not read ----------------
+
+# one minimal valid config per declared kind and task, a block it never reads,
+# and one of its params (None: it has none)
+KINDS = [
+    ({"experiment": "sample"}, "flow", None),
+    ({"experiment": "flow"}, "sampler", "amplitude"),
+    ({"experiment": "invariance"}, "reference", "count"),
+    ({"experiment": "lsi"}, "flow", "max_mode"),
+    ({"experiment": "convexity"}, "flow", "trials"),
+    ({"experiment": "normalizability"}, "lattice", "p"),
+    ({"experiment": "normalizability", "params": {"bisect": True}}, "model", "mass_lo"),
+    ({"experiment": "transport"}, "lattice", "points"),
+    ({"experiment": "transport", "params": {"task": "tail_sum"}}, "lattice", "n_list"),
+    ({"experiment": "transport", "params": {"task": "coupling"}}, "model", "n_samples"),
+    ({"experiment": "gp-solve", "lattice": {"dim": 2, "n": 4}}, "domain", "amplitude"),
+    ({"experiment": "zakharov"}, "domain", "count"),
+    ({"experiment": "tail"}, "flow", "s"),
+    ({"experiment": "tail", "params": {"task": "decay_mass"}}, "model", "grid"),
+]
+# a model block with a key its kind does not take
+FOREIGN_MODEL = {"zakharov": {"kind": "zakharov", "lam": 1.0},
+                 "gp-solve": {"kind": "gp", "kappa": 0.0, "rho": 1.0}}
+
+
+def _kind_id(case):
+    base = case[0]
+    return "-".join(str(v) for v in [base["experiment"], *base.get("params", {}).values()])
+
+
+def test_kind_configs_cover_every_declared_kind_and_task():
+    declared = set()
+    for runner in experiments._RUNNERS.values():
+        declared |= set(runner[1].values()) if isinstance(runner, tuple) else {runner}
+    assert {validate_config(base)[0] for base, _, _ in KINDS} == declared
+
+
+@pytest.mark.parametrize("base,unread,param", KINDS, ids=[_kind_id(c) for c in KINDS])
+def test_unread_keys_and_wrong_types_exit_2(tmp_path, base, unread, param):
+    params = base.get("params", {})
+    cases = [dict(base, params=dict(params, enregy_tol=1e-30)),
+             dict(base, **{unread: {}}),
+             dict(base, seed=True),
+             dict(base, seed=-1)]
+    if param is not None:
+        cases.append(dict(base, params=dict(params, **{param: "big"})))
+    if "model" in validate_config(base)[1]:
+        cases.append(dict(base, model=FOREIGN_MODEL.get(base["experiment"],
+                                                        {"kind": "kdv", "p": 6})))
+    for i, cfg in enumerate(cases):
+        path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "-o", str(out)]) == 2, cfg
+        assert not out.exists()                  # rejected before any work
+
+
+def test_probe_exponent_is_rejected_by_validation():
+    with pytest.raises(SchemaError, match="params.p"):
+        validate_config({"experiment": "normalizability", "params": {"p": 7}})
+
+
+@pytest.mark.parametrize("exc", [ValueError("KdV field must be real"),
+                                 GridResolutionError("grid of 5 points per axis cannot "
+                                                     "hold modes up to |k| = 4")])
+def test_fault_in_runner_exits_3(tmp_path, monkeypatch, exc):
+    def boom(seed):
+        raise exc
+
+    monkeypatch.setitem(experiments._RUNNERS, "flow", boom)
+    path, out = tmp_path / "flow.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiment": "flow", "seed": 0}))
+    assert main(["run", str(path), "-o", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and report["error"] == str(exc)
+
+
+def test_tail_experiment_sobolev_tail(tmp_path):
+    cfg = {"experiment": "tail", "seed": 3, "lattice": {"dim": 1, "n": 8},
+           "sampler": {"steps": 4000, "thin": 2}}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "st"))
+    assert code == 0 and report["passed"] is True
+
+
+def test_transport_coupling_experiment(tmp_path):
+    from scipy.special import polygamma
+    for n in (1, 4, 8, 16, 100, 1000):
+        assert _tail_inverse_square(n) == pytest.approx(float(polygamma(1, n + 1)), rel=1e-12)
+    cfg = {"experiment": "transport", "seed": 5, "lattice": {"dim": 1, "n": 512},
+           "params": {"task": "coupling", "n_list": [4, 8], "n_samples": 2000}}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "cp"))
+    assert code == 0 and report["passed"] is True
