@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .spectral import FourierField, Lattice, lp_integral, sobolev_norm
 from .hamiltonians import (KdV, NLS, GrossPitaevskii, GrossPitaevskiiProjected,
                            HessianProbe, Zakharov, ZakharovState, convexity_margin,
-                           energy, gradient, hessian_quadratic_form,
-                           lsi_constant_predicted, number_operator)
+                           energy, lsi_constant_predicted, number_operator)
 from .sampling import (ChainConfig, GaussianReference, PhaseDomain,
                        SampleEnsemble, decay_domain_mass, normalizability_probe,
                        run_pcn_chain, tail_mass_estimate)

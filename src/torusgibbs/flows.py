@@ -14,10 +14,10 @@ full complex spectrum, KdV the half spectrum of its real field (modes
 
 Steps.  A stepper is built once per run for its time step: it holds the
 linear propagators (exact Fourier multipliers) for a full and a half step
-and supplies the nonlinear substep.  _march drives every flow through Lie
-steps or Strang steps (linear half step, nonlinear step, linear half step);
-the two linear half steps between consecutive nonlinear steps are fused
-into one full-step multiply (first same as last).  The NLS/GP nonlinear
+and supplies the nonlinear substep.  _march drives every flow through
+Strang steps (linear half step, nonlinear step, linear half step); the two
+linear half steps between consecutive nonlinear steps are fused into one
+full-step multiply (first same as last).  The NLS/GP nonlinear
 substep is the closed-form pointwise phase rotation on the critical grid,
 an exact l^2 isometry, so mass is conserved to roundoff for arbitrary
 states; the phase is the cosine and sine of the real exponent, and the GP
@@ -31,7 +31,9 @@ Recording.  evolve writes the state after every step into a history buffer
 of one spectral row block (at most 2**20 bytes); each time the buffer is
 full, one finite-value check and one hamiltonians.energy_batch call cover
 all of it, and the mass and energy series and the recorded states are
-taken from it.
+taken from it.  A recorded state is the start state rebuilt from its
+coefficients (with_coef), whatever the model.  evolve_ensemble pushes a
+whole stack of one model's states, (B, 3, 2n+1) for Zakharov, at once.
 """
 
 from __future__ import annotations
@@ -55,14 +57,11 @@ class FlowError(RuntimeError):
 class FlowConfig:
     dt: float = 1e-3
     t_final: float = 1.0
-    scheme: str = "strang"        # "strang" | "lie"
     record_stride: int = 0        # 0: record endpoints only
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0 or self.dt > self.t_final + 1e-15:
             raise ValueError("need 0 < dt <= t_final")
-        if self.scheme not in ("strang", "lie"):
-            raise ValueError("scheme must be 'strang' or 'lie'")
 
     @property
     def steps(self) -> int:
@@ -92,10 +91,12 @@ class Trajectory:
 class _Stepper:
     """One run's time step dt: the propagators exp(i dt freq) for a full and
     a half linear step (freq in the state layout), the nonlinear substep,
-    and the map between centered (B, ...) stacks and the state layout."""
+    and the map between centered (B, ...) stacks and the state layout; shape
+    is the centered shape of one state."""
 
     def __init__(self, lattice: Lattice, dt: float, freq: np.ndarray):
         self.dim = lattice.dim
+        self.shape = lattice.shape
         self.dt = dt
         self.full = np.exp(1j * dt * freq)
         self.half = np.exp(0.5j * dt * freq)
@@ -205,6 +206,7 @@ class _ZakharovStepper(_Stepper):
         freq = np.zeros((3, k.size))
         freq[0] = -k ** 2
         super().__init__(lattice, dt, freq)
+        self.shape = freq.shape
         w = np.abs(k)
         nz = w > 0
         wdt = w * dt
@@ -248,19 +250,13 @@ def _make_stepper(model, lattice: Lattice, dt: float):
     return stepper(model, lattice, dt)
 
 
-def _march(stepper, state, steps: int, scheme: str, out=None):
-    """Advance a stack in the stepper's layout by `steps` Strang or Lie steps
-    and return it; with out, the state after step i is also written to
-    out[i].  Strang steps fuse the linear half steps between two nonlinear
-    steps into one full-step multiply."""
+def _march(stepper, state, steps: int, out=None):
+    """Advance a stack in the stepper's layout by `steps` Strang steps and
+    return it; with out, the state after step i is also written to out[i].
+    The linear half steps between two nonlinear steps are fused into one
+    full-step multiply."""
     # overflow is allowed to propagate as inf/nan; the finite check raises
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "lie":
-            for i in range(steps):
-                state = stepper.nonlinear(state * stepper.full)
-                if out is not None:
-                    out[i] = state
-            return state
         state = state * stepper.half
         for i in range(steps):
             state = stepper.nonlinear(state)
@@ -276,23 +272,12 @@ def _guard(states):
         raise FlowError("NaN/Inf encountered during time stepping")
 
 
-def _like(state, coef: np.ndarray):
-    """A state of the same kind and conventions as `state` with centered
-    coefficients coef (the (3, 2n+1) stack for Zakharov)."""
-    if isinstance(state, ham.ZakharovState):
-        lat = state.lattice
-        return ham.ZakharovState(FourierField(lat, coef[0], False, state.u.zero_mode),
-                                 FourierField(lat, coef[1], True, state.n.zero_mode),
-                                 FourierField(lat, coef[2], True, zero_mode=False))
-    return FourierField(state.lattice, coef, state.reality, state.zero_mode)
-
-
-def flow_step(model, state, dt: float, scheme: str = "strang"):
-    """One split step of the model's truncated canonical flow."""
+def flow_step(model, state, dt: float):
+    """One Strang step of the model's truncated canonical flow."""
     stepper = _make_stepper(model, state.lattice, dt)
-    out = _march(stepper, stepper.pack(state.coef[None]), 1, scheme)
+    out = _march(stepper, stepper.pack(state.coef[None]), 1)
     _guard(out)
-    return _like(state, stepper.unpack(out)[0])
+    return state.with_coef(stepper.unpack(out)[0])
 
 
 def evolve(model, state, config: FlowConfig) -> Trajectory:
@@ -312,49 +297,41 @@ def evolve(model, state, config: FlowConfig) -> Trajectory:
     stride = config.record_stride
     for rows in blocks:
         done, k = rows.start, rows.stop - rows.start
-        cur = _march(stepper, cur, k, config.scheme, history)
+        cur = _march(stepper, cur, k, history)
         _guard(history[:k])
         chunk = stepper.unpack(history[:k, 0])
         mass.append(stepper.mass(chunk))
         energy.append(ham.energy_batch(model, chunk, lattice))
         if stride:
-            recorded += [_like(state, chunk[i].copy()) for i in range(k)
+            recorded += [state.with_coef(chunk[i].copy()) for i in range(k)
                          if (done + i + 1) % stride == 0 and done + i + 1 < steps]
-    recorded.append(_like(state, chunk[-1].copy()))
+    recorded.append(state.with_coef(chunk[-1].copy()))
     return Trajectory(dt * np.arange(steps + 1), recorded, np.concatenate(mass),
                       np.concatenate(energy))
 
 
 def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
                     config: FlowConfig) -> np.ndarray:
-    """Push a whole coefficient stack through the flow (vectorized)."""
-    if isinstance(model, ham.Zakharov):
-        raise TypeError("evolve_ensemble pushes one coefficient stack; "
-                        "a Zakharov state is a (u, n, v) triple")
+    """Push a whole (B, ...) coefficient stack through the flow (vectorized);
+    each row must have the shape of the coef of one of the model's states."""
     steps = config.steps
     stepper = _make_stepper(model, lattice, config.t_final / steps)
-    out = _march(stepper, stepper.pack(coefs), steps, config.scheme)
+    if coefs.shape[1:] != stepper.shape:
+        raise ValueError(f"a {coefs.shape} stack is no stack of {type(model).__name__} "
+                         f"states on {lattice}")
+    out = _march(stepper, stepper.pack(coefs), steps)
     _guard(out)
     return stepper.unpack(out)
 
 
-def richardson_order(model, state, t_final: float, dts, scheme: str = "strang") -> dict:
-    """Self-convergence slope: errors between successive-dt solutions at
-    t_final, fitted on a log-log scale (Strang should give 2)."""
+def richardson_order(model, state, t_final: float, dts) -> dict:
+    """Self-convergence slope: l^2 distances over the whole coefficient stack
+    between successive-dt solutions at t_final, fitted on a log-log scale
+    (Strang should give 2)."""
     dts = sorted(dts, reverse=True)
-    finals = []
-    for dt in dts:
-        cfg = FlowConfig(dt=dt, t_final=t_final, scheme=scheme)
-        traj = evolve(model, state, cfg)
-        finals.append(traj.states[-1])
-    errs = []
-    for a, b in zip(finals, finals[1:]):
-        if isinstance(model, ham.Zakharov):
-            d = float(np.linalg.norm(a.u.coef - b.u.coef)
-                      + np.linalg.norm(a.n.coef - b.n.coef))
-        else:
-            d = float(np.linalg.norm(a.coef - b.coef))
-        errs.append(d)
+    finals = [evolve(model, state, FlowConfig(dt=dt, t_final=t_final)).states[-1].coef
+              for dt in dts]
+    errs = [float(np.linalg.norm(a - b)) for a, b in zip(finals, finals[1:])]
     slope = float(np.polyfit(np.log(dts[:-1]), np.log(errs), 1)[0])
     return {"dts": list(dts), "errors": errs, "order": slope}
 
@@ -363,10 +340,14 @@ def richardson_order(model, state, t_final: float, dts, scheme: str = "strang") 
 # ensemble invariance test
 # ---------------------------------------------------------------------------
 
+INVARIANCE_FUNCTIONALS = ("mass", "quartic_integral", "re_mode_1", "im_mode_1",
+                          "abs_sq_mode_1", "abs_sq_mode_2", "tanh_linear")
+
+
 def default_invariance_functionals(lattice: Lattice, seed: int = 7):
-    """Dictionary of cylindrical observables: mass, the dealiased quartic
-    integral, low-mode linear/quadratic coefficients, and a bounded tanh
-    compression of a random linear functional."""
+    """The INVARIANCE_FUNCTIONALS, named cylindrical observables: mass, the
+    dealiased quartic integral, low-mode linear/quadratic coefficients, and
+    a bounded tanh compression of a random linear functional."""
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
     xi /= np.linalg.norm(xi)
@@ -377,16 +358,15 @@ def default_invariance_functionals(lattice: Lattice, seed: int = 7):
         idx = tuple(z + kk for z, kk in zip(zero, k if isinstance(k, tuple) else (k,)))
         return stack[(slice(None),) + idx]
 
-    return [
-        ("mass", lambda s: np.sum(np.abs(s) ** 2, axis=axes)),
-        ("quartic_integral", lambda s: lp_integral_batch(s, lattice, 4)),
-        ("re_mode_1", lambda s: np.real(mode(s, 1 if lattice.dim == 1 else (1, 0)))),
-        ("im_mode_1", lambda s: np.imag(mode(s, 1 if lattice.dim == 1 else (1, 0)))),
-        ("abs_sq_mode_1", lambda s: np.abs(mode(s, 1 if lattice.dim == 1 else (1, 0))) ** 2),
-        ("abs_sq_mode_2", lambda s: np.abs(mode(s, 2 if lattice.dim == 1 else (0, 1))) ** 2),
-        ("tanh_linear", lambda s: np.tanh(
-            np.real(np.sum(np.conj(xi) * s, axis=axes)))),
-    ]
+    return list(zip(INVARIANCE_FUNCTIONALS, [
+        lambda s: np.sum(np.abs(s) ** 2, axis=axes),
+        lambda s: lp_integral_batch(s, lattice, 4),
+        lambda s: np.real(mode(s, 1 if lattice.dim == 1 else (1, 0))),
+        lambda s: np.imag(mode(s, 1 if lattice.dim == 1 else (1, 0))),
+        lambda s: np.abs(mode(s, 1 if lattice.dim == 1 else (1, 0))) ** 2,
+        lambda s: np.abs(mode(s, 2 if lattice.dim == 1 else (0, 1))) ** 2,
+        lambda s: np.tanh(np.real(np.sum(np.conj(xi) * s, axis=axes))),
+    ], strict=True))
 
 
 def invariance_test(model, ensemble, config: FlowConfig, energy_tol: float = 1e-3) -> dict:

@@ -8,8 +8,11 @@ mass rho, so the Hamiltonian is H = K - Phi + (rho/2) M with kinetic term
 K = (1/2) int |grad u|^2, mass M = int |u|^2 (normalized measure) and the
 interaction log-density Phi, e.g. (lam/p) int |u|^p for NLS (lam > 0 is
 focusing).  A model supplies Phi, its gradient and Hessian, its reality and
-rho (the Wick counterterm for GP, 0 otherwise); energy, gradient and
-Hessian form derive from those.  Zakharov keeps its own.
+rho (the Wick counterterm for GP, 0 otherwise); the energy, gradient and
+Hessian form that _Model derives from those are model methods, which
+Zakharov overrides with the forms of its (u, n, v) triple.  Each model with a
+closed-form convexity constant alpha (NLS p = 4, KdV, Zakharov) defines it
+and its regime once, in convexity_constant.
 """
 
 from __future__ import annotations
@@ -32,14 +35,59 @@ PI2 = math.pi ** 2
 # ---------------------------------------------------------------------------
 
 class _Model:
-    """What the generic energy, gradient and Hessian read from a model
-    besides its log-density: whether its field is real, and the mass rho of
-    its Gaussian reference at truncation n."""
+    """The generic energy, gradient and Hessian form of a single-field model,
+    read from its log-density, whether its field is real (reality), and the
+    mass rho of its Gaussian reference at truncation n (reference_mass)."""
 
     reality = False
 
     def reference_mass(self, n: int) -> float:
         return 0.0
+
+    def hamiltonian(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        """H = K - Phi + (rho/2) M of each field of a (B, ...) stack: kinetic
+        (1/2) sum |k|^2 |c_k|^2 and rho times the mass sum |c_k|^2."""
+        axes = tuple(range(1, coefs.ndim))
+        sq = np.abs(coefs) ** 2
+        kinetic = 0.5 * np.sum(lattice.ksq() * sq, axis=axes)
+        rho = self.reference_mass(lattice.n)
+        return kinetic - self.log_density(coefs, lattice) + 0.5 * rho * np.sum(sq, axis=axes)
+
+    def gradient(self, u: FourierField):
+        """L^2-pairing variational derivative dH/du = |k|^2 u - grad Phi + rho u.
+        Components along frozen zero modes are dropped so the gradient matches
+        central finite differences in canonical coordinates."""
+        lat = u.lattice
+        coef = (lat.ksq() * u.coef - self.log_density_gradient(u)
+                + self.reference_mass(lat.n) * u.coef)
+        if self.reality:
+            coef = hermitianize(coef, lat.dim)
+        return _respect_zero_mode(FourierField(lat, coef, self.reality, u.zero_mode))
+
+    def hessian_quadratic_form(self, u: FourierField, v: FourierField) -> HessianProbe:
+        """(d^2/dt^2)_{t=0} H(u + t v)."""
+        kin = float(np.sum(u.lattice.ksq() * np.abs(v.coef) ** 2))
+        inter = -self.log_density_hessian(u, v)
+        mass_term = self.reference_mass(u.lattice.n) * v.mass()
+        return HessianProbe(kin + inter + mass_term, kin, inter, mass_term)
+
+    def convexity_constant(self, mass_bound: float | None):
+        """The closed-form constant alpha of uniform convexity of H, which is
+        also the LSI constant, on the mass ball of radius mass_bound:
+        (alpha, whether the proof's regime holds, the LSI note), or None where
+        no closed form is known.  alpha is given outside the regime too."""
+        return None
+
+
+def _ball_constant(alpha: float, in_regime: bool, regime: str):
+    return alpha, in_regime, "" if in_regime else f"requires {regime}"
+
+
+def _free_field_constant(lam: float):
+    """Without a mass bound only the free field has a constant, alpha = 1."""
+    if lam == 0.0:
+        return 1.0, True, "free field"
+    return None, False, "mass bound required when lam > 0"
 
 
 @dataclass(frozen=True)
@@ -80,6 +128,16 @@ class NLS(_Model):
         return self.lam * float(np.mean(((p - 2) / 4.0) * pw * cross ** 2
                                         + au ** (p - 2) * np.abs(vg) ** 2))
 
+    def convexity_constant(self, mass_bound):
+        """p = 4 (D = 1): alpha = 1 - 14 pi^2 N lam / 3 for N lam < 3/(14 pi^2)."""
+        if self.p != 4:
+            return None
+        if mass_bound is None:
+            return _free_field_constant(self.lam)
+        x = self.lam * mass_bound
+        return _ball_constant(1.0 - 14.0 * PI2 * x / 3.0, 0.0 <= x < 3.0 / (14.0 * PI2),
+                              "N lam < 3/(14 pi^2)")
+
 
 @dataclass(frozen=True)
 class KdV(_Model):
@@ -107,12 +165,79 @@ class KdV(_Model):
         vg = np.real(synthesize_batch(v.coef, u.lattice, 2))
         return self.lam * float(np.mean(ug * vg ** 2))
 
+    def convexity_constant(self, mass_bound):
+        """alpha = 1 - pi^2 lam sqrt(N) / 3 for lam sqrt(N) < 3/pi^2."""
+        if mass_bound is None:
+            return _free_field_constant(self.lam)
+        x = self.lam * math.sqrt(mass_bound)
+        return _ball_constant(1.0 - PI2 * x / 3.0, 0.0 <= x < 3.0 / PI2,
+                              "lam sqrt(N) < 3/pi^2")
+
 
 @dataclass(frozen=True)
 class Zakharov(_Model):
-    """Envelope/ion-density pair; mass_bound is the u-ball radius B."""
+    """Envelope/ion-density pair; mass_bound is the u-ball radius B.  Its
+    state is a ZakharovState, a row of its coefficient stacks is (3, 2n+1);
+    its Gibbs measure is a product measure (sampling.sample_zakharov_ensemble),
+    so it has no single log-density."""
 
     mass_bound: float = 0.01
+
+    def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        raise TypeError("use sample_zakharov_ensemble for the product measure")
+
+    def hamiltonian(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        """K(u) - (1/4) int |u|^4 + (1/4) int (P_n(n+|u|^2))^2 + (1/4) sum |vhat/k|^2."""
+        u, n, v = coefs[:, 0], coefs[:, 1], coefs[:, 2]
+        kinetic = 0.5 * np.sum(lattice.ksq() * np.abs(u) ** 2, axis=-1)
+        coupled = 0.25 * np.sum(np.abs(_coupled_density(u, n, lattice)) ** 2, axis=-1)
+        k = lattice.axis_modes().astype(float)
+        nz = k != 0
+        wave = 0.25 * np.sum(np.abs(v[:, nz]) ** 2 / k[nz] ** 2, axis=-1)
+        return kinetic - 0.25 * lp_integral_batch(u, lattice, 4) + coupled + wave
+
+    def gradient(self, st: ZakharovState):
+        """The triple (dH/du, dH/dn, dH/dv)."""
+        lat = st.u.lattice
+        s_coef = st.coupled_density_coef()
+        q = 2
+        ugrid = synthesize_batch(st.u.coef, lat, q)
+        sgrid = np.real(synthesize_batch(s_coef, lat, q))
+        # quartic gradient -|u|^2 u plus coupling gradient P_n(n+|u|^2) u
+        gu_nl = analyze_batch((sgrid - np.abs(ugrid) ** 2) * ugrid, lat)
+        gu = _respect_zero_mode(FourierField(lat, lat.ksq() * st.u.coef + gu_nl, False,
+                                             st.u.zero_mode))
+        gn = FourierField(lat, 0.5 * s_coef, True, st.n.zero_mode)
+        k = lat.axis_modes().astype(float)
+        gv = np.zeros_like(st.v.coef)
+        nz = k != 0
+        gv[nz] = st.v.coef[nz] / (2.0 * k[nz] ** 2)
+        return gu, gn, FourierField(lat, gv, True, zero_mode=False)
+
+    def hessian_quadratic_form(self, st: ZakharovState, d: ZakharovState) -> HessianProbe:
+        lat = st.u.lattice
+        kin = float(np.sum(lat.ksq() * np.abs(d.u.coef) ** 2))
+        ug = synthesize_batch(st.u.coef, lat, 2)
+        vg = synthesize_batch(d.u.coef, lat, 2)
+        cross = 2.0 * np.real(np.conj(ug) * vg)
+        quartic = -float(np.mean(0.5 * cross ** 2 + np.abs(ug) ** 2 * np.abs(vg) ** 2))
+        s_coef = st.coupled_density_coef()
+        ds_coef = analyze_batch(np.real(synthesize_batch(d.n.coef, lat, 2)) + cross, lat)
+        du_sq_coef = analyze_batch(np.abs(vg) ** 2, lat)
+        coupled = (0.5 * float(np.sum(np.abs(ds_coef) ** 2))
+                   + float(np.real(np.sum(np.conj(s_coef) * du_sq_coef))))
+        k = lat.axis_modes().astype(float)
+        nz = k != 0
+        wave = 0.5 * float(np.sum(np.abs(d.v.coef[nz]) ** 2 / k[nz] ** 2))
+        inter = quartic + coupled + wave
+        return HessianProbe(kin + inter, kin, inter)
+
+    def convexity_constant(self, mass_bound):
+        """On the model's own u-ball B: alpha = min(1, 1 - 14 pi^2 B / 3) for
+        B < 3/(14 pi^2); mass_bound is not read."""
+        b = self.mass_bound
+        return _ball_constant(min(1.0, 1.0 - 14.0 * PI2 * b / 3.0), b < 3.0 / (14.0 * PI2),
+                              "B < 3/(14 pi^2)")
 
 
 @dataclass(frozen=True)
@@ -210,6 +335,11 @@ class ZakharovState:
         """The (3, 2n+1) stack of the u, n and v coefficients."""
         return np.stack([self.u.coef, self.n.coef, self.v.coef])
 
+    def with_coef(self, coef: np.ndarray) -> ZakharovState:
+        """The state with the (3, 2n+1) stack coef and this state's conventions."""
+        return ZakharovState(self.u.with_coef(coef[0]), self.n.with_coef(coef[1]),
+                             self.v.with_coef(coef[2]))
+
     def coupled_density_coef(self) -> np.ndarray:
         """Lattice coefficients of n + |u|^2 (the projected combination)."""
         return _coupled_density(self.u.coef, self.n.coef, self.lattice)
@@ -304,42 +434,19 @@ def counterterm_mass(model: GrossPitaevskii, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# energy
+# energy and the Hessian probe
 # ---------------------------------------------------------------------------
 
 def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """H = K - Phi + (rho/2) M for each field of a (B, ...) coefficient stack:
-    kinetic (1/2) sum |k|^2 |c_k|^2, the model's log-density Phi, and the
-    reference mass rho times the mass sum |c_k|^2.  For Zakharov the stack is
-    (B, 3, 2n+1), the coef of each ZakharovState.  Taken in row blocks,
-    counting four complex grids of twice the resolution per row (the
-    log-density's and the Zakharov coupling's transforms)."""
+    """The model's Hamiltonian of each field of a (B, ...) coefficient stack
+    ((B, 3, 2n+1) for Zakharov, the coef of each ZakharovState).  Taken in
+    row blocks, counting four complex grids of twice the resolution per row
+    (the log-density's and the Zakharov coupling's transforms)."""
     coefs = np.ascontiguousarray(coefs)       # row sums in the order of a single field's
     out = np.empty(coefs.shape[0])
     for rows in _row_blocks(coefs.shape[0], 64 * lattice.grid_points(2) ** lattice.dim):
-        out[rows] = _energy_rows(model, coefs[rows], lattice)
+        out[rows] = model.hamiltonian(coefs[rows], lattice)
     return out
-
-
-def _energy_rows(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
-    if isinstance(model, Zakharov):
-        return _zakharov_energy_batch(coefs, lattice)
-    axes = tuple(range(1, coefs.ndim))
-    sq = np.abs(coefs) ** 2
-    kinetic = 0.5 * np.sum(lattice.ksq() * sq, axis=axes)
-    rho = model.reference_mass(lattice.n)
-    return kinetic - model.log_density(coefs, lattice) + 0.5 * rho * np.sum(sq, axis=axes)
-
-
-def _zakharov_energy_batch(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """K(u) - (1/4) int |u|^4 + (1/4) int (P_n(n+|u|^2))^2 + (1/4) sum |vhat/k|^2."""
-    u, n, v = coefs[:, 0], coefs[:, 1], coefs[:, 2]
-    kinetic = 0.5 * np.sum(lattice.ksq() * np.abs(u) ** 2, axis=-1)
-    coupled = 0.25 * np.sum(np.abs(_coupled_density(u, n, lattice)) ** 2, axis=-1)
-    k = lattice.axis_modes().astype(float)
-    nz = k != 0
-    wave = 0.25 * np.sum(np.abs(v[:, nz]) ** 2 / k[nz] ** 2, axis=-1)
-    return kinetic - 0.25 * lp_integral_batch(u, lattice, 4) + coupled + wave
 
 
 def energy(model, state) -> float:
@@ -356,53 +463,11 @@ def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.nd
     return model.log_density(coefs, lattice)
 
 
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
 def _respect_zero_mode(fld: FourierField) -> FourierField:
     if not fld.zero_mode:
         fld.coef[fld.lattice.zero_index()] = 0.0
     return fld
 
-
-def gradient(model, state):
-    """L^2-pairing variational derivative dH/du = |k|^2 u - grad Phi + rho u as
-    a field (a triple for Zakharov).  Components along frozen zero modes are
-    dropped so the gradient matches central finite differences in canonical
-    coordinates."""
-    if isinstance(model, Zakharov):
-        return _zakharov_gradient(state)
-    u = state
-    lat = u.lattice
-    coef = (lat.ksq() * u.coef - model.log_density_gradient(u)
-            + model.reference_mass(lat.n) * u.coef)
-    if model.reality:
-        coef = hermitianize(coef, lat.dim)
-    return _respect_zero_mode(FourierField(lat, coef, model.reality, u.zero_mode))
-
-
-def _zakharov_gradient(st: ZakharovState):
-    lat = st.u.lattice
-    s_coef = st.coupled_density_coef()
-    q = 2
-    ugrid = synthesize_batch(st.u.coef, lat, q)
-    sgrid = np.real(synthesize_batch(s_coef, lat, q))
-    # quartic gradient -|u|^2 u plus coupling gradient P_n(n+|u|^2) u
-    gu_nl = analyze_batch((sgrid - np.abs(ugrid) ** 2) * ugrid, lat)
-    gu = _respect_zero_mode(FourierField(lat, lat.ksq() * st.u.coef + gu_nl, False,
-                                         st.u.zero_mode))
-    gn = FourierField(lat, 0.5 * s_coef, True, st.n.zero_mode)
-    k = lat.axis_modes().astype(float)
-    gv = np.zeros_like(st.v.coef)
-    nz = k != 0
-    gv[nz] = st.v.coef[nz] / (2.0 * k[nz] ** 2)
-    return gu, gn, FourierField(lat, gv, True, zero_mode=False)
-
-
-# ---------------------------------------------------------------------------
-# Hessian quadratic forms
-# ---------------------------------------------------------------------------
 
 @dataclass
 class HessianProbe:
@@ -413,34 +478,6 @@ class HessianProbe:
     kinetic: float
     interaction: float
     mass_term: float = 0.0
-
-
-def hessian_quadratic_form(model, u, v) -> HessianProbe:
-    if isinstance(model, Zakharov):
-        return _zakharov_hessian(u, v)
-    kin = float(np.sum(u.lattice.ksq() * np.abs(v.coef) ** 2))
-    inter = -model.log_density_hessian(u, v)
-    mass_term = model.reference_mass(u.lattice.n) * v.mass()
-    return HessianProbe(kin + inter + mass_term, kin, inter, mass_term)
-
-
-def _zakharov_hessian(st: ZakharovState, d: ZakharovState) -> HessianProbe:
-    lat = st.u.lattice
-    kin = float(np.sum(lat.ksq() * np.abs(d.u.coef) ** 2))
-    ug = synthesize_batch(st.u.coef, lat, 2)
-    vg = synthesize_batch(d.u.coef, lat, 2)
-    cross = 2.0 * np.real(np.conj(ug) * vg)
-    quartic = -float(np.mean(0.5 * cross ** 2 + np.abs(ug) ** 2 * np.abs(vg) ** 2))
-    s_coef = st.coupled_density_coef()
-    ds_coef = analyze_batch(np.real(synthesize_batch(d.n.coef, lat, 2)) + cross, lat)
-    du_sq_coef = analyze_batch(np.abs(vg) ** 2, lat)
-    coupled = (0.5 * float(np.sum(np.abs(ds_coef) ** 2))
-               + float(np.real(np.sum(np.conj(s_coef) * du_sq_coef))))
-    k = lat.axis_modes().astype(float)
-    nz = k != 0
-    wave = 0.5 * float(np.sum(np.abs(d.v.coef[nz]) ** 2 / k[nz] ** 2))
-    inter = quartic + coupled + wave
-    return HessianProbe(kin + inter, kin, inter)
 
 
 # ---------------------------------------------------------------------------
@@ -479,37 +516,20 @@ class ConvexityMargin:
     in_regime: bool
 
 
-def convexity_margin(model, u, v, t: float, mass_bound: float,
-                     critical_mass_term: float | None = None) -> ConvexityMargin:
-    """Measured convexity gap of H minus the predicted lower bound.
-
-    NLS (p = 4, D = 1): bound t(1-t)(alpha/2) ||u-v||^2_{Hdot^1} with
-    alpha = 1 - 14 pi^2 N lam / 3.  KdV: alpha = 1 - pi^2 lam sqrt(N) / 3.
-    Critical p = 6 with mass convexification (pass critical_mass_term M):
-    gap of H + (M/2) int |u|^2 against (t(1-t)/4)(||d'||^2 + ||d||^2).
-    """
+def convexity_margin(model, u, v, t: float, mass_bound: float) -> ConvexityMargin:
+    """Measured convexity gap of H minus the predicted lower bound
+    t(1-t)(alpha/2) ||u-v||^2_{Hdot^1}, alpha the model's closed-form
+    constant on the mass ball (NLS p = 4 in D = 1, KdV)."""
     if not (0.0 < t < 1.0):
         raise ValueError("t must lie in (0, 1)")
-    conv = t * u + (1.0 - t) * v
-    gap = t * energy(model, u) + (1 - t) * energy(model, v) - energy(model, conv)
-    diff = u - v
-    h1 = sobolev_norm(diff, 1.0, homogeneous=True) ** 2
-    if isinstance(model, NLS) and model.p == 4 and critical_mass_term is None:
-        alpha = 1.0 - 14.0 * PI2 * mass_bound * model.lam / 3.0
-        in_regime = 0.0 <= model.lam * mass_bound < 3.0 / (14.0 * PI2)
-        bound = t * (1 - t) * 0.5 * alpha * h1
-    elif isinstance(model, KdV) and critical_mass_term is None:
-        alpha = 1.0 - PI2 * model.lam * math.sqrt(mass_bound) / 3.0
-        in_regime = 0.0 <= model.lam * math.sqrt(mass_bound) < 3.0 / PI2
-        bound = t * (1 - t) * 0.5 * alpha * h1
-    elif isinstance(model, NLS) and model.p == 6 and critical_mass_term is not None:
-        m = critical_mass_term
-        gap += 0.5 * m * (t * u.mass() + (1 - t) * v.mass() - conv.mass())
-        alpha = 0.5
-        in_regime = 0.0 < model.lam <= 1.0
-        bound = t * (1 - t) * 0.25 * (h1 + diff.mass())
-    else:
-        raise ValueError("convexity margin supports NLS p=4, KdV, and critical p=6")
+    closed = model.convexity_constant(mass_bound)
+    if closed is None:
+        raise ValueError("convexity margin supports NLS p=4 and KdV")
+    alpha, in_regime, _ = closed
+    gap = (t * energy(model, u) + (1 - t) * energy(model, v)
+           - energy(model, t * u + (1.0 - t) * v))
+    h1 = sobolev_norm(u - v, 1.0, homogeneous=True) ** 2
+    bound = t * (1 - t) * 0.5 * alpha * h1
     return ConvexityMargin(gap - bound, gap, bound, alpha, in_regime)
 
 
@@ -532,35 +552,16 @@ class LSIPrediction:
 def lsi_constant_predicted(model, mass_bound: float | None = None,
                            kappa: float | None = None, s: float | None = None,
                            n0: float | None = None, alpha0: float = 0.5) -> LSIPrediction:
-    """Closed-form LSI constants: NLS alpha = 1 - 14 pi^2 N lam / 3 for
-    N lam < 3/(14 pi^2); KdV alpha = 1 - pi^2 lam sqrt(N)/3 for
-    lam sqrt(N) < 3/pi^2; critical p = 6 alpha >= alpha0 exp(-N M);
-    finite-dimensional GP alpha = 1/2 when kappa Vhat(0) > 3 ||V||_inf;
-    Zakharov alpha = min(1, 1 - 14 pi^2 B / 3)."""
-    if isinstance(model, NLS) and model.p == 4:
-        if mass_bound is None:
-            if model.lam == 0.0:
-                return LSIPrediction(1.0, True, "free field")
-            return LSIPrediction(None, False, "mass bound required when lam > 0")
-        x = model.lam * mass_bound
-        if 0.0 <= x < 3.0 / (14.0 * PI2):
-            return LSIPrediction(1.0 - 14.0 * PI2 * x / 3.0, True)
-        return LSIPrediction(None, False, "requires N lam < 3/(14 pi^2)")
+    """Closed-form LSI constants: the model's convexity constant in its
+    regime (NLS p = 4, KdV, Zakharov); critical p = 6 alpha >= alpha0
+    exp(-N M) on the domain of mass N, Sobolev radius kappa and exponent s;
+    finite-dimensional GP alpha = 1/2 when kappa Vhat(0) > 3 ||V||_inf."""
     if isinstance(model, NLS) and model.p == 6:
         if not (0.0 < model.lam <= 1.0 and n0 is not None and mass_bound < n0):
             return LSIPrediction(None, False, "requires 0 < lam <= 1 and N < N_0")
         m = critical_convexification_mass(n0, kappa, s)
         return LSIPrediction(alpha0 * math.exp(-mass_bound * m), True,
                              "perturbation constant alpha0 exp(-N M); alpha0 configured")
-    if isinstance(model, KdV):
-        if mass_bound is None:
-            if model.lam == 0.0:
-                return LSIPrediction(1.0, True, "free field")
-            return LSIPrediction(None, False, "mass bound required when lam > 0")
-        x = model.lam * math.sqrt(mass_bound)
-        if 0.0 <= x < 3.0 / PI2:
-            return LSIPrediction(1.0 - PI2 * x / 3.0, True)
-        return LSIPrediction(None, False, "requires lam sqrt(N) < 3/pi^2")
     if isinstance(model, GrossPitaevskii):
         v0 = float(np.real(model.potential.zero_coef()))
         vals = synthesize_batch(model.potential.coef, model.potential.lattice, 2)
@@ -570,12 +571,11 @@ def lsi_constant_predicted(model, mass_bound: float | None = None,
         return LSIPrediction(None, False,
                              "bounded-V condition kappa Vhat(0) > 3 ||V||_inf fails; the "
                              "L^2 route's Sobolev constant is not computable")
-    if isinstance(model, Zakharov):
-        b = model.mass_bound
-        if b < 3.0 / (14.0 * PI2):
-            return LSIPrediction(min(1.0, 1.0 - 14.0 * PI2 * b / 3.0), True)
-        return LSIPrediction(None, False, "requires B < 3/(14 pi^2)")
-    raise TypeError(f"unsupported model {type(model).__name__}")
+    closed = model.convexity_constant(mass_bound)
+    if closed is None:
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    alpha, in_regime, note = closed
+    return LSIPrediction(alpha if in_regime else None, in_regime, note)
 
 
 # ---------------------------------------------------------------------------

@@ -308,8 +308,6 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
     """Reference-preserving Metropolis chain for exp(phi) d(reference)
     restricted to the domain; starts at the zero field.  Returns the thinned
     post-burn-in ensemble and acceptance statistics."""
-    if isinstance(model, ham.Zakharov):
-        raise TypeError("use sample_zakharov_ensemble for the product measure")
     lat = reference.lattice
     state = np.zeros((1,) + lat.shape, dtype=np.complex128)
     if not domain.contains_batch(state, lat)[0]:

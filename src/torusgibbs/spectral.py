@@ -113,6 +113,10 @@ class FourierField:
             f.coef = hermitianize(f.coef, lattice.dim)
         return f
 
+    def with_coef(self, coef: np.ndarray) -> "FourierField":
+        """The field with coefficients coef and this field's conventions."""
+        return FourierField(self.lattice, coef, self.reality, self.zero_mode)
+
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "FourierField") -> "FourierField":

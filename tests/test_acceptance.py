@@ -95,7 +95,7 @@ def test_criterion_2_convexity_margins():
         u = c * f
         u.reality = True
         v = FourierField(lat, rref.sample_batch(rng, 1)[0], True, zero_mode=False)
-        form = ham.hessian_quadratic_form(model6, u, v).value + m_term * v.mass()
+        form = model6.hessian_quadratic_form(u, v).value + m_term * v.mass()
         target = 0.5 * (sobolev_norm(v, 1.0, homogeneous=True) ** 2 + v.mass())
         worst6 = min(worst6, form - target)
     ok = m_nls >= -1e-12 and m_kdv >= -1e-12 and worst6 >= -1e-10
@@ -107,7 +107,7 @@ def test_criterion_2_convexity_margins():
 
 def _grad_hess_slopes(model, make_state, unpack, rng, ts):
     state = make_state()
-    grad = ham.gradient(model, state)
+    grad = model.gradient(state)
     if isinstance(grad, tuple):
         g = np.concatenate([field_coords(x) for x in grad])
         x0 = np.concatenate([field_coords(x) for x in
@@ -119,7 +119,7 @@ def _grad_hess_slopes(model, make_state, unpack, rng, ts):
     fn = lambda x: ham.energy(model, unpack(x))
     gerr, herr = [], []
     direction = unpack(v)
-    hq = ham.hessian_quadratic_form(model, state, direction).value
+    hq = model.hessian_quadratic_form(state, direction).value
     for t in ts:
         fd = (fn(x0 + t * v) - fn(x0 - t * v)) / (2 * t)
         gerr.append(abs(fd - g @ v) + 1e-300)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -426,6 +427,20 @@ def test_unread_keys_and_wrong_types_exit_2(tmp_path, base, unread, param):
         assert not out.exists()                  # rejected before any work
 
 
+def test_removed_and_unknown_names_exit_2(tmp_path, capsys):
+    # an unknown negative-control functional is rejected before the chain runs;
+    # the Lie scheme is gone, so flow.scheme is an unknown key
+    bad = [{"experiment": "invariance", "params": {"expect_fail_functional": "quartic"}},
+           {"experiment": "flow", "flow": {"scheme": "lie"}}]
+    for i, cfg in enumerate(bad):
+        path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert "quartic_integral" in err and "tanh_linear" in err and "scheme" in err
+
+
 def test_probe_exponent_is_rejected_by_validation():
     with pytest.raises(SchemaError, match="params.p"):
         validate_config({"experiment": "normalizability", "params": {"p": 7}})
@@ -455,9 +470,40 @@ def test_tail_experiment_sobolev_tail(tmp_path):
 
 def test_transport_coupling_experiment(tmp_path):
     from scipy.special import polygamma
-    for n in (1, 4, 8, 16, 100, 1000):
-        assert _tail_inverse_square(n) == pytest.approx(float(polygamma(1, n + 1)), rel=1e-12)
+    for n, top in ((1, 8), (4, 8), (4, 512), (16, 512), (100, 2000), (1000, 2000)):
+        expect = float(polygamma(1, n + 1) - polygamma(1, top + 1))
+        assert _tail_inverse_square(n, top) == pytest.approx(expect, rel=1e-12)
     cfg = {"experiment": "transport", "seed": 5, "lattice": {"dim": 1, "n": 512},
            "params": {"task": "coupling", "n_list": [4, 8], "n_samples": 2000}}
     report, code = run_experiment(cfg, output_dir=str(tmp_path / "cp"))
     assert code == 0 and report["passed"] is True
+
+
+def test_transport_coupling_at_its_defaults():
+    # lattice n = 8: the n = 4 row is held to the lattice's own tail,
+    # 4 sum_{4 < k <= 8} k^-2; n = 8 and 16 have no tail and are not gated
+    report, code = run_experiment({"experiment": "transport",
+                                   "params": {"task": "coupling"}})
+    assert code == 0 and report["passed"] is True
+    rows = {r["n"]: r for r in report["results"]["rows"]}
+    assert rows[4]["analytic"] == pytest.approx(4.0 * sum(k ** -2.0 for k in range(5, 9)))
+    assert rows[4]["rel_err"] < 0.05
+    assert all(rows[n]["degenerate"] and "rel_err" not in rows[n] for n in (8, 16))
+
+
+def test_lsi_experiment_critical_p6_prediction(tmp_path):
+    # the critical p = 6 prediction alpha0 exp(-N M) needs params.n0 > N
+    cfg = {"experiment": "lsi", "seed": 3, "lattice": {"dim": 1, "n": 8},
+           "model": {"kind": "nls", "p": 6, "lam": 0.5},
+           "domain": {"kind": "mass_and_sobolev", "mass": 1.0, "kappa": 0.02, "s": 0.35},
+           "sampler": {"steps": 2000, "burn_in": 200, "thin": 2},
+           "params": {"n0": 2.0}}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "lsi6"))
+    pred = report["results"]["prediction"]
+    alpha = 0.5 * math.exp(-1.0 * ham.critical_convexification_mass(2.0, 0.02, 0.35))
+    assert code == 0 and pred["in_regime"] and pred["alpha"] == pytest.approx(alpha)
+    assert report["results"]["alpha_predicted"] == pred["alpha"]
+    report, code = run_experiment(dict(cfg, params={}))
+    assert code == 0
+    assert report["results"]["prediction"] == {
+        "alpha": None, "in_regime": False, "note": "requires 0 < lam <= 1 and N < N_0"}

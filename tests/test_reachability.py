@@ -53,3 +53,22 @@ def test_every_public_name_is_reached():
     orphans = sorted(n for n in defs if not n.startswith("_") and n not in reached
                      and n not in ALLOWED)
     assert not orphans, f"public names no root reaches: {orphans}"
+
+
+MODEL_CLASSES = {"NLS", "KdV", "GrossPitaevskii", "GrossPitaevskiiProjected", "Zakharov",
+                 "ZakharovState"}
+GENERIC_MODULES = ["flows.py", "sampling.py", "transport.py", "concentration.py",
+                   "spectral.py", "archive.py"]
+
+
+def test_generic_modules_do_not_ask_which_model_they_hold():
+    # per-model behaviour lives on the model and state classes
+    found = []
+    for name in GENERIC_MODULES:
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                hit = _referenced(node.args[1]) & MODEL_CLASSES
+                if hit:
+                    found.append(f"{name}:{node.lineno} {sorted(hit)}")
+    assert not found, f"isinstance against a model or state class: {found}"

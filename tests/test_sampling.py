@@ -272,6 +272,15 @@ def test_zakharov_product_sampler_moments():
     assert abs(np.var(w1) - 1.0) < 0.25  # a_1 of W ~ N(0,1)
 
 
+def test_pcn_chain_refuses_the_zakharov_product_measure():
+    # its Gibbs measure has no single log-density; the model says so
+    lat = Lattice(1, 8)
+    for beta in (None, 0.5):
+        with pytest.raises(TypeError, match="sample_zakharov_ensemble"):
+            run_pcn_chain(tg.Zakharov(), PhaseDomain.mass_ball(0.01),
+                          GaussianReference(lat), ChainConfig(steps=10, burn_in=0, beta=beta))
+
+
 def test_normalizability_classifications():
     n_mass = 30.0
     lam4 = 3.0 / (28 * math.pi ** 2 * n_mass)
