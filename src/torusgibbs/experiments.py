@@ -167,6 +167,8 @@ def validate_config(cfg: dict):
     args = _arguments([p for p in sig if p.kind != p.KEYWORD_ONLY], blocks, "config", given)
     args.update(_arguments([p for p in sig if p.kind == p.KEYWORD_ONLY], params, "params",
                            given))
+    if runner in _PRECONDITIONS:
+        _PRECONDITIONS[runner](**{p.name: args.get(p.name, p.default) for p in sig})
     return runner, args
 
 
@@ -283,7 +285,7 @@ def _run_lsi(lattice: Lattice, model: _models("nls", "kdv", "gp"),
     ens, _ = _gibbs_ensemble(lattice, model, domain, build_reference(model, lattice), sampler)
     coords = ens.coords()
     pred = ham.lsi_constant_predicted(model, mass_bound=domain.mass, kappa=domain.kappa,
-                                      s=domain.s, n0=n0)
+                                      s=domain.s, n0=n0, dim=lattice.dim)
     dictionary = conc.default_dictionary(lattice, ens.reality, ens.zero_mode,
                                          max_mode=max_mode, tanh_scale=tanh_scale)
     rep = conc.lsi_gap_report(coords, dictionary, lattice, conc.MetricSpec(s_dual),
@@ -317,6 +319,15 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
                "mean_margin": float(np.mean(margins)), "trials": trials}
     passed = results["min_margin"] >= tolerance
     return {"results": results}, bool(passed)
+
+
+def _has_convexity_constant(lattice: Lattice, model, mass_bound: float, **_):
+    """convexity gates on the model's closed-form constant, so the model
+    must have one on the lattice's dimension."""
+    closed = model.convexity_constant(mass_bound, lattice.dim)
+    if closed is None or closed[0] is None:
+        why = f": {closed[2]}" if closed else " has none"
+        raise SchemaError(f"convexity needs a closed-form constant; {model!r}{why}")
 
 
 def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 0.0,
@@ -447,7 +458,8 @@ def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_proje
 
 
 # kind -> runner, or (key, {value: runner}) when params[key] picks the task,
-# the first value by default
+# the first value by default; a runner in _PRECONDITIONS also has its bound
+# arguments checked together there, before any work
 _RUNNERS = {
     "sample": _run_sample,
     "flow": _run_flow,
@@ -461,6 +473,7 @@ _RUNNERS = {
     "zakharov": _run_zakharov,
     "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
+_PRECONDITIONS = {_run_convexity: _has_convexity_constant}
 
 
 # ---------------------------------------------------------------------------

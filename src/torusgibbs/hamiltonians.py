@@ -12,7 +12,7 @@ rho (the Wick counterterm for GP, 0 otherwise); the energy, gradient and
 Hessian form that _Model derives from those are model methods, which
 Zakharov overrides with the forms of its (u, n, v) triple.  Each model with a
 closed-form convexity constant alpha (NLS p = 4, KdV, Zakharov) defines it
-and its regime once, in convexity_constant.
+and its regime once, in convexity_constant; each of them holds in D = 1 only.
 """
 
 from __future__ import annotations
@@ -71,15 +71,19 @@ class _Model:
         mass_term = self.reference_mass(u.lattice.n) * v.mass()
         return HessianProbe(kin + inter + mass_term, kin, inter, mass_term)
 
-    def convexity_constant(self, mass_bound: float | None):
+    def convexity_constant(self, mass_bound: float | None, dim: int):
         """The closed-form constant alpha of uniform convexity of H, which is
-        also the LSI constant, on the mass ball of radius mass_bound:
-        (alpha, whether the proof's regime holds, the LSI note), or None where
-        no closed form is known.  alpha is given outside the regime too."""
+        also the LSI constant, on the mass ball of radius mass_bound of a
+        dim-dimensional lattice: (alpha, whether the proof's regime holds,
+        the LSI note), or None where the model has no closed form.  alpha is
+        given outside the regime too, and is None off D = 1."""
         return None
 
 
-def _ball_constant(alpha: float, in_regime: bool, regime: str):
+def _ball_constant(alpha: float, in_regime: bool, regime: str, dim: int):
+    """Every mass-ball closed form rests on the Sobolev bound of T^1."""
+    if dim != 1:
+        return None, False, f"the closed form holds on D = 1 lattices, not D = {dim}"
     return alpha, in_regime, "" if in_regime else f"requires {regime}"
 
 
@@ -102,6 +106,8 @@ class NLS(_Model):
             raise ValueError("NLS exponent p must lie in [2, 8]")
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        if self.lam == 0.0:               # the free field: no |u|^p quadrature
+            return np.zeros(coefs.shape[0])
         return (self.lam / self.p) * lp_integral_batch(coefs, lattice, self.p)
 
     def log_density_gradient(self, u: FourierField) -> np.ndarray:
@@ -128,7 +134,7 @@ class NLS(_Model):
         return self.lam * float(np.mean(((p - 2) / 4.0) * pw * cross ** 2
                                         + au ** (p - 2) * np.abs(vg) ** 2))
 
-    def convexity_constant(self, mass_bound):
+    def convexity_constant(self, mass_bound, dim):
         """p = 4 (D = 1): alpha = 1 - 14 pi^2 N lam / 3 for N lam < 3/(14 pi^2)."""
         if self.p != 4:
             return None
@@ -136,7 +142,7 @@ class NLS(_Model):
             return _free_field_constant(self.lam)
         x = self.lam * mass_bound
         return _ball_constant(1.0 - 14.0 * PI2 * x / 3.0, 0.0 <= x < 3.0 / (14.0 * PI2),
-                              "N lam < 3/(14 pi^2)")
+                              "N lam < 3/(14 pi^2)", dim)
 
 
 @dataclass(frozen=True)
@@ -165,13 +171,13 @@ class KdV(_Model):
         vg = np.real(synthesize_batch(v.coef, u.lattice, 2))
         return self.lam * float(np.mean(ug * vg ** 2))
 
-    def convexity_constant(self, mass_bound):
+    def convexity_constant(self, mass_bound, dim):
         """alpha = 1 - pi^2 lam sqrt(N) / 3 for lam sqrt(N) < 3/pi^2."""
         if mass_bound is None:
             return _free_field_constant(self.lam)
         x = self.lam * math.sqrt(mass_bound)
         return _ball_constant(1.0 - PI2 * x / 3.0, 0.0 <= x < 3.0 / PI2,
-                              "lam sqrt(N) < 3/pi^2")
+                              "lam sqrt(N) < 3/pi^2", dim)
 
 
 @dataclass(frozen=True)
@@ -232,12 +238,12 @@ class Zakharov(_Model):
         inter = quartic + coupled + wave
         return HessianProbe(kin + inter, kin, inter)
 
-    def convexity_constant(self, mass_bound):
+    def convexity_constant(self, mass_bound, dim):
         """On the model's own u-ball B: alpha = min(1, 1 - 14 pi^2 B / 3) for
         B < 3/(14 pi^2); mass_bound is not read."""
         b = self.mass_bound
         return _ball_constant(min(1.0, 1.0 - 14.0 * PI2 * b / 3.0), b < 3.0 / (14.0 * PI2),
-                              "B < 3/(14 pi^2)")
+                              "B < 3/(14 pi^2)", dim)
 
 
 @dataclass(frozen=True)
@@ -519,12 +525,12 @@ class ConvexityMargin:
 def convexity_margin(model, u, v, t: float, mass_bound: float) -> ConvexityMargin:
     """Measured convexity gap of H minus the predicted lower bound
     t(1-t)(alpha/2) ||u-v||^2_{Hdot^1}, alpha the model's closed-form
-    constant on the mass ball (NLS p = 4 in D = 1, KdV)."""
+    constant on the mass ball (NLS p = 4 and KdV, in D = 1)."""
     if not (0.0 < t < 1.0):
         raise ValueError("t must lie in (0, 1)")
-    closed = model.convexity_constant(mass_bound)
-    if closed is None:
-        raise ValueError("convexity margin supports NLS p=4 and KdV")
+    closed = model.convexity_constant(mass_bound, u.lattice.dim)
+    if closed is None or closed[0] is None:
+        raise ValueError("convexity margin supports NLS p=4 and KdV on D = 1 lattices")
     alpha, in_regime, _ = closed
     gap = (t * energy(model, u) + (1 - t) * energy(model, v)
            - energy(model, t * u + (1.0 - t) * v))
@@ -551,11 +557,13 @@ class LSIPrediction:
 
 def lsi_constant_predicted(model, mass_bound: float | None = None,
                            kappa: float | None = None, s: float | None = None,
-                           n0: float | None = None, alpha0: float = 0.5) -> LSIPrediction:
-    """Closed-form LSI constants: the model's convexity constant in its
-    regime (NLS p = 4, KdV, Zakharov); critical p = 6 alpha >= alpha0
-    exp(-N M) on the domain of mass N, Sobolev radius kappa and exponent s;
-    finite-dimensional GP alpha = 1/2 when kappa Vhat(0) > 3 ||V||_inf."""
+                           n0: float | None = None, alpha0: float = 0.5,
+                           dim: int = 1) -> LSIPrediction:
+    """Closed-form LSI constants on a dim-dimensional lattice: the model's
+    convexity constant in its regime (NLS p = 4, KdV, Zakharov; D = 1 only);
+    critical p = 6 alpha >= alpha0 exp(-N M) on the domain of mass N,
+    Sobolev radius kappa and exponent s; finite-dimensional GP alpha = 1/2
+    when kappa Vhat(0) > 3 ||V||_inf."""
     if isinstance(model, NLS) and model.p == 6:
         if not (0.0 < model.lam <= 1.0 and n0 is not None and mass_bound < n0):
             return LSIPrediction(None, False, "requires 0 < lam <= 1 and N < N_0")
@@ -571,7 +579,7 @@ def lsi_constant_predicted(model, mass_bound: float | None = None,
         return LSIPrediction(None, False,
                              "bounded-V condition kappa Vhat(0) > 3 ||V||_inf fails; the "
                              "L^2 route's Sobolev constant is not computable")
-    closed = model.convexity_constant(mass_bound)
+    closed = model.convexity_constant(mass_bound, dim)
     if closed is None:
         raise TypeError(f"unsupported model {type(model).__name__}")
     alpha, in_regime, note = closed

@@ -174,7 +174,7 @@ def hermitianize(coef: np.ndarray, dim: int) -> np.ndarray:
 @functools.lru_cache
 def _fast_len(target: int) -> int:
     """The smallest 2*3*5*7*11-smooth integer >= target (target >= 1); the
-    same length as scipy.fft.next_fast_len(target)."""
+    length the FFT libraries' next_fast_len(target) gives."""
     m = target
     while True:
         rest = m

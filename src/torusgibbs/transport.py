@@ -1,4 +1,4 @@
-"""Wasserstein distances (exact LP oracle plus entropic solver), truncation
+"""Wasserstein distances (exact oracle plus entropic solver), truncation
 coupling bounds, relative entropy between Gibbs truncations and the Gaussian
 tail-sum bound.
 
@@ -80,12 +80,61 @@ def _plan_residual(plan, a, b) -> float:
                float(np.max(np.abs(plan.sum(axis=0) - b))))
 
 
+def _assignment(c: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-cost assignment of the square
+    cost matrix c: shortest augmenting paths (Jonker and Volgenant 1987) in
+    the form of Crouse (2016).  A column reduction (v_j = min_i c_ij, each
+    column to its row-minimum row while that row is free) starts it; each
+    row left free then takes one Dijkstra scan on the reduced costs
+    c_ij - u_i - v_j, vectorised over the columns, and the augmentation
+    along the path it finds."""
+    n = c.shape[0]
+    u = np.zeros(n)
+    v = c.min(axis=0)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    first_rows, first_cols = np.unique(c.argmin(axis=0), return_index=True)
+    col4row[first_rows] = first_cols
+    row4col[first_cols] = first_rows
+    for free in np.flatnonzero(col4row < 0):
+        key = np.full(n, np.inf)           # path cost so far of each open column
+        dist = np.zeros(n)                 # path cost of each scanned column
+        path = np.full(n, -1)              # the row before each column on its path
+        todo = np.ones(n, dtype=bool)      # open columns
+        rows = []                          # rows scanned
+        i, low = free, 0.0
+        while True:
+            rows.append(i)
+            r = low + c[i] - u[i] - v
+            better = (r < key) & todo
+            np.copyto(key, r, where=better)
+            np.copyto(path, i, where=better)
+            j = key.argmin()
+            low = dist[j] = key[j]
+            key[j] = np.inf
+            todo[j] = False
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[free] += low
+        u[rows[1:]] += low - dist[col4row[rows[1:]]]
+        done = ~todo
+        v[done] -= low - dist[done]
+        while True:                        # augment along the path back to the free row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == free:
+                break
+    return col4row
+
+
 def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                       cost: CostSpec = CostSpec()):
     """Exact optimal transport on oracle-size instances (support <= 256).
-    Uniform equal-size clouds use the assignment solver; the general case
-    solves the LP with HiGHS.  Returns (W_s value, TransportPlan)."""
-    from scipy.optimize import linear_sum_assignment, linprog
+    Uniform equal-size clouds are an assignment problem, solved in numpy by
+    _assignment; other weights solve the transport LP with HiGHS (linprog),
+    which only that branch imports.  Returns (W_s value, TransportPlan)."""
     m, n = len(mu), len(nu)
     if max(m, n) > 256:
         raise ValueError("exact oracle is limited to 256 support points; use sinkhorn")
@@ -93,10 +142,10 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     uniform = (m == n and np.allclose(mu.weights, 1.0 / m)
                and np.allclose(nu.weights, 1.0 / n))
     if uniform:
-        rows, cols = linear_sum_assignment(c)
         plan = np.zeros_like(c)
-        plan[rows, cols] = 1.0 / m
+        plan[np.arange(m), _assignment(c)] = 1.0 / m
     else:
+        from scipy.optimize import linprog
         a_eq = []
         b_eq = []
         for i in range(m):

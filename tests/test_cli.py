@@ -98,12 +98,9 @@ def test_flow_experiment_pass_flag(tmp_path):
     assert code == 0 and report["passed"] is True
 
 
-def test_no_scipy_on_the_import_path(tmp_path):
-    # a fresh interpreter that imports the package and the CLI and runs a
-    # flow loads no scipy module; only the exact LP oracle imports it, inside
-    # its body
-    cfg = {"experiment": "flow", "seed": 1, "lattice": {"dim": 1, "n": 8, "oversample": 2},
-           "model": {"kind": "kdv", "lam": 1.0}, "flow": {"dt": 1e-3, "t_final": 0.01}}
+def _run_fresh(cfg: dict, tmp_path) -> list:
+    """Run a config in a fresh interpreter that also imports the package and
+    the CLI; returns its exit code and the scipy modules it loaded."""
     script = (
         "import json, sys\n"
         "import torusgibbs\n"
@@ -112,9 +109,22 @@ def test_no_scipy_on_the_import_path(tmp_path):
         f"report, code = run_experiment(json.loads({json.dumps(cfg)!r}), {str(tmp_path)!r})\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tg.__file__)))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == ["0", "[]"]
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_no_scipy_on_the_import_path(tmp_path):
+    # a fresh run of a flow loads no scipy module; only the weighted transport
+    # LP imports it, inside its branch of the exact oracle
+    cfg = {"experiment": "flow", "seed": 1, "lattice": {"dim": 1, "n": 8, "oversample": 2},
+           "model": {"kind": "kdv", "lam": 1.0}, "flow": {"dt": 1e-3, "t_final": 0.01}}
+    assert _run_fresh(cfg, tmp_path) == ["0", "[]"]
+
+
+def test_exact_oracle_on_uniform_clouds_loads_no_scipy(tmp_path):
+    # the sinkhorn_vs_exact task's uniform clouds go to the numpy assignment solver
+    cfg = {"experiment": "transport", "seed": 3, "params": {"task": "sinkhorn_vs_exact"}}
+    assert _run_fresh(cfg, tmp_path) == ["0", "[]"]
 
 
 def test_flow_numerical_failure_exit_3(tmp_path):
@@ -268,6 +278,29 @@ def test_convexity_experiment(tmp_path):
     }
     report, code = run_experiment(cfg, output_dir=str(tmp_path / "cvx"))
     assert code == 0 and report["passed"] is True
+
+
+def test_closed_form_constants_hold_in_one_dimension_only(tmp_path):
+    # NLS p = 4's alpha = 1 - 14 pi^2 N lam / 3 rests on the Sobolev bound of
+    # T^1: on a 2D lattice convexity is rejected before any work, as is an
+    # NLS p = 6 model, which has no closed form, and lsi predicts nothing
+    nls2 = {"lattice": {"dim": 2, "n": 4}, "model": {"kind": "nls", "lam": 0.005}}
+    bad = [dict(nls2, experiment="convexity", params={"mass_bound": 4.0, "trials": 50}),
+           {"experiment": "convexity", "model": {"kind": "nls", "p": 6, "lam": 0.005}}]
+    for i, cfg in enumerate(bad):
+        with pytest.raises(SchemaError, match="closed-form constant"):
+            run_experiment(cfg, output_dir=str(tmp_path / f"cvx{i}"))
+        assert not (tmp_path / f"cvx{i}").exists()
+    lsi = dict(nls2, experiment="lsi", seed=2, domain={"kind": "mass_ball", "mass": 4.0},
+               sampler={"steps": 2000, "burn_in": 200, "thin": 2}, params={"max_mode": 1})
+    report, code = run_experiment(lsi, output_dir=str(tmp_path / "lsi"))
+    assert code == 0 and report["passed"] is None
+    assert report["results"]["prediction"]["alpha"] is None
+    assert not report["results"]["prediction"]["in_regime"]
+    lsi["lattice"] = {"dim": 1, "n": 4}           # the same model in D = 1 has its alpha
+    report, _ = run_experiment(lsi)
+    assert report["results"]["prediction"]["alpha"] == pytest.approx(1 - 14 * math.pi ** 2
+                                                                     * 0.02 / 3)
 
 
 def test_normalizability_experiment(tmp_path):

@@ -152,11 +152,24 @@ def test_log_density_matches_lp_integral(case):
         assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_nls_log_density_is_zero_without_the_quadrature(dim, monkeypatch):
+    # the same +0.0 that (0/p) times the finite integral gave
+    lat = Lattice(dim, 4, 2)
+    coefs = _density_stack(lat, reality=False)
+    want = 0.0 * ham.lp_integral_batch(coefs, lat, 4)
+    monkeypatch.setattr(ham, "lp_integral_batch", None)
+    got = ham.interaction_log_density(tg.NLS(4, 0.0), coefs, lat)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kdv_log_density_rejects_complex_fields():
     lat = Lattice(1, 6, 2)
     coefs = _density_stack(lat, reality=False)
     with pytest.raises(ValueError):
         ham.interaction_log_density(tg.KdV(0.9), coefs, lat)
+    with pytest.raises(ValueError):                  # also when lam = 0
+        ham.interaction_log_density(tg.KdV(0.0), coefs, lat)
     with pytest.raises(ValueError):
         ham.energy(tg.KdV(0.9), FourierField(lat, coefs[0]))
 

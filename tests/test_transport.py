@@ -84,6 +84,49 @@ def test_oracle_size_limit():
         trans.wasserstein_exact(mu, mu)
 
 
+# -- assignment solver ----------------------------------------------------------
+
+def _cost_of(c, cols):
+    return c[np.arange(len(cols)), cols].sum()
+
+
+@pytest.mark.parametrize("n", range(1, 8))              # n = 1 included
+def test_assignment_matches_brute_force(n):
+    for seed in range(5):
+        mu, nu = clouds(100 * n + seed, m=n)
+        c = trans.CostSpec().matrix(mu.points, nu.points)
+        cols = trans._assignment(c)
+        best = min(itertools.permutations(range(n)), key=lambda p: _cost_of(c, p))
+        assert cols.tolist() == list(best)
+
+
+def test_assignment_with_tied_integer_costs_is_an_optimal_permutation():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        c = rng.integers(0, 4, (n, n)).astype(float)
+        cols = trans._assignment(c)
+        assert sorted(cols) == list(range(n))
+        best = min(_cost_of(c, p) for p in itertools.permutations(range(n)))
+        assert _cost_of(c, cols) == best
+
+
+def test_assignment_of_identical_clouds_is_the_identity():
+    mu, _ = clouds(8, m=64)
+    c = trans.CostSpec().matrix(mu.points, mu.points)
+    assert trans._assignment(c).tolist() == list(range(64))
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_assignment_matches_scipy(n):
+    from scipy.optimize import linear_sum_assignment
+    mu, nu = clouds(n, m=n, d=4)
+    c = trans.CostSpec().matrix(mu.points, nu.points)
+    _, cols = linear_sum_assignment(c)
+    with np.errstate(over="raise", invalid="raise"):   # as run_experiment runs runners
+        assert np.array_equal(trans._assignment(c), cols)
+
+
 # -- Sinkhorn -------------------------------------------------------------------
 
 def test_sinkhorn_converges_to_exact():
