@@ -167,8 +167,13 @@ def validate_config(cfg: dict):
     args = _arguments([p for p in sig if p.kind != p.KEYWORD_ONLY], blocks, "config", given)
     args.update(_arguments([p for p in sig if p.kind == p.KEYWORD_ONLY], params, "params",
                            given))
-    if runner in _PRECONDITIONS:
-        _PRECONDITIONS[runner](**{p.name: args.get(p.name, p.default) for p in sig})
+    bound = {p.name: args.get(p.name, p.default) for p in sig}
+    try:
+        _real_fields_are_1d(**bound)
+        if runner in _PRECONDITIONS:
+            _PRECONDITIONS[runner](**bound)
+    except ValueError as exc:                  # a range the computation would reject
+        raise SchemaError(f"{cfg['experiment']}: {exc}") from exc
     return runner, args
 
 
@@ -327,7 +332,7 @@ def _has_convexity_constant(lattice: Lattice, model, mass_bound: float, **_):
     closed = model.convexity_constant(mass_bound, lattice.dim)
     if closed is None or closed[0] is None:
         why = f": {closed[2]}" if closed else " has none"
-        raise SchemaError(f"convexity needs a closed-form constant; {model!r}{why}")
+        raise ValueError(f"convexity needs a closed-form constant; {model!r}{why}")
 
 
 def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 0.0,
@@ -368,6 +373,11 @@ def _sinkhorn_vs_exact(seed: int, *, points: int = 32, dim: int = 4, eps_rel: fl
 def _tail_sum(*, s: float = 0.25, n_list: list[int] = (4, 8, 16)) -> tuple[dict, bool | None]:
     rows = [trans.gaussian_tail_bound(n, s) for n in n_list]
     return {"results": {"rows": rows}}, all(r["holds"] for r in rows)
+
+
+def _tail_sum_ranges(s: float, n_list: list, **_):
+    for n in n_list:
+        trans._check_tail_sum(n, s)
 
 
 def _coupling(lattice: Lattice, seed: int, *, n_samples: int = 4000,
@@ -447,6 +457,11 @@ def _decay_mass(lattice: Lattice, seed: int, *,
         bool(ok and increasing)
 
 
+def _decay_mass_ranges(grid: list, s: float, eps: float, **_):
+    for k1, k2 in grid:
+        samp._decay_domain(k1, k2, s, eps)
+
+
 def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_projected"),
                   domain: samp.PhaseDomain, sampler: samp.ChainConfig, *,
                   s: float = 0.35, r2_tol: float = 0.9) -> tuple[dict, bool | None]:
@@ -457,9 +472,13 @@ def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_proje
     return {"results": rep}, bool(passed)
 
 
+def _sobolev_tail_ranges(s: float, **_):
+    samp._check_tail_exponent(s)
+
+
 # kind -> runner, or (key, {value: runner}) when params[key] picks the task,
 # the first value by default; a runner in _PRECONDITIONS also has its bound
-# arguments checked together there, before any work
+# arguments checked together there, before any work (a ValueError is exit 2)
 _RUNNERS = {
     "sample": _run_sample,
     "flow": _run_flow,
@@ -473,7 +492,17 @@ _RUNNERS = {
     "zakharov": _run_zakharov,
     "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
-_PRECONDITIONS = {_run_convexity: _has_convexity_constant}
+_PRECONDITIONS = {_run_convexity: _has_convexity_constant,
+                  _sobolev_tail: _sobolev_tail_ranges,
+                  _tail_sum: _tail_sum_ranges, _decay_mass: _decay_mass_ranges}
+
+
+def _real_fields_are_1d(lattice: Lattice | None = None, model=None, **_):
+    """Every runner's precondition: a real-field model (KdV) lives on a 1D
+    lattice, as do its reference, coordinates and Hermitian check."""
+    if model is not None and lattice is not None and model.reality and lattice.dim != 1:
+        raise ValueError(f"{type(model).__name__} fields are real and need a 1D lattice, "
+                         f"not dim = {lattice.dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -303,15 +303,26 @@ class GrossPitaevskii(_Model):
 class GrossPitaevskiiProjected(_Model):
     """Projected-interaction variant: U(P_m u) with the mean-subtracted
     quartic U(u) = (lam/4) int ((|u|^2 - int |u|^2) * V) |u|^2 over a
-    massless reference; used by the truncation-entropy machinery."""
+    massless reference; used by the truncation-entropy machinery.
+
+    With m = n_project below the lattice's cutoff n, |P_m u|^2 has modes up
+    to 2m, and Q keeps those with |k_j| <= n.  So U(P_m u) is evaluated on
+    the centered block of cutoff L = min(2m, n): the field's block times the
+    Dirichlet multiplier of m, and V's coefficients cut to the same block
+    (not to m: a V supported beyond m meets the modes m < |k_j| <= 2m)."""
 
     potential: FourierField
     lam: float = 0.0
     n_project: int = 0        # 0 means no projection (full lattice)
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
-        if self.n_project and self.n_project < lattice.n:
-            coefs = coefs * dirichlet_multiplier(lattice, self.n_project)
+        m = self.n_project
+        if m and m < lattice.n:
+            sub = Lattice(lattice.dim, min(2 * m, lattice.n))
+            cut = slice(lattice.n - sub.n, lattice.n + sub.n + 1)
+            coefs = coefs[(slice(None),) + (cut,) * lattice.dim] * dirichlet_multiplier(sub, m)
+            return gp_wick_interaction_batch(coefs, sub, _cut_potential(self.potential, sub),
+                                             self.lam)
         return gp_wick_interaction_batch(coefs, lattice, self.potential, self.lam)
 
 
@@ -369,6 +380,17 @@ def intensity_coefficients(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     axes; the grid is zero-padded so no alias reaches the extracted modes."""
     vals = synthesize_batch(coefs, lattice, 2)
     return analyze_batch(np.abs(vals) ** 2, lattice)
+
+
+def _cut_potential(potential: FourierField, lattice: Lattice) -> FourierField:
+    """The potential's coefficients of the modes of a smaller lattice, as a
+    field on that lattice; cached on the potential per lattice."""
+    cache = potential.__dict__.setdefault("_cut_cache", {})
+    if lattice not in cache:
+        n = potential.lattice.n
+        cut = (slice(n - lattice.n, n + lattice.n + 1),) * lattice.dim
+        cache[lattice] = FourierField(lattice, potential.coef[cut].copy(), reality=True)
+    return cache[lattice]
 
 
 def _potential_support(potential: FourierField):

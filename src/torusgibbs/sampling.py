@@ -421,9 +421,10 @@ def _ess(w: np.ndarray) -> float:
 def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
                           n_samples: int, seed: int, rise_threshold: float = 5.0) -> dict:
     """Z estimates and maximal importance weights across truncation levels,
-    on common random fields (one full-resolution draw, projected, so the
+    on common random fields (one draw at the largest n, projected, so the
     truncations are coupled sample by sample; the draws stream in row
-    blocks, see _truncation_pass).
+    blocks, and each truncation is evaluated on its own lattice of 2n+1
+    modes, see _truncation_pass).
 
     The trend statistics are taken over the fixed population of samples
     inside the ball at the largest n (mass grows with n, so that is the
@@ -442,21 +443,24 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
 def _truncation_pass(p: int, lam: float, n_list: list, n_samples: int, seed: int):
     """Per-draw mass and NLS log-density, shape (len(n_list), n_samples),
     of n_samples massless reference fields at the largest n projected to
-    each n of the ascending n_list.  The draws stream in row blocks, each
-    projected in place from the largest n down."""
+    each n of the ascending n_list.  The draws stream in row blocks from the
+    largest lattice; the projection P_n of a block is its centered slice of
+    the modes |k| <= n, evaluated on Lattice(1, n, q) with q = max(2, p/2),
+    whose q(2n+1) > pn points integrate |u|^p exactly, so each n costs its
+    own 2n+1 modes and grid, not the largest one's."""
     if p % 2:
         raise ValueError("normalizability probe supports even p")
-    lattice = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
-    ref = GaussianReference(lattice, rho=0.0, field_type="complex")
+    q = max(2, math.ceil(p / 2))
+    top = max(n_list)
+    ref = GaussianReference(Lattice(1, top, q), rho=0.0, field_type="complex")
     model = ham.NLS(p, lam)
-    modes = np.abs(lattice.axis_modes())
     mass = np.empty((len(n_list), n_samples))
     logd = np.empty_like(mass)
     for rows, coefs in ref.sample_blocks(np.random.default_rng(seed), n_samples):
-        for i in reversed(range(len(n_list))):
-            coefs[:, modes > n_list[i]] = 0.0
-            mass[i, rows] = np.sum(np.abs(coefs) ** 2, axis=1)
-            logd[i, rows] = ham.interaction_log_density(model, coefs, lattice)
+        for i, n in enumerate(n_list):
+            head = coefs[:, top - n:top + n + 1]
+            mass[i, rows] = np.sum(np.abs(head) ** 2, axis=1)
+            logd[i, rows] = ham.interaction_log_density(model, head, Lattice(1, n, q))
     return mass, logd
 
 
@@ -512,8 +516,9 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
                            rise_threshold: float = 5.0) -> dict:
     """Operational N_0 estimator: bisection (in log N) for the largest mass
     bound the probe classifies stable, on common random fields per seed.
-    One streamed pass gives every draw's mass and log-density at each n;
-    each bisection mass only reclassifies those arrays."""
+    One streamed pass (_truncation_pass) gives every draw's mass and
+    log-density at each n, each n on its own lattice; each bisection mass
+    only reclassifies those arrays."""
     n_list = sorted(int(n) for n in n_list)
     mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
 
@@ -548,8 +553,7 @@ def tail_mass_estimate(ensemble: SampleEnsemble, s: float, kappa_list=None,
     """Empirical nu(Omega_N \\ Omega_{N,kappa}) across kappa plus a linear
     fit of log(tail) against kappa^2; the fitted slope must come out
     negative (the stated tail shape)."""
-    if not 0.25 < s < 0.5:
-        raise ValueError("needs 1/4 < s < 1/2")
+    _check_tail_exponent(s)
     w = sobolev_weights(ensemble.lattice, s, homogeneous=True)
     axes = tuple(range(1, ensemble.coefs.ndim))
     hs = np.sum(np.abs(ensemble.coefs) ** 2 * w, axis=axes)
@@ -575,6 +579,11 @@ def tail_mass_estimate(ensemble: SampleEnsemble, s: float, kappa_list=None,
             "r_squared": float(r2), "degenerate": bool(degenerate)}
 
 
+def _check_tail_exponent(s: float) -> None:
+    if not 0.25 < s < 0.5:
+        raise ValueError("needs 1/4 < s < 1/2")
+
+
 def decay_mass_lower_bound(k1: float, k2: float, s: float) -> float:
     """exp(-2(6+pi) e^{-K2^2/2} / (K2 sqrt(2 pi))) - exp(-K1^2/4 + pi/(2s) + 5),
     evaluated verbatim; can be vacuous (negative) for small K1."""
@@ -589,10 +598,8 @@ def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
     """Empirical reference mass of the decay domain against the closed-form
     lower bound; the bound is reported even when vacuous (negative).  Each
     4096-draw chunk streams in row blocks (GaussianReference.sample_blocks)."""
-    if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
-        raise ValueError("requires K2 exp(K2^2/2) > 4")
+    dom = _decay_domain(k1, k2, s, eps)
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
-    dom = PhaseDomain.decay(k1, k2, s, eps)
     rng = np.random.default_rng(seed)
     hits = 0
     total = 0
@@ -608,3 +615,10 @@ def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
     return {"k1": k1, "k2": k2, "s": s, "eps": eps, "empirical": p_hat,
             "stderr": se, "bound": bound, "bound_positive": bound > 0,
             "holds": (bound <= 0) or (p_hat >= bound - 3 * se)}
+
+
+def _decay_domain(k1: float, k2: float, s: float, eps: float) -> PhaseDomain:
+    """decay_domain_mass's domain; its lower bound needs K2 exp(K2^2/2) > 4."""
+    if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
+        raise ValueError("requires K2 exp(K2^2/2) > 4")
+    return PhaseDomain.decay(k1, k2, s, eps)

@@ -305,7 +305,9 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     ratio is jackknifed on paired weights).  The chain's log-density
     differences are taken in row blocks and the reference draws stream in
     row blocks (GaussianReference.sample_blocks), so the peak holds half of
-    the draws' coefficients."""
+    the draws' coefficients.  U(P_n u) is evaluated on the centered block of
+    cutoff min(2n, lattice.n), not on the whole lattice
+    (GrossPitaevskiiProjected)."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_n = ham.GrossPitaevskiiProjected(potential, lam, n_project=n)
     model_full = ham.GrossPitaevskiiProjected(potential, lam)
@@ -346,8 +348,7 @@ def gaussian_tail_bound(n: int, s: float, r_cut: int = 400) -> dict:
     """Closed form 4 pi / (s (n-1)^{2s}) against an upper estimate of the
     lattice sum sum_{|m| >= n} 2/|m|^{2+2s} (direct summation to r_cut plus
     an integral remainder)."""
-    if n < 2 or s <= 0:
-        raise ValueError("need n >= 2 and s > 0")
+    _check_tail_sum(n, s)
     bound = 4.0 * math.pi / (s * (n - 1) ** (2 * s))
     m = np.arange(-r_cut, r_cut + 1, dtype=float)
     m1, m2 = np.meshgrid(m, m, indexing="ij")
@@ -358,3 +359,8 @@ def gaussian_tail_bound(n: int, s: float, r_cut: int = 400) -> dict:
     total_upper = partial + remainder
     return {"n": n, "s": s, "bound": bound, "lattice_sum_upper": total_upper,
             "holds": bool(total_upper <= bound)}
+
+
+def _check_tail_sum(n: int, s: float) -> None:
+    if n < 2 or s <= 0:
+        raise ValueError("need n >= 2 and s > 0")

@@ -479,6 +479,43 @@ def test_probe_exponent_is_rejected_by_validation():
         validate_config({"experiment": "normalizability", "params": {"p": 7}})
 
 
+def test_kdv_on_a_2d_lattice_is_rejected_by_validation(tmp_path):
+    # real fields are 1D throughout (the reference, the Hermitian check), so
+    # validation rejects KdV on a 2D lattice before any work
+    kdv2 = {"lattice": {"dim": 2, "n": 4}, "model": {"kind": "kdv", "lam": 0.1}}
+    bad = [dict(kdv2, experiment="sample", sampler={"steps": 10, "burn_in": 0}),
+           dict(kdv2, experiment="flow", flow={"dt": 1e-3, "t_final": 1e-2})]
+    for i, cfg in enumerate(bad):
+        with pytest.raises(SchemaError, match="KdV fields are real and need a 1D lattice"):
+            run_experiment(cfg, output_dir=str(tmp_path / f"kdv{i}"))
+        assert not (tmp_path / f"kdv{i}").exists()
+        cfg["lattice"] = {"dim": 1, "n": 4}
+        assert run_experiment(cfg)[1] == 0
+
+
+# a range each task's computation rejects, and the message it rejects it with
+RANGE_ERRORS = [
+    ({"task": "sobolev_tail", "s": 0.1}, "tail", "needs 1/4 < s < 1/2"),
+    ({"task": "sobolev_tail", "s": 0.5}, "tail", "needs 1/4 < s < 1/2"),
+    ({"task": "tail_sum", "n_list": [1]}, "transport", "need n >= 2 and s > 0"),
+    ({"task": "tail_sum", "n_list": [4, 8], "s": 0.0}, "transport", "need n >= 2 and s > 0"),
+    ({"task": "decay_mass", "s": 0.3}, "tail", "0 < s < 1/4"),
+    ({"task": "decay_mass", "eps": 0.2}, "tail", "0 < eps < 1/8"),
+    ({"task": "decay_mass", "grid": [[7.5, 3.0], [8.0, 1.0]]}, "tail", "K2 exp"),
+]
+
+
+@pytest.mark.parametrize("params,experiment,message", RANGE_ERRORS,
+                         ids=[f"{p['task']}-{i}" for i, (p, _, _) in enumerate(RANGE_ERRORS)])
+def test_ranges_the_computation_rejects_exit_2(tmp_path, params, experiment, message):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps({"experiment": experiment, "params": params}))
+    assert main(["run", str(path), "-o", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(SchemaError, match=f"{experiment}: .*{message}"):
+        validate_config({"experiment": experiment, "params": params})
+
+
 @pytest.mark.parametrize("exc", [ValueError("KdV field must be real"),
                                  GridResolutionError("grid of 5 points per axis cannot "
                                                      "hold modes up to |k| = 4")])

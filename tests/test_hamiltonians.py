@@ -174,6 +174,27 @@ def test_kdv_log_density_rejects_complex_fields():
         ham.energy(tg.KdV(0.9), FourierField(lat, coefs[0]))
 
 
+@pytest.mark.parametrize("potential,n,m", [(ham.gp_soft_sphere_potential, 12, 3),
+                                           (ham.gp_soft_sphere_potential, 12, 5),
+                                           (ham.gp_soft_sphere_potential, 12, 12),
+                                           (ham.gp_soft_sphere_potential, 12, 20),
+                                           (ham.gp_cosine_potential, 48, 8),
+                                           (ham.gp_cosine_potential, 48, 16)])
+def test_projected_gp_log_density_matches_the_masked_full_lattice(potential, n, m):
+    # U(P_m u) on the block of cutoff min(2m, n) against P_m u on the whole
+    # lattice; the soft sphere's V reaches past m, so a V cut to the (2m+1)
+    # block would lose terms of |P_m u|^2
+    lat = Lattice(2, n)
+    pot = potential(lat)
+    if potential is ham.gp_soft_sphere_potential and m < n:
+        assert np.abs(pot.coef * (1.0 - spectral.dirichlet_multiplier(lat, m))).max() > 1e-8
+    coefs = tg.GaussianReference(lat).sample_batch(np.random.default_rng(n + m), 40)
+    model = ham.GrossPitaevskiiProjected(pot, lam=0.7, n_project=m)
+    masked = ham.gp_wick_interaction_batch(coefs * spectral.dirichlet_multiplier(lat, m),
+                                           lat, pot, 0.7)
+    np.testing.assert_allclose(model.log_density(coefs, lat), masked, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("potential", [ham.gp_cosine_potential, ham.gp_soft_sphere_potential])
 def test_gp_quartic_batch_empty_stack(potential):
     lat = Lattice(2, 3)

@@ -9,7 +9,7 @@ from scipy.special import polygamma
 import torusgibbs as tg
 from torusgibbs import hamiltonians as ham
 from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
-                                 SampleEnsemble, decay_domain_mass,
+                                 SampleEnsemble, _truncation_pass, decay_domain_mass,
                                  decay_mass_lower_bound, estimate_critical_mass,
                                  normalizability_probe, rejection_sample_domain,
                                  run_pcn_chain, sample_zakharov_ensemble,
@@ -291,6 +291,22 @@ def test_normalizability_classifications():
     rep8 = normalizability_probe(8, 1.0, n_mass, [8, 16, 32], 1500, seed=19)
     assert rep8["classification"] == "divergent"
     assert rep8["mean_log_weight_rise"] > 100
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_truncation_pass_matches_the_masked_top_lattice(p):
+    # each n on its own lattice against the draws zeroed above n on the largest
+    n_list, n_samples, seed = [4, 8, 16, 32], 1200, 7
+    mass, logd = _truncation_pass(p, 0.3, n_list, n_samples, seed)
+    top = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
+    assert len(spectral._row_blocks(n_samples, 16 * math.prod(top.shape))) >= 2
+    coefs = GaussianReference(top).sample_batch(np.random.default_rng(seed), n_samples)
+    for n, mass_n, logd_n in zip(n_list, mass, logd):
+        masked = coefs * spectral.dirichlet_multiplier(top, n)
+        np.testing.assert_allclose(mass_n, np.sum(np.abs(masked) ** 2, axis=1),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(logd_n, tg.NLS(p, 0.3).log_density(masked, top),
+                                   rtol=1e-12, atol=0)
 
 
 def test_critical_mass_takes_one_log_density_per_block_and_n(monkeypatch):
