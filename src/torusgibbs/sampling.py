@@ -97,14 +97,43 @@ class GaussianReference:
 
     def sample_blocks(self, rng: np.random.Generator, count: int):
         """Yield (rows, coefs) row blocks of at most spectral._BLOCK_BYTES
-        whose concatenation is sample_batch(rng, count), bit for bit.  The
-        scaled real parts of all rows are drawn first and held (half a batch);
-        the imaginary parts are drawn one block at a time."""
+        whose concatenation is sample_batch(rng, count), bit for bit; a
+        finished stream leaves rng where sample_batch leaves it.
+
+        The stream draws every row's real part before any imaginary part.
+        One pass over that real section keeps block 0's scaled real part and
+        rng's state at the start of every later block.  Then each block's
+        imaginary part is drawn from rng while the stream's one worker
+        thread, started when there is a block to replay, replays the next
+        block's real part from its saved state (the draws release the GIL).
+        So the stream holds a few blocks, never half the batch."""
         std = self._std()
-        real = rng.standard_normal((count,) + std.shape)
+        blocks = _row_blocks(count, 16 * math.prod(self.lattice.shape))
+        if not blocks:
+            return
+        shapes = [(rows.stop - rows.start,) + std.shape for rows in blocks]
+        real = rng.standard_normal(shapes[0])
         real *= std
-        for rows in _row_blocks(count, 16 * math.prod(self.lattice.shape)):
-            yield rows, self._complete(rng, real[rows])
+        skip = np.empty_like(real)
+        states = []
+        for shape in shapes[1:]:
+            states.append(rng.bit_generator.state)
+            rng.standard_normal(out=skip[:shape[0]])
+        del skip
+        if states:      # imported here: a one-block stream loads no thread machinery
+            from concurrent.futures import ThreadPoolExecutor
+            gen = np.random.Generator(type(rng.bit_generator)())
+            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusgibbs-replay")
+        try:
+            for i, rows in enumerate(blocks):
+                if i:
+                    real = ahead.result()
+                if i < len(states):
+                    ahead = worker.submit(_replay, gen, states[i], shapes[i + 1], std)
+                yield rows, self._complete(rng, real)
+        finally:
+            if states:
+                worker.shutdown()
 
     def _complete(self, rng: np.random.Generator, real: np.ndarray) -> np.ndarray:
         """Coefficient rows from the scaled real parts of their draws, drawing
@@ -123,6 +152,16 @@ class GaussianReference:
         coefs[:, n + 1:] = 0.5 * (real - 1j * b)
         coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
         return coefs
+
+
+def _replay(gen: np.random.Generator, state: dict, shape: tuple, std: np.ndarray) -> np.ndarray:
+    """A block's scaled real part, drawn again from its saved bit-generator
+    state.  Runs on the worker, so it calls nothing but the generator and
+    numpy arithmetic (the perfbench tracer's span stack is not thread-safe)."""
+    gen.bit_generator.state = state
+    real = gen.standard_normal(shape)
+    real *= std
+    return real
 
 
 def _massless_std(lat: Lattice) -> np.ndarray:
@@ -596,13 +635,17 @@ def decay_mass_lower_bound(k1: float, k2: float, s: float) -> float:
 def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
                       lattice: Lattice, n_samples: int, seed: int) -> dict:
     """Empirical reference mass of the decay domain against the closed-form
-    lower bound; the bound is reported even when vacuous (negative).  Each
-    4096-draw chunk streams in row blocks (GaussianReference.sample_blocks)."""
+    lower bound; the bound is reported even when vacuous (negative).  The
+    draws stream in row blocks (GaussianReference.sample_blocks), so the
+    peak holds a few blocks."""
     dom = _decay_domain(k1, k2, s, eps)
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
     rng = np.random.default_rng(seed)
     hits = 0
     total = 0
+    # the stream bounds memory, not the chunks; but each 4096-draw chunk
+    # is one sample_batch of the seeded stream (its real parts, then its
+    # imaginary parts), so drawing all n_samples at once would change every draw
     chunk = 4096
     while total < n_samples:
         m = min(chunk, n_samples - total)

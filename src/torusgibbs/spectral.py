@@ -8,8 +8,10 @@ L^2 and Parseval reads  mean_grid |u|^2 = sum_k |c_k|^2.  The mass ball
 
 Transforms.  One pair in FFT order (mode k at index k mod m): fft_synthesize
 zero-fills the middle of the spectrum to m >= 2n+1 points per axis and runs
-one unscaled inverse FFT, fft_analyze the forward FFT; real fields may travel
-as half spectra.  synthesize_batch and analyze_batch only reorder around it.
+the unscaled inverse FFT, fft_analyze the forward FFT; real fields may travel
+as half spectra.  A 2D transform is two 1D numpy.fft calls, last axis first:
+what numpy's nd transforms run, without their wrapper's cost per call.
+synthesize_batch and analyze_batch only reorder around it.
 Grid sizes are 11-smooth lengths (_fast_len), which the FFT factors into
 its fast radices.
 """
@@ -246,11 +248,12 @@ def fft_synthesize(fcoefs: np.ndarray, dim: int, m: int | None = None,
                              dtype=np.complex128)
         for src, dst in _zero_fill(n, m, full, real):
             buf[dst] = fcoefs[src]
-    if real:
-        return np.fft.irfft(buf, m, norm="forward") if dim == 1 else \
-            np.fft.irfft2(buf, (m, m), norm="forward")
-    return np.fft.ifft(buf, norm="forward", out=out) if dim == 1 else \
-        np.fft.ifftn(buf, axes=(-2, -1), norm="forward", out=out)
+    if real:                              # axis -2, then the half spectrum, as irfft2
+        if dim == 2:
+            buf = np.fft.ifft(buf, axis=-2, norm="forward")
+        return np.fft.irfft(buf, m, norm="forward")
+    buf = np.fft.ifft(buf, norm="forward", out=out)   # last axis first, as ifftn
+    return buf if dim == 1 else np.fft.ifft(buf, axis=-2, norm="forward", out=out)
 
 
 def fft_analyze(values: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
@@ -261,12 +264,9 @@ def fft_analyze(values: np.ndarray, dim: int, n: int | None = None) -> np.ndarra
         raise GridResolutionError(
             f"grid of {m} points per axis cannot resolve modes up to |k| = {n}")
     real = np.isrealobj(values)
-    if real:
-        c = np.fft.rfft(values, norm="forward") if dim == 1 else \
-            np.fft.rfft2(values, norm="forward")
-    else:
-        c = np.fft.fft(values, norm="forward") if dim == 1 else \
-            np.fft.fft2(values, norm="forward")
+    c = np.fft.rfft(values, norm="forward") if real else np.fft.fft(values, norm="forward")
+    if dim == 2:                          # last axis first, as rfft2 and fft2
+        c = np.fft.fft(c, axis=-2, norm="forward")
     if n is None or m == 2 * n + 1:
         return c
     for axis in range(-dim, -1 if real else 0):   # per-axis take keeps stacks C-ordered

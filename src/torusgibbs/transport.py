@@ -71,8 +71,8 @@ class TransportPlan:
 
 def logsumexp(x: np.ndarray, axis: int | None = None):
     """log(sum(exp(x))) along axis for finite x, shifted by the maximum."""
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.log(np.sum(np.exp(x - m), axis=axis)) + np.squeeze(m, axis=axis)
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def _plan_residual(plan, a, b) -> float:
@@ -304,10 +304,10 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
     sampling from the common Gaussian reference (shared draws, so the log
     ratio is jackknifed on paired weights).  The chain's log-density
     differences are taken in row blocks and the reference draws stream in
-    row blocks (GaussianReference.sample_blocks), so the peak holds half of
-    the draws' coefficients.  U(P_n u) is evaluated on the centered block of
-    cutoff min(2n, lattice.n), not on the whole lattice
-    (GrossPitaevskiiProjected)."""
+    row blocks (GaussianReference.sample_blocks): the chain's kept states
+    set the peak, and the draws, made after they are freed, hold a few
+    blocks.  U(P_n u) is evaluated on the centered block of cutoff
+    min(2n, lattice.n), not on the whole lattice (GrossPitaevskiiProjected)."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_n = ham.GrossPitaevskiiProjected(potential, lam, n_project=n)
     model_full = ham.GrossPitaevskiiProjected(potential, lam)

@@ -126,19 +126,54 @@ def test_sample_batch_is_the_pinned_formula_bitwise(kind, count):
     (Lattice(2, 16), "complex", 200),      # 60 rows per block
     (Lattice(1, 64), "complex", 1200),     # 508 rows per block
     (Lattice(1, 64), "real", 1100),
+    (Lattice(2, 16), "complex", 1500),     # 25 blocks
+    (Lattice(1, 64), "real", 12000),       # 24 blocks
 ])
 def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     ref = GaussianReference(lattice, 0.0, field_type)
-    rng, batch_rng = np.random.default_rng(9), np.random.default_rng(9)
-    blocks = list(ref.sample_blocks(rng, count))
-    assert len(blocks) >= 3
-    assert all(coefs.nbytes <= spectral._BLOCK_BYTES for _, coefs in blocks)
-    assert [rows.stop for rows, _ in blocks[:-1]] == [rows.start for rows, _ in blocks[1:]]
-    assert blocks[-1][0].stop == count
+    batch_rng = np.random.default_rng(9)
     batch = ref.sample_batch(batch_rng, count)
-    assert np.array_equal(np.concatenate([c for _, c in blocks]).view(np.uint64),
-                          batch.view(np.uint64))
-    assert rng.standard_normal() == batch_rng.standard_normal()
+    rng = np.random.default_rng(9)
+    blocks = []
+    tracemalloc.start()
+    try:
+        for rows, coefs in ref.sample_blocks(rng, count):
+            assert coefs.nbytes <= spectral._BLOCK_BYTES
+            assert np.array_equal(coefs.view(np.uint64), batch[rows].view(np.uint64))
+            blocks.append(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) >= 3
+    assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]]
+    assert blocks[0].start == 0 and blocks[-1].stop == count
+    assert rng.bit_generator.state == batch_rng.bit_generator.state
+    # a few blocks; the real half of the 25- and 24-block batches is more
+    assert peak <= 5 * spectral._BLOCK_BYTES
+
+    # abandoned after its first block: rng stands after the real section
+    # and that block's imaginary part, untouched by the pending replay
+    rng = np.random.default_rng(9)
+    stream = ref.sample_blocks(rng, count)
+    rows, first = next(stream)
+    stream.close()
+    assert np.array_equal(first.view(np.uint64), batch[rows].view(np.uint64))
+    want = np.random.default_rng(9)
+    want.standard_normal((count,) + ref._std().shape)
+    want.standard_normal((rows.stop,) + ref._std().shape)
+    assert rng.bit_generator.state == want.bit_generator.state
+
+    # two streams iterated in turn
+    rngs = [np.random.default_rng(9), np.random.default_rng(10)]
+    got = [[], []]
+    for pair in zip(*(ref.sample_blocks(r, count) for r in rngs)):
+        for out, (_, coefs) in zip(got, pair):
+            out.append(coefs)
+    for seed, r, out in zip((9, 10), rngs, got):
+        batch_rng = np.random.default_rng(seed)
+        batch = ref.sample_batch(batch_rng, count)
+        assert np.array_equal(np.concatenate(out).view(np.uint64), batch.view(np.uint64))
+        assert r.bit_generator.state == batch_rng.bit_generator.state
 
 
 # -- phase domains -----------------------------------------------------------
@@ -389,8 +424,7 @@ def test_decay_domain_mass_streams_its_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batch = 16 * count * lat.modes_per_axis ** 2
-    assert peak < batch / 2 + 6 * spectral._BLOCK_BYTES     # half a batch and a few blocks
+    assert peak < 6 * spectral._BLOCK_BYTES      # a few blocks, not half the batch
 
 
 def test_decay_domain_mass_vacuous_bound_flagged():

@@ -296,5 +296,4 @@ def test_relative_entropy_streams_its_reference_draws():
     finally:
         tracemalloc.stop()
     assert math.isfinite(row["entropy"])
-    batch = 16 * count * lat.modes_per_axis ** 2
-    assert peak < batch / 2 + 6 * spectral._BLOCK_BYTES     # half a batch and a few blocks
+    assert peak < 6 * spectral._BLOCK_BYTES      # a few blocks, not half the batch
