@@ -443,13 +443,8 @@ def _decay_mass(lattice: Lattice, seed: int, *,
                 grid: list[list[float]] = ((7.5, 3.0), (8.0, 3.5), (8.5, 4.0)),
                 s: float = 0.2, eps: float = 0.1,
                 n_samples: int = 20000) -> tuple[dict, bool | None]:
-    rows = []
-    ok = True
-    for k1, k2 in grid:
-        row = samp.decay_domain_mass(k1, k2, s, eps, lattice, n_samples, seed)
-        rows.append(row)
-        if row["bound_positive"]:
-            ok = ok and row["holds"]
+    rows = samp.decay_domain_mass_grid(grid, s, eps, lattice, n_samples, seed)
+    ok = all(row["holds"] for row in rows if row["bound_positive"])
     masses = [r["empirical"] for r in rows]
     increasing = all(b >= a - 3 * (rows[i]["stderr"] + rows[i + 1]["stderr"])
                      for i, (a, b) in enumerate(zip(masses, masses[1:])))

@@ -96,9 +96,11 @@ class GaussianReference:
         return self._complete(rng, rng.standard_normal((count,) + std.shape) * std)
 
     def sample_blocks(self, rng: np.random.Generator, count: int):
-        """Yield (rows, coefs) row blocks of at most spectral._BLOCK_BYTES
-        whose concatenation is sample_batch(rng, count), bit for bit; a
-        finished stream leaves rng where sample_batch leaves it.
+        """Yield (rows, coefs) row blocks whose concatenation is
+        sample_batch(rng, count), bit for bit; a finished stream leaves rng
+        where sample_batch leaves it.  A block is sized by what it holds at
+        once: its complex rows (16 B per mode) and the real parts drawn and
+        replayed for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
 
         The stream draws every row's real part before any imaginary part.
         One pass over that real section keeps block 0's scaled real part and
@@ -108,7 +110,7 @@ class GaussianReference:
         block's real part from its saved state (the draws release the GIL).
         So the stream holds a few blocks, never half the batch."""
         std = self._std()
-        blocks = _row_blocks(count, 16 * math.prod(self.lattice.shape))
+        blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
         if not blocks:
             return
         shapes = [(rows.stop - rows.start,) + std.shape for rows in blocks]
@@ -346,7 +348,26 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
                   config: ChainConfig):
     """Reference-preserving Metropolis chain for exp(phi) d(reference)
     restricted to the domain; starts at the zero field.  Returns the thinned
-    post-burn-in ensemble and acceptance statistics."""
+    post-burn-in ensemble and acceptance statistics, collected from the
+    chain's one loop, _pcn_kept."""
+    lat = reference.lattice
+    states = _pcn_kept(model, domain, reference, config)
+    kept = np.empty((_kept_count(config),) + lat.shape, dtype=np.complex128)
+    for i in range(len(kept)):
+        kept[i] = next(states)[0]
+    stats = _chain_stats(states)
+    ens = SampleEnsemble(lat, kept, reference.reality,
+                         reference.zero_mode, seed=config.seed, thinning=config.thin,
+                         meta={"beta": stats.beta, "acceptance": stats.acceptance_rate})
+    return ens, stats
+
+
+def _pcn_kept(model, domain: PhaseDomain, reference: GaussianReference,
+              config: ChainConfig):
+    """The pCN chain as a generator of its kept (thinned, post-burn-in)
+    states, _kept_count(config) of them, each a (1, ...) array the chain
+    never writes again.  Its return value (StopIteration.value, see
+    _chain_stats) is the chain's ChainStats, known once every step is run."""
     lat = reference.lattice
     state = np.zeros((1,) + lat.shape, dtype=np.complex128)
     if not domain.contains_batch(state, lat)[0]:
@@ -359,20 +380,29 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
     phi = ham.interaction_log_density(model, state, lat)[0]
     accepted = 0
     total = config.burn_in + config.steps
-    kept = np.empty((len(range(config.burn_in, total, config.thin)),) + lat.shape,
-                    dtype=np.complex128)
     for step in range(total):
         state, phi, acc = _pcn_step(model, domain, reference, rng, state, phi, beta)
         accepted += acc
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            kept[(step - config.burn_in) // config.thin] = state[0]
+            yield state
     rate = accepted / total
     if rate < 0.01:
         warnings.append(f"acceptance rate {rate:.3f} < 1%; try beta ~ {beta / 4:.3g}")
-    ens = SampleEnsemble(lat, kept, reference.reality,
-                         reference.zero_mode, seed=config.seed, thinning=config.thin,
-                         meta={"beta": beta, "acceptance": rate})
-    return ens, ChainStats(rate, beta, warnings)
+    return ChainStats(rate, beta, warnings)
+
+
+def _kept_count(config: ChainConfig) -> int:
+    return len(range(config.burn_in, config.burn_in + config.steps, config.thin))
+
+
+def _chain_stats(states) -> ChainStats:
+    """Run a _pcn_kept generator whose kept states are all taken to its
+    end, and return its ChainStats."""
+    try:
+        next(states)
+    except StopIteration as end:
+        return end.value
+    raise RuntimeError("the chain kept more states than its config counts")
 
 
 def _pilot_beta(model, domain, reference, config: ChainConfig,
@@ -635,13 +665,22 @@ def decay_mass_lower_bound(k1: float, k2: float, s: float) -> float:
 def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
                       lattice: Lattice, n_samples: int, seed: int) -> dict:
     """Empirical reference mass of the decay domain against the closed-form
-    lower bound; the bound is reported even when vacuous (negative).  The
-    draws stream in row blocks (GaussianReference.sample_blocks), so the
-    peak holds a few blocks."""
-    dom = _decay_domain(k1, k2, s, eps)
+    lower bound; the one-domain form of decay_domain_mass_grid."""
+    return decay_domain_mass_grid([(k1, k2)], s, eps, lattice, n_samples, seed)[0]
+
+
+def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
+                           n_samples: int, seed: int) -> list:
+    """decay_domain_mass at each (K1, K2) of grid, one row each, from one
+    stream of n_samples reference draws: every block is tested for membership
+    of each domain, so each row is the one its own call would give.  The
+    bound is reported even when vacuous (negative).  The draws stream in row
+    blocks (GaussianReference.sample_blocks), so the peak holds a few
+    blocks."""
+    domains = [_decay_domain(k1, k2, s, eps) for k1, k2 in grid]
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits = [0] * len(domains)
     total = 0
     # the stream bounds memory, not the chunks; but each 4096-draw chunk
     # is one sample_batch of the seeded stream (its real parts, then its
@@ -650,18 +689,22 @@ def decay_domain_mass(k1: float, k2: float, s: float, eps: float,
     while total < n_samples:
         m = min(chunk, n_samples - total)
         for _, batch in ref.sample_blocks(rng, m):
-            hits += int(dom.contains_batch(batch, lattice).sum())
+            for i, dom in enumerate(domains):
+                hits[i] += int(dom.contains_batch(batch, lattice).sum())
         total += m
-    p_hat = hits / total
-    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
-    bound = decay_mass_lower_bound(k1, k2, s)
-    return {"k1": k1, "k2": k2, "s": s, "eps": eps, "empirical": p_hat,
-            "stderr": se, "bound": bound, "bound_positive": bound > 0,
-            "holds": (bound <= 0) or (p_hat >= bound - 3 * se)}
+    rows = []
+    for (k1, k2), h in zip(grid, hits):
+        p_hat = h / total
+        se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
+        bound = decay_mass_lower_bound(k1, k2, s)
+        rows.append({"k1": k1, "k2": k2, "s": s, "eps": eps, "empirical": p_hat,
+                     "stderr": se, "bound": bound, "bound_positive": bound > 0,
+                     "holds": (bound <= 0) or (p_hat >= bound - 3 * se)})
+    return rows
 
 
 def _decay_domain(k1: float, k2: float, s: float, eps: float) -> PhaseDomain:
-    """decay_domain_mass's domain; its lower bound needs K2 exp(K2^2/2) > 4."""
+    """decay_domain_mass_grid's domain; its lower bound needs K2 exp(K2^2/2) > 4."""
     if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
         raise ValueError("requires K2 exp(K2^2/2) > 4")
     return PhaseDomain.decay(k1, k2, s, eps)

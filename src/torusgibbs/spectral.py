@@ -341,8 +341,10 @@ def lp_integral(fld: FourierField, p: int) -> float:
 
 def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray:
     """lp_integral over a (B, ...) coefficient stack, synthesized in row
-    blocks.  Odd p synthesizes the real field from its half spectrum, so the
-    caller vouches that the fields are real."""
+    blocks sized by what a block holds at once: the complex grid, its
+    modulus and its power (32 B per point), at most _BLOCK_BYTES.  Odd p
+    synthesizes the real field from its half spectrum, so the caller vouches
+    that the fields are real."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
@@ -350,7 +352,7 @@ def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray
     m = lattice.grid_points(max(lattice.oversample, math.ceil(p / 2)))
     axes = tuple(range(1, dim + 1))
     out = np.empty(coefs.shape[0])
-    for rows in _row_blocks(coefs.shape[0], 16 * m ** dim):
+    for rows in _row_blocks(coefs.shape[0], 32 * m ** dim):
         fcoefs = to_fft_order(coefs[rows], dim)
         if p % 2:
             vals = fft_synthesize(fcoefs[..., :lattice.n + 1], dim, m, real=True)

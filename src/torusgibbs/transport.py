@@ -16,7 +16,8 @@ import numpy as np
 
 from . import hamiltonians as ham
 from .concentration import _jackknife
-from .sampling import ChainConfig, GaussianReference, PhaseDomain, _ess, run_pcn_chain
+from .sampling import (ChainConfig, GaussianReference, PhaseDomain, _chain_stats, _ess,
+                       _kept_count, _pcn_kept)
 from .spectral import FourierField, Lattice, _row_blocks, coord_layout, dirichlet_multiplier
 
 
@@ -299,41 +300,71 @@ def relative_entropy_truncation(potential: FourierField, lam: float,
                                 domain: PhaseDomain, lattice: Lattice, n: int,
                                 chain: ChainConfig, n_z_samples: int,
                                 z_seed: int) -> dict:
-    """Ent(nu_n | nu) = E_{nu_n}[U(P_n u) - U(u)] + log Z - log Z_n, sampling
-    nu_n by pCN and estimating both partition functions by importance
-    sampling from the common Gaussian reference (shared draws, so the log
-    ratio is jackknifed on paired weights).  The chain's log-density
-    differences are taken in row blocks and the reference draws stream in
-    row blocks (GaussianReference.sample_blocks): the chain's kept states
-    set the peak, and the draws, made after they are freed, hold a few
-    blocks.  U(P_n u) is evaluated on the centered block of cutoff
-    min(2n, lattice.n), not on the whole lattice (GrossPitaevskiiProjected)."""
+    """Ent(nu_n | nu) at one truncation level: the one-level form of
+    relative_entropy_levels."""
+    return relative_entropy_levels(potential, lam, domain, lattice, {n: chain},
+                                   n_z_samples, z_seed)[0]
+
+
+def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDomain,
+                            lattice: Lattice, chains: dict, n_z_samples: int,
+                            z_seed: int) -> list:
+    """Ent(nu_n | nu) = E_{nu_n}[U(P_n u) - U(u)] + log Z - log Z_n at each
+    level n of chains, a mapping n -> ChainConfig: one row per level, in the
+    mapping's order.  nu_n is sampled by its pCN chain, whose kept states
+    stream through one row block where U(P_n u) - U(u) is taken.  Both
+    partition functions are estimated by importance sampling on one streamed
+    pass of common reference draws (GaussianReference.sample_blocks) that
+    serves every level: the log ratio is jackknifed on paired weights, and
+    each block's membership and full log-density are taken once.  The peak
+    holds a few blocks.  U(P_n u) is evaluated on the centered block of
+    cutoff min(2n, lattice.n), not on the whole lattice
+    (GrossPitaevskiiProjected)."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
-    model_n = ham.GrossPitaevskiiProjected(potential, lam, n_project=n)
     model_full = ham.GrossPitaevskiiProjected(potential, lam)
-    ens, stats = run_pcn_chain(model_n, domain, reference, chain)
-    du = np.empty(len(ens))
-    for rows in _row_blocks(len(ens), ens.coefs[0].nbytes):
-        du[rows] = (ham.interaction_log_density(model_n, ens.coefs[rows], lattice)
-                    - ham.interaction_log_density(model_full, ens.coefs[rows], lattice))
-    del ens
-    mean_du, se_du = _jackknife(du, lambda x: float(np.mean(x)))
+    models = [ham.GrossPitaevskiiProjected(potential, lam, n_project=n) for n in chains]
+    chain_terms = [_chain_delta_u(model_n, model_full, domain, reference, chain)
+                   for model_n, chain in zip(models, chains.values())]
     inside = np.empty(n_z_samples, dtype=bool)
     lw_full = np.empty(n_z_samples)
-    lw_n = np.empty(n_z_samples)
+    lw_n = np.empty((len(models), n_z_samples))
     for rows, draws in reference.sample_blocks(np.random.default_rng(z_seed), n_z_samples):
         inside[rows] = domain.contains_batch(draws, lattice)
         lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
-        lw_n[rows] = ham.interaction_log_density(model_n, draws, lattice)
+        for lw, model_n in zip(lw_n, models):
+            lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
-    w_n = np.where(inside, np.exp(np.minimum(lw_n, 700.0)), 0.0)
-    log_ratio, se_ratio = _jackknife(np.column_stack([w_full, w_n]), _log_mean_ratio)
-    ent = mean_du + log_ratio
-    stderr = math.hypot(se_du, se_ratio)
-    reliable = np.mean(inside) > 0 and _ess(w_full) >= 30 and _ess(w_n) >= 30
-    return {"n": n, "entropy": ent, "stderr": stderr, "mean_delta_u": mean_du,
-            "log_z_ratio": log_ratio, "acceptance": stats.acceptance_rate,
-            "reliable": bool(reliable)}
+    out = []
+    for n, (du, stats), lw in zip(chains, chain_terms, lw_n):
+        mean_du, se_du = _jackknife(du, lambda x: float(np.mean(x)))
+        w_n = np.where(inside, np.exp(np.minimum(lw, 700.0)), 0.0)
+        log_ratio, se_ratio = _jackknife(np.column_stack([w_full, w_n]), _log_mean_ratio)
+        reliable = np.mean(inside) > 0 and _ess(w_full) >= 30 and _ess(w_n) >= 30
+        out.append({"n": n, "entropy": mean_du + log_ratio,
+                    "stderr": math.hypot(se_du, se_ratio), "mean_delta_u": mean_du,
+                    "log_z_ratio": log_ratio, "acceptance": stats.acceptance_rate,
+                    "reliable": bool(reliable)})
+    return out
+
+
+def _chain_delta_u(model_n, model_full, domain: PhaseDomain, reference: GaussianReference,
+                   chain: ChainConfig):
+    """U(P_n u) - U(u) at each kept state of model_n's chain, and the
+    chain's ChainStats.  The states stream into a buffer of one row block,
+    and each difference is taken on the same blocks as on the whole kept
+    ensemble."""
+    lattice = reference.lattice
+    states = _pcn_kept(model_n, domain, reference, chain)
+    du = np.empty(_kept_count(chain))
+    blocks = _row_blocks(len(du), 16 * math.prod(lattice.shape))
+    buffer = np.empty((blocks[0].stop if blocks else 0,) + lattice.shape, dtype=np.complex128)
+    for rows in blocks:
+        block = buffer[:rows.stop - rows.start]
+        for i in range(len(block)):
+            block[i] = next(states)[0]
+        du[rows] = (ham.interaction_log_density(model_n, block, lattice)
+                    - ham.interaction_log_density(model_full, block, lattice))
+    return du, _chain_stats(states)
 
 
 def _log_mean_ratio(pair: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from torusgibbs import hamiltonians as ham
 from torusgibbs import transport as trans
 from torusgibbs.experiments import smooth_state
 from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
-                                 SampleEnsemble, decay_domain_mass,
+                                 SampleEnsemble, decay_domain_mass_grid,
                                  estimate_critical_mass, normalizability_probe,
                                  rejection_sample_domain, run_pcn_chain,
                                  tail_mass_estimate)
@@ -343,12 +343,12 @@ def test_criterion_8_tail_bounds():
                and tails["r_squared"] > 0.9)
     # decay-domain mass: empirical frequency >= the closed-form lower bound where positive
     lat2 = Lattice(2, 16)
-    rows = [decay_domain_mass(k1, k2, 0.2, 0.1, lat2, 30000, seed=1009)
-            for k1, k2 in [(7.5, 3.0), (8.0, 3.5), (8.5, 4.0)]]
+    rows = decay_domain_mass_grid([(7.5, 3.0), (8.0, 3.5), (8.5, 4.0)], 0.2, 0.1, lat2,
+                                  30000, seed=1009)
     bound_ok = all(r["bound_positive"] and r["holds"] for r in rows)
     # full-measure limit: mass -> 1 along an increasing (K1, K2) grid
-    grid = [decay_domain_mass(k1, k2, 0.2, 0.1, lat2, 20000, seed=1010)["empirical"]
-            for k1, k2 in [(6.0, 2.5), (8.0, 3.5), (10.0, 4.5), (12.0, 6.0)]]
+    grid = [r["empirical"] for r in decay_domain_mass_grid(
+        [(6.0, 2.5), (8.0, 3.5), (10.0, 4.5), (12.0, 6.0)], 0.2, 0.1, lat2, 20000, seed=1010)]
     toward_one = all(b >= a - 0.01 for a, b in zip(grid, grid[1:])) \
         and grid[-1] > 0.999
     report(8, tail_ok and bound_ok and toward_one,
@@ -416,11 +416,9 @@ def test_criterion_10_transport():
     lat2 = Lattice(2, 48)
     pot = ham.gp_cosine_potential(lat2, amplitude=-1.0)
     dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
-    ent_rows = []
-    for n in (4, 8, 16, 32):
-        chain = ChainConfig(steps=6000, burn_in=1200, thin=2, seed=1050 + n)
-        ent_rows.append(trans.relative_entropy_truncation(pot, 1.0, dom, lat2, n,
-                                                          chain, 10000, z_seed=1099))
+    chains = {n: ChainConfig(steps=6000, burn_in=1200, thin=2, seed=1050 + n)
+              for n in (4, 8, 16, 32)}
+    ent_rows = trans.relative_entropy_levels(pot, 1.0, dom, lat2, chains, 10000, z_seed=1099)
     ents = [r["entropy"] for r in ent_rows]
     ses = [r["stderr"] for r in ent_rows]
     ent_ok = all(r["reliable"] for r in ent_rows) and \

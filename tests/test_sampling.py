@@ -8,8 +8,10 @@ from scipy.special import polygamma
 
 import torusgibbs as tg
 from torusgibbs import hamiltonians as ham
+from torusgibbs import sampling
 from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
-                                 SampleEnsemble, _truncation_pass, decay_domain_mass,
+                                 SampleEnsemble, _pcn_kept, _truncation_pass,
+                                 decay_domain_mass, decay_domain_mass_grid,
                                  decay_mass_lower_bound, estimate_critical_mass,
                                  normalizability_probe, rejection_sample_domain,
                                  run_pcn_chain, sample_zakharov_ensemble,
@@ -123,11 +125,11 @@ def test_sample_batch_is_the_pinned_formula_bitwise(kind, count):
 
 
 @pytest.mark.parametrize("lattice, field_type, count", [
-    (Lattice(2, 16), "complex", 200),      # 60 rows per block
-    (Lattice(1, 64), "complex", 1200),     # 508 rows per block
+    (Lattice(2, 16), "complex", 200),      # 30 rows per block
+    (Lattice(1, 64), "complex", 1200),     # 254 rows per block
     (Lattice(1, 64), "real", 1100),
-    (Lattice(2, 16), "complex", 1500),     # 25 blocks
-    (Lattice(1, 64), "real", 12000),       # 24 blocks
+    (Lattice(2, 16), "complex", 1500),     # 50 blocks
+    (Lattice(1, 64), "real", 12000),       # 48 blocks
 ])
 def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     ref = GaussianReference(lattice, 0.0, field_type)
@@ -148,7 +150,7 @@ def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]]
     assert blocks[0].start == 0 and blocks[-1].stop == count
     assert rng.bit_generator.state == batch_rng.bit_generator.state
-    # a few blocks; the real half of the 25- and 24-block batches is more
+    # a few blocks; the real half of the 50- and 48-block batches is more
     assert peak <= 5 * spectral._BLOCK_BYTES
 
     # abandoned after its first block: rng stands after the real section
@@ -226,6 +228,45 @@ def test_pcn_chain_determinism():
     e1, _ = run_pcn_chain(tg.NLS(4, 0.01), PhaseDomain.mass_ball(5.0), ref, cfg)
     e2, _ = run_pcn_chain(tg.NLS(4, 0.01), PhaseDomain.mass_ball(5.0), ref, cfg)
     assert np.array_equal(e1.coefs, e2.coefs)
+
+
+@pytest.mark.parametrize("beta", [0.6, None])
+def test_kept_state_generator_is_the_chain(monkeypatch, beta):
+    # run_pcn_chain collects _pcn_kept: same rows, same stats, and the chain's
+    # generators (pilot and steps) left in the same states, for a fixed and a
+    # pilot-tuned beta; 5 steps run after the last kept state
+    lat = Lattice(1, 6)
+    ref = GaussianReference(lat, 0.0, "complex")
+    dom = PhaseDomain.mass_ball(4.0)
+    model = tg.NLS(4, 0.05)
+    cfg = ChainConfig(steps=300, burn_in=40, thin=7, seed=7, beta=beta, pilot_steps=180)
+    made = []
+    chain_rng = sampling._chain_rng
+
+    def recorded(*args):
+        made.append(chain_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sampling, "_chain_rng", recorded)
+    ens, stats = run_pcn_chain(model, dom, ref, cfg)
+    after_chain = [r.bit_generator.state for r in made]
+    made.clear()
+    states = _pcn_kept(model, dom, ref, cfg)
+    rows = []
+    while True:
+        try:
+            rows.append(next(states)[0])
+        except StopIteration as end:
+            kept_stats = end.value
+            break
+    assert len(after_chain) == (2 if beta is None else 1)
+    assert [r.bit_generator.state for r in made] == after_chain
+    assert len(rows) == len(ens) == 43
+    assert np.array_equal(np.stack(rows).view(np.uint64), ens.coefs.view(np.uint64))
+    assert 0 < kept_stats.acceptance_rate < 1
+    assert (kept_stats.acceptance_rate, kept_stats.beta, kept_stats.warnings) == \
+        (stats.acceptance_rate, stats.beta, stats.warnings)
+    assert ens.meta == {"beta": stats.beta, "acceptance": stats.acceptance_rate}
 
 
 def test_pcn_samples_stay_in_domain():
@@ -354,8 +395,16 @@ def test_critical_mass_takes_one_log_density_per_block_and_n(monkeypatch):
         return log_density(self, coefs, lattice)
 
     monkeypatch.setattr(ham.NLS, "log_density", counted)
+    blocks = []
+    sample_blocks = GaussianReference.sample_blocks
+
+    def counted_blocks(self, rng, count):
+        for rows, coefs in sample_blocks(self, rng, count):
+            blocks.append(rows)
+            yield rows, coefs
+
+    monkeypatch.setattr(GaussianReference, "sample_blocks", counted_blocks)
     est = estimate_critical_mass(1.0, n_list, n_samples, seed, 1.0, 16.0, rounds=4)
-    blocks = spectral._row_blocks(n_samples, 16 * (2 * max(n_list) + 1))
     assert len(blocks) >= 2
     assert len(calls) == len(blocks) * len(n_list)         # not 6 probes x 3 n
     assert sum(calls) == n_samples * len(n_list)
@@ -425,6 +474,18 @@ def test_decay_domain_mass_streams_its_draws():
     finally:
         tracemalloc.stop()
     assert peak < 6 * spectral._BLOCK_BYTES      # a few blocks, not half the batch
+
+
+def test_decay_domain_mass_grid_rows_equal_their_own_calls():
+    lat = Lattice(2, 8)
+    grid = [(3.0, 3.0), (7.5, 3.0), (8.0, 3.5)]
+    count = 4096 + 900                # two chunks of the seeded stream
+    rows = decay_domain_mass_grid(grid, 0.2, 0.1, lat, count, seed=29)
+    assert rows == [decay_domain_mass(k1, k2, 0.2, 0.1, lat, count, seed=29)
+                    for k1, k2 in grid]
+    assert rows[0]["empirical"] < rows[1]["empirical"] < rows[2]["empirical"]
+    with pytest.raises(ValueError):   # every domain is checked before any draw
+        decay_domain_mass_grid([(7.5, 3.0), (5.0, 0.5)], 0.2, 0.1, lat, count, seed=29)
 
 
 def test_decay_domain_mass_vacuous_bound_flagged():

@@ -297,3 +297,36 @@ def test_relative_entropy_streams_its_reference_draws():
         tracemalloc.stop()
     assert math.isfinite(row["entropy"])
     assert peak < 6 * spectral._BLOCK_BYTES      # a few blocks, not half the batch
+
+
+def test_relative_entropy_levels_equal_their_own_calls():
+    lat = Lattice(2, 8)                # 113 reference rows per block: 4 blocks
+    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
+    dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
+    chains = {4: ChainConfig(steps=120, burn_in=20, thin=2, seed=40, beta=0.5),
+              2: ChainConfig(steps=90, burn_in=10, thin=3, seed=41)}
+    rows = trans.relative_entropy_levels(pot, 1.0, dom, lat, chains, 400, 42)
+    assert [r["n"] for r in rows] == [4, 2]
+    for row, (n, chain) in zip(rows, chains.items()):
+        single = trans.relative_entropy_truncation(pot, 1.0, dom, lat, n, chain, 400, 42)
+        for key in ("entropy", "stderr", "mean_delta_u", "log_z_ratio", "acceptance",
+                    "reliable"):
+            assert np.float64(row[key]).tobytes() == np.float64(single[key]).tobytes(), key
+        assert row == single
+
+
+def test_relative_entropy_streams_its_chain():
+    lat = Lattice(2, 24)
+    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
+    dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
+    chain = ChainConfig(steps=1100, burn_in=10, thin=2, seed=32, beta=0.5)
+    block_rows = spectral._BLOCK_BYTES // (16 * 49 ** 2)
+    assert 550 >= 20 * block_rows        # kept states: 20 blocks, 21 MB if held
+    tracemalloc.start()
+    try:
+        row = trans.relative_entropy_truncation(pot, 1.0, dom, lat, 8, chain, 400, 33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(row["entropy"]) and 0 < row["acceptance"] < 1
+    assert peak < 6 * spectral._BLOCK_BYTES      # a few blocks, not the chain
