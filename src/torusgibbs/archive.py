@@ -21,7 +21,7 @@ class ArchiveError(RuntimeError):
     pass
 
 
-def write_ensemble(path: str, ensemble: SampleEnsemble, extra_meta: dict | None = None):
+def write_ensemble(path: str, ensemble: SampleEnsemble):
     coefs = np.ascontiguousarray(ensemble.coefs, dtype=np.complex128)
     payload = coefs.view(np.float64)
     if payload.dtype.byteorder == ">" or (payload.dtype.byteorder == "="
@@ -41,7 +41,7 @@ def write_ensemble(path: str, ensemble: SampleEnsemble, extra_meta: dict | None 
         "layout": "float64 little-endian, interleaved re/im, row-major over "
                   "centered lattice indices",
         "payload_sha256": hashlib.sha256(raw).hexdigest(),
-        "meta": dict(ensemble.meta, **(extra_meta or {})),
+        "meta": ensemble.meta,
     }
     hdr = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

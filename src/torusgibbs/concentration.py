@@ -135,13 +135,13 @@ def _entropy_stat(fsq: np.ndarray) -> float:
     return float(np.mean(term) - mean * math.log(mean))
 
 
-def entropy_of_functional(values: np.ndarray, n_batches: int = 30):
+def entropy_of_functional(values: np.ndarray):
     """Plug-in Ent(f^2) = E f^2 log f^2 - E f^2 log E f^2 >= 0 with a
     block-jackknife stderr; exactly 0 for constant samples."""
     fsq = np.asarray(values, dtype=float) ** 2
     if np.allclose(fsq, fsq[0]):
         return 0.0, 0.0
-    return _jackknife(fsq, _entropy_stat, n_batches)
+    return _jackknife(fsq, _entropy_stat)
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,7 @@ class MetricSpec:
 
 def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
                    metric: MetricSpec, reality: bool, zero_mode: bool,
-                   alpha_predicted: float | None = None, mode: str = "lsi",
-                   n_batches: int = 30) -> dict:
+                   alpha_predicted: float | None = None, mode: str = "lsi") -> dict:
     """Per-functional ratios 2 E / Ent (lsi) or 2 E / Var (poincare), the
     dictionary infimum alpha_hat, and the PASS flag alpha_hat >=
     alpha_predicted - 3 stderr.  Each ratio upper-bounds the optimal
@@ -176,13 +175,13 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
 
         w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
         gsq = np.sum(w[None, :] * f.gradients(coords) ** 2, axis=1)
-        ent, ent_se = entropy_of_functional(vals, n_batches)
+        ent, ent_se = entropy_of_functional(vals)
         if mode == "lsi" and (ent <= 0 or ent <= 3 * ent_se):
             rows.append({"functional": f.name, "ratio": None,
                          "note": "entropy below noise floor; skipped"})
             continue
         stacked = np.column_stack([vals, gsq])
-        ratio, se = _jackknife(stacked, ratio_stat, n_batches)
+        ratio, se = _jackknife(stacked, ratio_stat)
         rows.append({"functional": f.name, "ratio": float(ratio),
                      "stderr": float(se), "entropy": float(ent)})
     usable = [r for r in rows if r.get("ratio") is not None]

@@ -36,7 +36,7 @@ from . import flows
 from . import hamiltonians as ham
 from . import sampling as samp
 from . import transport as trans
-from .spectral import FourierField, Lattice, hermitianize, sobolev_norm
+from .spectral import FourierField, Lattice, smooth_state, sobolev_norm
 
 
 class SchemaError(ValueError):
@@ -183,25 +183,6 @@ def build_reference(model, lattice: Lattice) -> samp.GaussianReference:
                                   "real" if model.reality else "complex")
 
 
-def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
-                 decay: float = 3.0, reality: bool = False,
-                 zero_mode: bool = False) -> FourierField:
-    """Smooth random initial data with an exponentially decaying spectrum."""
-    rng = np.random.default_rng(seed)
-    coef = (rng.standard_normal(lattice.shape)
-            + 1j * rng.standard_normal(lattice.shape))
-    coef = coef * np.exp(-lattice.abs_k() / decay)
-    if reality:
-        coef = hermitianize(coef, lattice.dim)
-    fld = FourierField(lattice, coef, reality, zero_mode=True)
-    if not zero_mode:
-        fld.coef[lattice.zero_index()] = 0.0
-        fld.zero_mode = False
-    fld = (amplitude / math.sqrt(max(fld.mass(), 1e-30))) * fld
-    fld.reality = reality
-    return fld
-
-
 # ---------------------------------------------------------------------------
 # runners: block parameters come from the config's blocks, keyword-only
 # parameters from its params
@@ -229,11 +210,7 @@ def _run_flow(lattice: Lattice, model: _models("nls", "kdv", "gp", "zakharov"),
               richardson_dts: list[float] = (4e-3, 2e-3, 1e-3, 5e-4),
               richardson_t: float = 0.25) -> tuple[dict, bool | None]:
     """An absent tolerance is no gate; Richardson passes at order 2 +- 0.2."""
-    state = smooth_state(lattice, seed, amplitude, decay, reality=model.reality)
-    if isinstance(model, ham.Zakharov):
-        n0 = smooth_state(lattice, seed + 1, amplitude, reality=True)
-        v0 = smooth_state(lattice, seed + 2, amplitude, reality=True)
-        state = ham.ZakharovState(state, n0, v0)
+    state = model.start_state(lattice, seed, amplitude, decay)
     traj = flows.evolve(model, state, flow)
     results = {"mass_drift": traj.max_mass_drift(),
                "energy_drift": traj.max_energy_drift(),
@@ -248,15 +225,20 @@ def _run_flow(lattice: Lattice, model: _models("nls", "kdv", "gp", "zakharov"),
     return {"results": results}, all(gates) if gates else None
 
 
-def _gibbs_ensemble(lattice, model, domain, reference, chain):
+def _reference_draws(reference: samp.GaussianReference, seed: int,
+                     count: int) -> samp.SampleEnsemble:
+    """count exact draws of the reference, from one seeded batch."""
+    coefs = reference.sample_batch(np.random.default_rng(seed), count)
+    return samp.SampleEnsemble(reference.lattice, coefs, reference.reality,
+                               reference.zero_mode, seed=seed)
+
+
+def _gibbs_ensemble(model, domain, reference, chain) -> samp.SampleEnsemble:
+    """The chain's ensemble of the Gibbs measure; the free field on an
+    unrestricted domain is the reference itself, drawn exactly."""
     if model.lam == 0.0 and domain.kind == "unrestricted":
-        rng = np.random.default_rng(chain.seed)
-        count = chain.steps // max(chain.thin, 1)
-        coefs = reference.sample_batch(rng, count)
-        ens = samp.SampleEnsemble(lattice, coefs, reference.reality,
-                                  reference.zero_mode, seed=chain.seed)
-        return ens, samp.ChainStats(1.0, 0.0, [])
-    return samp.run_pcn_chain(model, domain, reference, chain)
+        return _reference_draws(reference, chain.seed, chain.steps // max(chain.thin, 1))
+    return samp.run_pcn_chain(model, domain, reference, chain)[0]
 
 
 def _run_invariance(lattice: Lattice, model: _models("nls", "kdv", "gp"),
@@ -267,11 +249,9 @@ def _run_invariance(lattice: Lattice, model: _models("nls", "kdv", "gp"),
                     ) -> tuple[dict, bool | None]:
     reference = build_reference(model, lattice)
     if gaussian_control:
-        rng = np.random.default_rng(sampler.seed)
-        coefs = reference.sample_batch(rng, count)
-        ens = samp.SampleEnsemble(lattice, coefs, reference.reality, reference.zero_mode)
+        ens = _reference_draws(reference, sampler.seed, count)
     else:
-        ens, _ = _gibbs_ensemble(lattice, model, domain, reference, sampler)
+        ens = _gibbs_ensemble(model, domain, reference, sampler)
     rep = flows.invariance_test(model, ens, flow, energy_tol=energy_tol)
     if expect_fail_functional:
         row = next(r for r in rep["rows"] if r["functional"] == expect_fail_functional)
@@ -287,7 +267,7 @@ def _run_lsi(lattice: Lattice, model: _models("nls", "kdv", "gp"),
              n0: float | None = None, max_mode: int = 4, tanh_scale: float = 1.0,
              s_dual: float = 1.0,
              mode: Literal["lsi", "poincare"] = "lsi") -> tuple[dict, bool | None]:
-    ens, _ = _gibbs_ensemble(lattice, model, domain, build_reference(model, lattice), sampler)
+    ens = _gibbs_ensemble(model, domain, build_reference(model, lattice), sampler)
     coords = ens.coords()
     pred = ham.lsi_constant_predicted(model, mass_bound=domain.mass, kappa=domain.kappa,
                                       s=domain.s, n0=n0, dim=lattice.dim)
@@ -329,10 +309,9 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
 def _has_convexity_constant(lattice: Lattice, model, mass_bound: float, **_):
     """convexity gates on the model's closed-form constant, so the model
     must have one on the lattice's dimension."""
-    closed = model.convexity_constant(mass_bound, lattice.dim)
-    if closed is None or closed[0] is None:
-        why = f": {closed[2]}" if closed else " has none"
-        raise ValueError(f"convexity needs a closed-form constant; {model!r}{why}")
+    alpha, _, why = model.convexity_constant(mass_bound, lattice.dim)
+    if alpha is None:
+        raise ValueError(f"convexity needs a closed-form constant; {model!r}: {why}")
 
 
 def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 0.0,
@@ -386,10 +365,7 @@ def _coupling(lattice: Lattice, seed: int, *, n_samples: int = 4000,
     against the lattice's own, 4 sum_{n < k <= lattice.n} k^-2; a row with
     n >= lattice.n has no tail (degenerate) and is not gated; with no
     gated row there is no gate."""
-    ref = samp.GaussianReference(lattice, 0.0, "complex")
-    rng = np.random.default_rng(seed)
-    coefs = ref.sample_batch(rng, n_samples)
-    ens = samp.SampleEnsemble(lattice, coefs, False, False)
+    ens = _reference_draws(samp.GaussianReference(lattice, 0.0, "complex"), seed, n_samples)
     coords = ens.coords()
     rows = []
     errs = []
@@ -460,7 +436,7 @@ def _decay_mass_ranges(grid: list, s: float, eps: float, **_):
 def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_projected"),
                   domain: samp.PhaseDomain, sampler: samp.ChainConfig, *,
                   s: float = 0.35, r2_tol: float = 0.9) -> tuple[dict, bool | None]:
-    ens, _ = _gibbs_ensemble(lattice, model, domain, build_reference(model, lattice), sampler)
+    ens = _gibbs_ensemble(model, domain, build_reference(model, lattice), sampler)
     rep = samp.tail_mass_estimate(ens, s)
     passed = (not rep["degenerate"] and rep["slope_vs_kappa_sq"] < 0
               and rep["r_squared"] > r2_tol)

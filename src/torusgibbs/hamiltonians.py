@@ -10,9 +10,11 @@ interaction log-density Phi, e.g. (lam/p) int |u|^p for NLS (lam > 0 is
 focusing).  A model supplies Phi, its gradient and Hessian, its reality and
 rho (the Wick counterterm for GP, 0 otherwise); the energy, gradient and
 Hessian form that _Model derives from those are model methods, which
-Zakharov overrides with the forms of its (u, n, v) triple.  Each model with a
-closed-form convexity constant alpha (NLS p = 4, KdV, Zakharov) defines it
-and its regime once, in convexity_constant; each of them holds in D = 1 only.
+Zakharov overrides with the forms of its (u, n, v) triple (and its flow start
+state, start_state).  Each model with a closed-form convexity constant alpha
+(NLS p = 4, KdV, Zakharov) defines it and its regime once, in
+convexity_constant; each of them holds in D = 1 only.  The LSI constant is
+lsi_constant: the convexity constant, save for critical NLS (p = 6) and GP.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (FourierField, Lattice, _row_blocks, analyze_batch, dirichlet_multiplier,
-                       hermitianize, intensity_mode, lp_integral_batch, sobolev_norm,
-                       synthesize_batch)
+                       hermitianize, intensity_mode, lp_integral_batch, smooth_state,
+                       sobolev_norm, synthesize_batch)
 
 PI2 = math.pi ** 2
+ALPHA0 = 0.5          # the perturbation constant alpha0 of the critical p = 6 LSI bound
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +78,19 @@ class _Model:
         """The closed-form constant alpha of uniform convexity of H, which is
         also the LSI constant, on the mass ball of radius mass_bound of a
         dim-dimensional lattice: (alpha, whether the proof's regime holds,
-        the LSI note), or None where the model has no closed form.  alpha is
-        given outside the regime too, and is None off D = 1."""
-        return None
+        the LSI note).  alpha is given outside the regime too, and is None
+        off D = 1 or where the model has no closed form."""
+        return None, False, f"{type(self).__name__} has no closed form"
+
+    def lsi_constant(self, mass_bound, kappa, s, n0, dim) -> LSIPrediction:
+        """See lsi_constant_predicted; by default the convexity constant,
+        predicted in its regime only."""
+        alpha, in_regime, note = self.convexity_constant(mass_bound, dim)
+        return LSIPrediction(alpha if in_regime else None, in_regime, note)
+
+    def start_state(self, lattice: Lattice, seed: int, amplitude: float, decay: float):
+        """A flow run's start state: spectral.smooth_state."""
+        return smooth_state(lattice, seed, amplitude, decay, reality=self.reality)
 
 
 def _ball_constant(alpha: float, in_regime: bool, regime: str, dim: int):
@@ -137,12 +150,28 @@ class NLS(_Model):
     def convexity_constant(self, mass_bound, dim):
         """p = 4 (D = 1): alpha = 1 - 14 pi^2 N lam / 3 for N lam < 3/(14 pi^2)."""
         if self.p != 4:
-            return None
+            return None, False, f"no closed form at p = {self.p}"
         if mass_bound is None:
             return _free_field_constant(self.lam)
         x = self.lam * mass_bound
         return _ball_constant(1.0 - 14.0 * PI2 * x / 3.0, 0.0 <= x < 3.0 / (14.0 * PI2),
                               "N lam < 3/(14 pi^2)", dim)
+
+    def lsi_constant(self, mass_bound, kappa, s, n0, dim):
+        """Critical p = 6: alpha >= alpha0 exp(-N M) on the domain of mass N,
+        Sobolev radius kappa and exponent s, M = critical_convexification_mass
+        (N_0, kappa, s), for 0 < lam <= 1 and N < N_0."""
+        if self.p != 6:
+            return super().lsi_constant(mass_bound, kappa, s, n0, dim)
+        missing = [name for name, value in (("mass N", mass_bound), ("kappa", kappa), ("s", s))
+                   if value is None]
+        if missing:
+            return LSIPrediction(None, False, f"requires the domain's {', '.join(missing)}")
+        if not (0.0 < self.lam <= 1.0 and n0 is not None and mass_bound < n0):
+            return LSIPrediction(None, False, "requires 0 < lam <= 1 and N < N_0")
+        m = critical_convexification_mass(n0, kappa, s)
+        return LSIPrediction(ALPHA0 * math.exp(-mass_bound * m), True,
+                             "perturbation constant alpha0 exp(-N M), alpha0 = 1/2")
 
 
 @dataclass(frozen=True)
@@ -191,6 +220,12 @@ class Zakharov(_Model):
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         raise TypeError("use sample_zakharov_ensemble for the product measure")
+
+    def start_state(self, lattice: Lattice, seed: int, amplitude: float, decay: float):
+        """u as for a single field; real n and v from seeds seed + 1, seed + 2."""
+        return ZakharovState(smooth_state(lattice, seed, amplitude, decay),
+                             smooth_state(lattice, seed + 1, amplitude, reality=True),
+                             smooth_state(lattice, seed + 2, amplitude, reality=True))
 
     def hamiltonian(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         """K(u) - (1/4) int |u|^4 + (1/4) int (P_n(n+|u|^2))^2 + (1/4) sum |vhat/k|^2."""
@@ -297,6 +332,18 @@ class GrossPitaevskii(_Model):
         b_vu = float(np.real(np.sum(vhat * wu * np.conj(wv))))
         b_bb = float(np.real(np.sum(vhat * bcoef * np.conj(bcoef))))
         return 0.5 * self.lam * (b_uv + b_vu + b_bb)
+
+    def lsi_constant(self, mass_bound, kappa, s, n0, dim):
+        """Finite-dimensional alpha = 1/2 when the model's kappa Vhat(0) >
+        3 ||V||_inf (the bounded-V route); the domain is not read."""
+        v0 = float(np.real(self.potential.zero_coef()))
+        vals = synthesize_batch(self.potential.coef, self.potential.lattice, 2)
+        vinf = float(np.max(np.abs(np.real(vals))))
+        if self.kappa * v0 > 3.0 * vinf:
+            return LSIPrediction(0.5, True, "bounded-V route: kappa Vhat(0) > 3 ||V||_inf")
+        return LSIPrediction(None, False,
+                             "bounded-V condition kappa Vhat(0) > 3 ||V||_inf fails; the "
+                             "L^2 route's Sobolev constant is not computable")
 
 
 @dataclass(frozen=True)
@@ -550,10 +597,9 @@ def convexity_margin(model, u, v, t: float, mass_bound: float) -> ConvexityMargi
     constant on the mass ball (NLS p = 4 and KdV, in D = 1)."""
     if not (0.0 < t < 1.0):
         raise ValueError("t must lie in (0, 1)")
-    closed = model.convexity_constant(mass_bound, u.lattice.dim)
-    if closed is None or closed[0] is None:
+    alpha, in_regime, _ = model.convexity_constant(mass_bound, u.lattice.dim)
+    if alpha is None:
         raise ValueError("convexity margin supports NLS p=4 and KdV on D = 1 lattices")
-    alpha, in_regime, _ = closed
     gap = (t * energy(model, u) + (1 - t) * energy(model, v)
            - energy(model, t * u + (1.0 - t) * v))
     h1 = sobolev_norm(u - v, 1.0, homogeneous=True) ** 2
@@ -579,33 +625,15 @@ class LSIPrediction:
 
 def lsi_constant_predicted(model, mass_bound: float | None = None,
                            kappa: float | None = None, s: float | None = None,
-                           n0: float | None = None, alpha0: float = 0.5,
-                           dim: int = 1) -> LSIPrediction:
-    """Closed-form LSI constants on a dim-dimensional lattice: the model's
-    convexity constant in its regime (NLS p = 4, KdV, Zakharov; D = 1 only);
-    critical p = 6 alpha >= alpha0 exp(-N M) on the domain of mass N,
-    Sobolev radius kappa and exponent s; finite-dimensional GP alpha = 1/2
-    when kappa Vhat(0) > 3 ||V||_inf."""
-    if isinstance(model, NLS) and model.p == 6:
-        if not (0.0 < model.lam <= 1.0 and n0 is not None and mass_bound < n0):
-            return LSIPrediction(None, False, "requires 0 < lam <= 1 and N < N_0")
-        m = critical_convexification_mass(n0, kappa, s)
-        return LSIPrediction(alpha0 * math.exp(-mass_bound * m), True,
-                             "perturbation constant alpha0 exp(-N M); alpha0 configured")
-    if isinstance(model, GrossPitaevskii):
-        v0 = float(np.real(model.potential.zero_coef()))
-        vals = synthesize_batch(model.potential.coef, model.potential.lattice, 2)
-        vinf = float(np.max(np.abs(np.real(vals))))
-        if model.kappa * v0 > 3.0 * vinf:
-            return LSIPrediction(0.5, True, "bounded-V route: kappa Vhat(0) > 3 ||V||_inf")
-        return LSIPrediction(None, False,
-                             "bounded-V condition kappa Vhat(0) > 3 ||V||_inf fails; the "
-                             "L^2 route's Sobolev constant is not computable")
-    closed = model.convexity_constant(mass_bound, dim)
-    if closed is None:
-        raise TypeError(f"unsupported model {type(model).__name__}")
-    alpha, in_regime, note = closed
-    return LSIPrediction(alpha if in_regime else None, in_regime, note)
+                           n0: float | None = None, dim: int = 1) -> LSIPrediction:
+    """The model's closed-form LSI constant (its lsi_constant) on the domain
+    of mass mass_bound, Sobolev radius kappa and exponent s of a
+    dim-dimensional lattice, with N_0 = n0: the convexity constant in its
+    regime (NLS p = 4, KdV, Zakharov; D = 1 only); critical p = 6 alpha >=
+    alpha0 exp(-N M); finite-dimensional GP alpha = 1/2 when kappa Vhat(0) >
+    3 ||V||_inf.  A prediction whose route lacks a value or whose regime
+    fails is not in regime, and its note says why."""
+    return model.lsi_constant(mass_bound, kappa, s, n0, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,6 @@ class SampleEnsemble:
     zero_mode: bool = True
     seed: int | None = None
     thinning: int = 1
-    weights: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -286,8 +285,6 @@ class ZakharovEnsemble:
     u: np.ndarray
     n: np.ndarray
     v: np.ndarray
-    seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.u.shape[0]
@@ -405,10 +402,9 @@ def _chain_stats(states) -> ChainStats:
     raise RuntimeError("the chain kept more states than its config counts")
 
 
-def _pilot_beta(model, domain, reference, config: ChainConfig,
-                target=(0.25, 0.40)) -> float:
-    """Short pilot: multiplicative beta adjustment toward the target
-    acceptance window; deterministic given the seed."""
+def _pilot_beta(model, domain, reference, config: ChainConfig) -> float:
+    """Short pilot: multiplicative beta adjustment toward the acceptance
+    window [0.25, 0.40]; deterministic given the seed."""
     lat = reference.lattice
     rng = _chain_rng(config.seed, config.chain_id, 1)
     beta = 0.5
@@ -421,9 +417,9 @@ def _pilot_beta(model, domain, reference, config: ChainConfig,
             state, phi, ok = _pcn_step(model, domain, reference, rng, state, phi, beta)
             acc += ok
         rate = acc / block
-        if rate < target[0]:
+        if rate < 0.25:
             beta = max(beta / 1.5, 1e-3)
-        elif rate > target[1]:
+        elif rate > 0.40:
             beta = min(beta * 1.4, 1.0)
     return beta
 
@@ -451,18 +447,17 @@ def sample_zakharov_ensemble(model: ham.Zakharov, lattice: Lattice, count: int,
     ncoef = np.sqrt(2.0) * ntilde - intens
     k = lattice.axis_modes().astype(float)
     vcoef = -np.sqrt(2.0) * (k ** 2) * w
-    ens = ZakharovEnsemble(lattice, uens.coefs, ncoef, vcoef, seed=config.seed,
-                           meta={"u_acceptance": stats.acceptance_rate})
-    return ens, stats
+    return ZakharovEnsemble(lattice, uens.coefs, ncoef, vcoef), stats
 
 
 def rejection_sample_domain(reference: GaussianReference, domain: PhaseDomain,
-                            count: int, seed: int, max_batches: int = 400):
-    """Direct rejection sampling of the reference restricted to the domain."""
+                            count: int, seed: int):
+    """Direct rejection sampling of the reference restricted to the domain,
+    from at most 400 batches of max(64, count) draws."""
     rng = np.random.default_rng(seed)
     out = []
     got = 0
-    for _ in range(max_batches):
+    for _ in range(400):
         batch = reference.sample_batch(rng, max(64, count))
         ok = domain.contains_batch(batch, reference.lattice)
         if ok.any():
@@ -581,18 +576,18 @@ def _classify(p: int, lam: float, mass_bound: float, n_list: list, mass: np.ndar
 
 def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
                            mass_lo: float = 2.0, mass_hi: float = 16.0,
-                           rounds: int = 9, p: int = 6,
-                           rise_threshold: float = 5.0) -> dict:
-    """Operational N_0 estimator: bisection (in log N) for the largest mass
-    bound the probe classifies stable, on common random fields per seed.
+                           rounds: int = 9) -> dict:
+    """Operational N_0 estimator of the critical p = 6 model: bisection (in
+    log N) for the largest mass bound the probe classifies stable (at its
+    default rise threshold, 5 nats), on common random fields per seed.
     One streamed pass (_truncation_pass) gives every draw's mass and
     log-density at each n, each n on its own lattice; each bisection mass
     only reclassifies those arrays."""
     n_list = sorted(int(n) for n in n_list)
-    mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
+    mass, logd = _truncation_pass(6, lam, n_list, n_samples, seed)
 
     def stable(bound):
-        rep = _classify(p, lam, bound, n_list, mass, logd, rise_threshold)
+        rep = _classify(6, lam, bound, n_list, mass, logd, 5.0)
         return rep["classification"] == "stable"
 
     ok_lo = stable(mass_lo)
@@ -617,17 +612,17 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
 # tail and decay-domain mass
 # ---------------------------------------------------------------------------
 
-def tail_mass_estimate(ensemble: SampleEnsemble, s: float, kappa_list=None,
-                       n_kappas: int = 8) -> dict:
-    """Empirical nu(Omega_N \\ Omega_{N,kappa}) across kappa plus a linear
-    fit of log(tail) against kappa^2; the fitted slope must come out
-    negative (the stated tail shape)."""
+def tail_mass_estimate(ensemble: SampleEnsemble, s: float, kappa_list=None) -> dict:
+    """Empirical nu(Omega_N \\ Omega_{N,kappa}) across kappa (by default at
+    8 quantiles of the ensemble's H^s norms) plus a linear fit of log(tail)
+    against kappa^2; the fitted slope must come out negative (the stated
+    tail shape)."""
     _check_tail_exponent(s)
     w = sobolev_weights(ensemble.lattice, s, homogeneous=True)
     axes = tuple(range(1, ensemble.coefs.ndim))
     hs = np.sum(np.abs(ensemble.coefs) ** 2 * w, axis=axes)
     if kappa_list is None:
-        kappa_list = np.quantile(hs, np.linspace(0.30, 0.985, n_kappas))
+        kappa_list = np.quantile(hs, np.linspace(0.30, 0.985, 8))
     kappa_list = np.asarray(sorted(kappa_list), dtype=float)
     m = len(hs)
     tails = np.array([np.mean(hs > k) for k in kappa_list])

@@ -169,6 +169,25 @@ def hermitianize(coef: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (coef + np.conj(np.flip(coef, axis=tuple(range(-dim, 0)))))
 
 
+def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
+                 decay: float = 3.0, reality: bool = False,
+                 zero_mode: bool = False) -> FourierField:
+    """Smooth random initial data with an exponentially decaying spectrum."""
+    rng = np.random.default_rng(seed)
+    coef = (rng.standard_normal(lattice.shape)
+            + 1j * rng.standard_normal(lattice.shape))
+    coef = coef * np.exp(-lattice.abs_k() / decay)
+    if reality:
+        coef = hermitianize(coef, lattice.dim)
+    fld = FourierField(lattice, coef, reality, zero_mode=True)
+    if not zero_mode:
+        fld.coef[lattice.zero_index()] = 0.0
+        fld.zero_mode = False
+    fld = (amplitude / math.sqrt(max(fld.mass(), 1e-30))) * fld
+    fld.reality = reality
+    return fld
+
+
 # ---------------------------------------------------------------------------
 # transforms (see the module docstring)
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ metric measure spaces is never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,24 +27,17 @@ from .spectral import FourierField, Lattice, _row_blocks, coord_layout, dirichle
 
 @dataclass
 class EmpiricalMeasure:
-    """Weighted point cloud in coordinate space (zero-pad lower truncations
-    into a common lattice before building the cloud)."""
+    """Uniform point cloud in coordinate space (zero-pad lower truncations
+    into a common lattice before building the cloud); weights is 1/m at
+    each of its m points."""
 
     points: np.ndarray
-    weights: np.ndarray | None = None
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         m = self.points.shape[0]
-        if self.weights is None:
-            self.weights = np.full(m, 1.0 / m)
-        else:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if np.any(self.weights < -1e-15):
-                raise ValueError("weights must be nonnegative")
-            tot = self.weights.sum()
-            if abs(tot - 1.0) > 1e-12:
-                self.weights = self.weights / tot
+        self.weights = np.full(m, 1.0 / m)
 
     def __len__(self):
         return self.points.shape[0]
@@ -133,50 +126,34 @@ def _assignment(c: np.ndarray) -> np.ndarray:
 def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                       cost: CostSpec = CostSpec()):
     """Exact optimal transport on oracle-size instances (support <= 256).
-    Uniform equal-size clouds are an assignment problem, solved in numpy by
-    _assignment; other weights solve the transport LP with HiGHS (linprog),
-    which only that branch imports.  Returns (W_s value, TransportPlan)."""
+    Two uniform clouds of equal size are an assignment problem, solved in
+    numpy by _assignment; clouds of unequal size are rejected.  Returns
+    (W_s value, TransportPlan)."""
     m, n = len(mu), len(nu)
     if max(m, n) > 256:
         raise ValueError("exact oracle is limited to 256 support points; use sinkhorn")
+    if m != n:
+        raise ValueError(f"exact oracle needs clouds of equal size, not {m} and {n}")
     c = cost.matrix(mu.points, nu.points)
-    uniform = (m == n and np.allclose(mu.weights, 1.0 / m)
-               and np.allclose(nu.weights, 1.0 / n))
-    if uniform:
-        plan = np.zeros_like(c)
-        plan[np.arange(m), _assignment(c)] = 1.0 / m
-    else:
-        from scipy.optimize import linprog
-        a_eq = []
-        b_eq = []
-        for i in range(m):
-            row = np.zeros((m, n))
-            row[i, :] = 1.0
-            a_eq.append(row.ravel())
-            b_eq.append(mu.weights[i])
-        for j in range(n - 1):          # drop one redundant constraint
-            col = np.zeros((m, n))
-            col[:, j] = 1.0
-            a_eq.append(col.ravel())
-            b_eq.append(nu.weights[j])
-        res = linprog(c.ravel(), A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                      bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP failed: {res.message}")
-        plan = res.x.reshape(m, n)
+    plan = np.zeros_like(c)
+    plan[np.arange(m), _assignment(c)] = 1.0 / m
     obj = float(np.sum(plan * c))
     value = obj ** (1.0 / cost.order)
     return value, TransportPlan(plan, _plan_residual(plan, mu.weights, nu.weights), obj)
 
 
+SINKHORN_TOL = 1e-9
+
+
 def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
-             eps: float, max_iter: int = 2000, tol: float = 1e-9):
+             eps: float, max_iter: int = 2000):
     """Log-domain Sinkhorn with a geometric eps-scaling schedule and warm
     starts; the returned objective is the plan cost sum plan * cost, which
     decreases toward the exact optimum as eps drops.  An iteration is two
     calls of this module's logsumexp on the kernel -cost/eps; levels before the
-    last stop at marginal residual sqrt(tol), the last at tol, then up to 10
-    Newton steps finish.  `converged` reads the residual before rounding."""
+    last stop at marginal residual sqrt(SINKHORN_TOL), the last at
+    SINKHORN_TOL, then up to 10 Newton steps finish.  `converged` reads the
+    residual before rounding."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     c = cost.matrix(mu.points, nu.points)
@@ -194,7 +171,7 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     levels = []
     for level, e in enumerate(eps_list):
         k = -c / e
-        stop = tol if level == len(eps_list) - 1 else math.sqrt(tol)
+        stop = SINKHORN_TOL if level == len(eps_list) - 1 else math.sqrt(SINKHORN_TOL)
         it = 0
         for it in range(1, max_iter + 1):
             f = -e * logsumexp(k + (g / e + lb)[None, :], axis=1)
@@ -203,8 +180,8 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
                     np.exp(k + (f / e + la)[:, None] + (g / e + lb)[None, :]), a, b) < stop:
                 break
         levels.append(it)
-    plan, pre_resid = _newton_polish(f, g, c, la, lb, a, b, eps_list[-1], tol)
-    converged = pre_resid < max(tol, 1e-8)
+    plan, pre_resid = _newton_polish(f, g, c, la, lb, a, b, eps_list[-1])
+    converged = pre_resid < max(SINKHORN_TOL, 1e-8)
     plan = _round_to_marginals(plan, a, b)
     resid = _plan_residual(plan, a, b)
     obj = float(np.sum(plan * c))
@@ -212,7 +189,7 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     return value, TransportPlan(plan, resid, obj, tuple(levels), pre_resid), converged
 
 
-def _newton_polish(f, g, c, la, lb, a, b, e: float, tol: float):
+def _newton_polish(f, g, c, la, lb, a, b, e: float):
     """Up to 10 Newton steps on the dual potentials at the final eps
     (Sinkhorn-Newton, Brauer, Clason, Lorenz and Wirth 2017), each kept only
     if it shrinks the marginal residual.  Plain iterations crawl at small
@@ -225,7 +202,7 @@ def _newton_polish(f, g, c, la, lb, a, b, e: float, tol: float):
 
     plan, resid = plan_at(f, g)
     for _ in range(10):
-        if resid < tol:
+        if resid < SINKHORN_TOL:
             break
         rows, cols = plan.sum(axis=1), plan.sum(axis=0)
         hess = np.block([[np.diag(rows), plan], [plan.T, np.diag(cols)]])
@@ -276,15 +253,16 @@ def head_coordinate_mask(lattice: Lattice, n: int, reality: bool,
 
 
 def truncation_coupling_bound(coords: np.ndarray, lattice: Lattice, n: int,
-                              reality: bool = False, zero_mode: bool = True) -> dict:
-    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2; an upper bound for
-    the squared L^2 transportation distance between the n-truncation and the
-    full ensemble.  E(x|F_n) is the projection that zeroes the tail, exact
-    for product references."""
+                              zero_mode: bool = True) -> dict:
+    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2, from the
+    coordinates of complex fields; an upper bound for the squared L^2
+    transportation distance between the n-truncation and the full ensemble.
+    E(x|F_n) is the projection that zeroes the tail, exact for product
+    references."""
     if n >= lattice.n:
         return {"n": n, "value": 0.0, "stderr": 0.0, "estimator": "projection",
                 "degenerate": True}
-    tail = coords[:, ~head_coordinate_mask(lattice, n, reality, zero_mode)]
+    tail = coords[:, ~head_coordinate_mask(lattice, n, False, zero_mode)]
     per = np.sum(tail ** 2, axis=1)
     b = per.shape[0]
     return {"n": n, "value": float(np.mean(per)),
@@ -375,11 +353,12 @@ def _log_mean_ratio(pair: np.ndarray) -> float:
 # Gaussian tail-sum bound
 # ---------------------------------------------------------------------------
 
-def gaussian_tail_bound(n: int, s: float, r_cut: int = 400) -> dict:
+def gaussian_tail_bound(n: int, s: float) -> dict:
     """Closed form 4 pi / (s (n-1)^{2s}) against an upper estimate of the
-    lattice sum sum_{|m| >= n} 2/|m|^{2+2s} (direct summation to r_cut plus
-    an integral remainder)."""
+    lattice sum sum_{|m| >= n} 2/|m|^{2+2s} (direct summation to |m| = 400
+    plus an integral remainder)."""
     _check_tail_sum(n, s)
+    r_cut = 400
     bound = 4.0 * math.pi / (s * (n - 1) ** (2 * s))
     m = np.arange(-r_cut, r_cut + 1, dtype=float)
     m1, m2 = np.meshgrid(m, m, indexing="ij")

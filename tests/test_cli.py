@@ -114,8 +114,8 @@ def _run_fresh(cfg: dict, tmp_path) -> list:
 
 
 def test_no_scipy_on_the_import_path(tmp_path):
-    # a fresh run of a flow loads no scipy module; only the weighted transport
-    # LP imports it, inside its branch of the exact oracle
+    # a fresh run of a flow loads no scipy module; no module of the package
+    # imports it (test_reachability.py checks every import)
     cfg = {"experiment": "flow", "seed": 1, "lattice": {"dim": 1, "n": 8, "oversample": 2},
            "model": {"kind": "kdv", "lam": 1.0}, "flow": {"dt": 1e-3, "t_final": 0.01}}
     assert _run_fresh(cfg, tmp_path) == ["0", "[]"]
@@ -577,3 +577,24 @@ def test_lsi_experiment_critical_p6_prediction(tmp_path):
     assert code == 0
     assert report["results"]["prediction"] == {
         "alpha": None, "in_regime": False, "note": "requires 0 < lam <= 1 and N < N_0"}
+
+
+@pytest.mark.parametrize("p, domain, params, missing", [
+    (5, {"kind": "mass_ball", "mass": 1.0}, {}, "p = 5"),
+    (6, {"kind": "mass_ball", "mass": 1.0}, {"n0": 2.0}, "domain's kappa, s"),
+    (6, {"kind": "unrestricted"}, {"n0": 2.0}, "domain's mass N, kappa, s"),
+])
+def test_lsi_without_a_closed_form_reports_what_it_lacks(tmp_path, p, domain, params, missing):
+    # an NLS model with no closed form at its p, or a critical p = 6 model on
+    # a domain without the values its bound needs, still reports the chain's
+    # LSI estimate (exit 0), with a prediction that names what is missing
+    cfg = {"experiment": "lsi", "seed": 3, "lattice": {"dim": 1, "n": 8},
+           "model": {"kind": "nls", "p": p, "lam": 0.5}, "domain": domain,
+           "sampler": {"steps": 2000, "burn_in": 200, "thin": 2},
+           "params": dict(params, max_mode=1)}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "lsi"))
+    assert code == 0 and report["passed"] is None
+    pred = report["results"]["prediction"]
+    assert pred["alpha"] is None and not pred["in_regime"] and missing in pred["note"]
+    assert "alpha_predicted" not in report["results"]
+    assert report["results"]["alpha_hat"] is not None

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import torusgibbs as tg
 
@@ -57,18 +58,37 @@ def test_every_public_name_is_reached():
 
 MODEL_CLASSES = {"NLS", "KdV", "GrossPitaevskii", "GrossPitaevskiiProjected", "Zakharov",
                  "ZakharovState"}
-GENERIC_MODULES = ["flows.py", "sampling.py", "transport.py", "concentration.py",
-                   "spectral.py", "archive.py"]
 
 
 def test_generic_modules_do_not_ask_which_model_they_hold():
-    # per-model behaviour lives on the model and state classes
+    # every module of the package is generic: per-model behaviour lives on
+    # the model and state classes
     found = []
-    for name in GENERIC_MODULES:
-        for node in ast.walk(ast.parse((SRC / name).read_text())):
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2):
                 hit = _referenced(node.args[1]) & MODEL_CLASSES
                 if hit:
-                    found.append(f"{name}:{node.lineno} {sorted(hit)}")
+                    found.append(f"{path.name}:{node.lineno} {sorted(hit)}")
     assert not found, f"isinstance against a model or state class: {found}"
+
+
+def test_the_package_depends_on_numpy_alone():
+    # scipy serves the tests as an oracle (the test extra), never the package
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {n}" for n in names
+                        if n.split(".")[0] == "scipy"]
+    assert not imports, f"scipy imported by the package: {imports}"
+    import tomllib                     # Python 3.11+
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.split(r"[<>=!~ ;\[]", d)[0] for d in project["dependencies"]] == ["numpy"]

@@ -51,17 +51,16 @@ def test_four_point_clouds_match_permutation_enumeration():
     assert val ** 2 == pytest.approx(best, rel=1e-10)
 
 
-def test_exact_lp_with_nonuniform_weights():
+def test_exact_oracle_rejects_clouds_of_unequal_size():
+    # the oracle solves uniform clouds of equal size, an assignment problem
     rng = np.random.default_rng(2)
-    xs = rng.standard_normal((5, 2))
-    ys = rng.standard_normal((7, 2))
-    wx = rng.uniform(0.2, 1.0, 5)
-    wy = rng.uniform(0.2, 1.0, 7)
-    mu = trans.EmpiricalMeasure(xs, wx)
-    nu = trans.EmpiricalMeasure(ys, wy)
-    val, plan = trans.wasserstein_exact(mu, nu)
-    assert plan.marginal_residual < 1e-8
-    assert val > 0
+    mu = trans.EmpiricalMeasure(rng.standard_normal((5, 2)))
+    nu = trans.EmpiricalMeasure(rng.standard_normal((7, 2)))
+    np.testing.assert_array_equal(mu.weights, np.full(5, 0.2))
+    with pytest.raises(ValueError, match="equal size"):
+        trans.wasserstein_exact(mu, nu)
+    with pytest.raises(ValueError, match="equal size"):
+        trans.wasserstein_exact(nu, mu)
 
 
 def test_metric_properties_on_random_triples():
