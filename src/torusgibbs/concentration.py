@@ -106,33 +106,35 @@ def default_dictionary(lattice: Lattice, reality: bool = False,
 # entropy and Dirichlet energy
 # ---------------------------------------------------------------------------
 
-def _jackknife(values: np.ndarray, stat, n_batches: int = 30):
-    """Leave-one-block-out jackknife over n_batches contiguous blocks (blocks
-    preserve chain order, so the stderr is robust to autocorrelation at the
-    block scale)."""
+N_BATCHES = 30      # contiguous blocks of every block jackknife
+
+
+def _jackknife(values: np.ndarray, stat):
+    """Leave-one-block-out jackknife over N_BATCHES contiguous blocks of rows
+    (blocks preserve chain order, so the stderr is robust to autocorrelation
+    at the block scale)."""
     m = values.shape[0]
-    edges = np.linspace(0, m, min(n_batches, m) + 1, dtype=int)
-    blocks = [values[a:b] for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    edges = np.linspace(0, m, min(N_BATCHES, m) + 1, dtype=int)
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
     nb = len(blocks)
-    full = stat(np.concatenate(blocks))
+    full = stat(values)
     if nb < 2:
         return full, float("nan")
-    loo = []
-    for i in range(nb):
-        rest = np.concatenate([b for j, b in enumerate(blocks) if j != i])
-        loo.append(stat(rest))
-    loo = np.asarray(loo)
-    se = math.sqrt(max(0.0, (nb - 1) / nb * float(np.sum((loo - np.mean(loo)) ** 2))))
+    loo = np.array([stat(np.delete(values, block, axis=0)) for block in blocks])
+    dev = loo - np.add.reduce(loo) / nb
+    se = math.sqrt(max(0.0, (nb - 1) / nb * float(np.add.reduce(dev * dev))))
     return full, se
 
 
 def _entropy_stat(fsq: np.ndarray) -> float:
-    mean = np.mean(fsq)
+    """Ent(f^2) = E f^2 log f^2 - E f^2 log E f^2 of samples fsq of f^2."""
+    n = fsq.shape[0]
+    mean = np.add.reduce(fsq) / n
     if mean <= 0:
         return 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(fsq > 0, fsq * np.log(fsq), 0.0)
-    return float(np.mean(term) - mean * math.log(mean))
+    return float(np.add.reduce(term) / n - mean * math.log(mean))
 
 
 def entropy_of_functional(values: np.ndarray):
@@ -159,21 +161,19 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
     dictionary infimum alpha_hat, and the PASS flag alpha_hat >=
     alpha_predicted - 3 stderr.  Each ratio upper-bounds the optimal
     constant, so the predicted alpha must not exceed alpha_hat."""
+    def ratio_stat(idx_vals):
+        # idx_vals carries (value, gradient-square) pairs column-stacked
+        v = idx_vals[:, 0]
+        gsq = idx_vals[:, 1]
+        denom = _entropy_stat(v ** 2) if mode == "lsi" else float(np.var(v))
+        if denom <= 0:
+            return float("inf")
+        return 2.0 * float(np.add.reduce(gsq) / gsq.shape[0]) / denom
+
     rows = []
+    w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
     for f in dictionary:
         vals = f.values(coords)
-        fsq = vals ** 2
-
-        def ratio_stat(idx_vals, f=f):
-            # idx_vals carries (value, gradient-square) pairs column-stacked
-            v = idx_vals[:, 0]
-            gsq = idx_vals[:, 1]
-            denom = _entropy_stat(v ** 2) if mode == "lsi" else float(np.var(v))
-            if denom <= 0:
-                return float("inf")
-            return 2.0 * float(np.mean(gsq)) / denom
-
-        w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
         gsq = np.sum(w[None, :] * f.gradients(coords) ** 2, axis=1)
         ent, ent_se = entropy_of_functional(vals)
         if mode == "lsi" and (ent <= 0 or ent <= 3 * ent_se):

@@ -237,7 +237,7 @@ def _gibbs_ensemble(model, domain, reference, chain) -> samp.SampleEnsemble:
     """The chain's ensemble of the Gibbs measure; the free field on an
     unrestricted domain is the reference itself, drawn exactly."""
     if model.lam == 0.0 and domain.kind == "unrestricted":
-        return _reference_draws(reference, chain.seed, chain.steps // max(chain.thin, 1))
+        return _reference_draws(reference, chain.seed, samp._kept_count(chain))
     return samp.run_pcn_chain(model, domain, reference, chain)[0]
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, _row_blocks, analyze_batch, dirichlet_multiplier,
-                       hermitianize, intensity_mode, lp_integral_batch, smooth_state,
-                       sobolev_norm, synthesize_batch)
+from .spectral import (FourierField, Lattice, _grid_plan, _row_blocks, analyze_batch,
+                       dirichlet_multiplier, hermitianize, intensity_mode, lp_integral_batch,
+                       smooth_state, sobolev_norm, synthesize_batch)
 
 PI2 = math.pi ** 2
 ALPHA0 = 0.5          # the perturbation constant alpha0 of the critical p = 6 LSI bound
@@ -462,10 +462,11 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
     coefficient products; dense ones go through the zero-padded grid."""
     modes, vals = _potential_support(potential)
     sparse = 0 < len(modes) <= 16
+    _, axes, points = _grid_plan(lattice, 2)
     # values held per row: coefficient products, or the zero-padded grid
-    points = math.prod(lattice.shape) if sparse else lattice.grid_points(2) ** lattice.dim
+    row_bytes = 16 * (math.prod(lattice.shape) if sparse else points)
     out = np.zeros(coefs.shape[0])
-    for rows in _row_blocks(coefs.shape[0], 16 * points):
+    for rows in _row_blocks(coefs.shape[0], row_bytes):
         sub = coefs[rows]
         if sparse:
             acc = np.zeros(sub.shape[0])
@@ -474,8 +475,7 @@ def gp_quartic_batch(coefs: np.ndarray, lattice: Lattice,
                 acc += np.real(v * np.abs(w) ** 2)
         else:
             w = intensity_coefficients(sub, lattice)
-            axes = tuple(range(1, w.ndim))
-            acc = np.real(np.sum(potential.coef * np.abs(w) ** 2, axis=axes))
+            acc = np.real(np.add.reduce(potential.coef * np.abs(w) ** 2, axes))
         out[rows] = acc
     return out
 
@@ -519,7 +519,7 @@ def energy_batch(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     (the log-density's and the Zakharov coupling's transforms)."""
     coefs = np.ascontiguousarray(coefs)       # row sums in the order of a single field's
     out = np.empty(coefs.shape[0])
-    for rows in _row_blocks(coefs.shape[0], 64 * lattice.grid_points(2) ** lattice.dim):
+    for rows in _row_blocks(coefs.shape[0], 64 * _grid_plan(lattice, 2)[2]):
         out[rows] = model.hamiltonian(coefs[rows], lattice)
     return out
 
@@ -532,9 +532,7 @@ def energy(model, state) -> float:
 def interaction_log_density(model, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
     """log of the Gibbs density against its Gaussian reference (the
     lam-interaction term, sign per model) for each field of a (B, ...)
-    coefficient stack; model None is the bare reference (all zeros)."""
-    if model is None:
-        return np.zeros(coefs.shape[0])
+    coefficient stack: the model's log_density."""
     return model.log_density(coefs, lattice)
 
 

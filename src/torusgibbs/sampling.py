@@ -9,6 +9,7 @@ min(1, exp(phi(u') - phi(u))) and hard rejection outside the domain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,9 +92,10 @@ class GaussianReference:
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count draws as a (count, ...) coefficient stack.  The stream holds
         the real parts of all rows (the cos coefficients a_j of real fields)
-        first, then their imaginary parts (the sin coefficients b_j)."""
-        std = self._std()
-        return self._complete(rng, rng.standard_normal((count,) + std.shape) * std)
+        first, then their imaginary parts (the sin coefficients b_j): one
+        generator call draws both."""
+        draws = rng.standard_normal((2, count) + self._std().shape)
+        return self._complete(draws[0], draws[1])
 
     def sample_blocks(self, rng: np.random.Generator, count: int):
         """Yield (rows, coefs) row blocks whose concatenation is
@@ -103,7 +105,7 @@ class GaussianReference:
         replayed for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
 
         The stream draws every row's real part before any imaginary part.
-        One pass over that real section keeps block 0's scaled real part and
+        One pass over that real section keeps block 0's real part and
         rng's state at the start of every later block.  Then each block's
         imaginary part is drawn from rng while the stream's one worker
         thread, started when there is a block to replay, replays the next
@@ -115,7 +117,6 @@ class GaussianReference:
             return
         shapes = [(rows.stop - rows.start,) + std.shape for rows in blocks]
         real = rng.standard_normal(shapes[0])
-        real *= std
         skip = np.empty_like(real)
         states = []
         for shape in shapes[1:]:
@@ -131,39 +132,37 @@ class GaussianReference:
                 if i:
                     real = ahead.result()
                 if i < len(states):
-                    ahead = worker.submit(_replay, gen, states[i], shapes[i + 1], std)
-                yield rows, self._complete(rng, real)
+                    ahead = worker.submit(_replay, gen, states[i], shapes[i + 1])
+                yield rows, self._complete(real, rng.standard_normal(real.shape))
         finally:
             if states:
                 worker.shutdown()
 
-    def _complete(self, rng: np.random.Generator, real: np.ndarray) -> np.ndarray:
-        """Coefficient rows from the scaled real parts of their draws, drawing
-        the imaginary parts from rng."""
+    def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+        """Coefficient rows from the standard normals of their real and
+        imaginary parts (a_j and b_j of real fields), each scaled by _std as
+        it is written into the rows."""
         std = self._std()
         if self.field_type == "complex":
             coefs = np.empty(real.shape, dtype=np.complex128)
-            coefs.real = real
-            np.multiply(rng.standard_normal(real.shape), std, out=coefs.imag)
+            np.multiply(real, std, out=coefs.real)
+            np.multiply(imag, std, out=coefs.imag)
             if not self.zero_mode:
                 coefs[(slice(None),) + self.lattice.zero_index()] = 0.0
             return coefs
         n = self.lattice.n
-        b = rng.standard_normal(real.shape) * std
         coefs = np.zeros((real.shape[0], 2 * n + 1), dtype=np.complex128)
-        coefs[:, n + 1:] = 0.5 * (real - 1j * b)
+        coefs[:, n + 1:] = 0.5 * (real * std - 1j * (imag * std))
         coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
         return coefs
 
 
-def _replay(gen: np.random.Generator, state: dict, shape: tuple, std: np.ndarray) -> np.ndarray:
-    """A block's scaled real part, drawn again from its saved bit-generator
-    state.  Runs on the worker, so it calls nothing but the generator and
-    numpy arithmetic (the perfbench tracer's span stack is not thread-safe)."""
+def _replay(gen: np.random.Generator, state: dict, shape: tuple) -> np.ndarray:
+    """A block's real part, drawn again from its saved bit-generator state.
+    Runs on the worker, so it calls nothing but the generator (the
+    perfbench tracer's span stack is not thread-safe)."""
     gen.bit_generator.state = state
-    real = gen.standard_normal(shape)
-    real *= std
-    return real
+    return gen.standard_normal(shape)
 
 
 def _massless_std(lat: Lattice) -> np.ndarray:
@@ -216,39 +215,46 @@ class PhaseDomain:
             raise ValueError("decay domain needs 0 < eps < 1/8")
         return cls("decay", k1=k1, k2=k2, s=s, eps=eps)
 
-    def _arrays(self, lattice: Lattice):
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_cache", cache)
-        if lattice not in cache:
+    @functools.cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def _plan(self, lattice: Lattice) -> tuple:
+        """The per-lattice constants of contains_batch, cached on the domain:
+        the mode axes (1, ..., dim) of a stack, the zero mode's index in it,
+        and the kind's weights (mass_and_sobolev: |k|^{2s}; decay: |k|^{-2s}
+        and the squared caps)."""
+        plan = self._plans.get(lattice)
+        if plan is None:
+            weights = None
             if self.kind == "mass_and_sobolev":
-                cache[lattice] = sobolev_weights(lattice, self.s, homogeneous=True)
+                weights = sobolev_weights(lattice, self.s, homogeneous=True)
             elif self.kind == "decay":
                 wneg = sobolev_weights(lattice, -self.s, homogeneous=True)
                 absk = lattice.abs_k()
                 capsq = np.full(lattice.shape, np.inf)
                 nz = absk > 0
                 capsq[nz] = (self.k2 * absk[nz] ** (-0.75 - self.eps)) ** 2
-                cache[lattice] = (wneg, capsq)
-        return cache.get(lattice)
+                weights = (wneg, capsq)
+            plan = self._plans[lattice] = (tuple(range(1, lattice.dim + 1)),
+                                           (slice(None),) + lattice.zero_index(), weights)
+        return plan
 
     def contains_batch(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         if self.kind == "unrestricted":
             return np.ones(coefs.shape[0], dtype=bool)
+        axes, zero, weights = self._plan(lattice)
         absq = np.abs(coefs) ** 2
-        axes = tuple(range(1, coefs.ndim))
         if self.kind == "mass_ball":
-            return absq.sum(axis=axes) <= self.mass
+            return np.add.reduce(absq, axes) <= self.mass
         if self.kind == "mass_and_sobolev":
-            w = self._arrays(lattice)
-            return ((absq.sum(axis=axes) <= self.mass)
-                    & ((absq * w).sum(axis=axes) <= self.kappa))
+            return ((np.add.reduce(absq, axes) <= self.mass)
+                    & (np.add.reduce(absq * weights, axes) <= self.kappa))
         if self.kind == "decay":
-            wneg, capsq = self._arrays(lattice)
-            hs_ok = (absq * wneg).sum(axis=axes) <= self.k1 ** 2
-            zero_ok = absq[(slice(None),) + lattice.zero_index()] <= 1e-28
-            ptw_ok = np.all(absq <= capsq, axis=axes)
+            wneg, capsq = weights
+            hs_ok = np.add.reduce(absq * wneg, axes) <= self.k1 ** 2
+            zero_ok = absq[zero] <= 1e-28
+            ptw_ok = np.logical_and.reduce(absq <= capsq, axes)
             return hs_ok & ptw_ok & zero_ok
         raise ValueError(f"contains_batch unsupported for kind {self.kind!r}")
 
@@ -311,6 +317,10 @@ class ChainConfig:
     pilot_steps: int = 600
     chain_id: int = 0
 
+    def __post_init__(self):
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
+
 
 @dataclass
 class ChainStats:
@@ -323,20 +333,28 @@ def _chain_rng(seed: int, chain_id: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chain_id, tag)))
 
 
+def _contraction(beta: float) -> float:
+    """The pCN factor sqrt(1 - beta^2) on the current state."""
+    return math.sqrt(max(0.0, 1.0 - beta * beta))
+
+
 def _pcn_step(model, domain: PhaseDomain, reference: GaussianReference,
-              rng: np.random.Generator, state: np.ndarray, phi: float, beta: float):
+              rng: np.random.Generator, state: np.ndarray, phi: float, beta: float,
+              sq: float, scaled: np.ndarray):
     """One proposal u' = sqrt(1 - beta^2) u + beta xi from a (1, ...) state:
     hard rejection outside the domain, then the Metropolis test on the
-    interaction.  Returns (state, phi, accepted)."""
+    interaction.  sq is _contraction(beta) and scaled holds sq * state; an
+    accepted proposal overwrites it with sq * u', so the proposal is the
+    step's one new array.  Returns (state, phi, accepted)."""
     lat = reference.lattice
-    sq = math.sqrt(max(0.0, 1.0 - beta * beta))
     prop = reference.sample_batch(rng, 1)
     prop *= beta
-    prop += sq * state
+    prop += scaled
     logu = math.log(rng.random())
     if domain.contains_batch(prop, lat)[0]:
         phi_prop = ham.interaction_log_density(model, prop, lat)[0]
         if phi_prop - phi >= logu:
+            np.multiply(sq, prop, out=scaled)
             return prop, phi_prop, True
     return state, phi, False
 
@@ -375,10 +393,13 @@ def _pcn_kept(model, domain: PhaseDomain, reference: GaussianReference,
         beta = _pilot_beta(model, domain, reference, config)
     rng = _chain_rng(config.seed, config.chain_id, 0)
     phi = ham.interaction_log_density(model, state, lat)[0]
+    sq = _contraction(beta)
+    scaled = sq * state
     accepted = 0
     total = config.burn_in + config.steps
     for step in range(total):
-        state, phi, acc = _pcn_step(model, domain, reference, rng, state, phi, beta)
+        state, phi, acc = _pcn_step(model, domain, reference, rng, state, phi, beta, sq,
+                                    scaled)
         accepted += acc
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
             yield state
@@ -413,8 +434,11 @@ def _pilot_beta(model, domain, reference, config: ChainConfig) -> float:
     phi = ham.interaction_log_density(model, state, lat)[0]
     for _ in range(max(1, config.pilot_steps // block)):
         acc = 0
+        sq = _contraction(beta)
+        scaled = sq * state
         for _ in range(block):
-            state, phi, ok = _pcn_step(model, domain, reference, rng, state, phi, beta)
+            state, phi, ok = _pcn_step(model, domain, reference, rng, state, phi, beta, sq,
+                                       scaled)
             acc += ok
         rate = acc / block
         if rate < 0.25:

@@ -207,11 +207,22 @@ def _fast_len(target: int) -> int:
         m += 1
 
 
-def _row_blocks(rows: int, row_bytes: int) -> list:
+@functools.lru_cache
+def _row_blocks(rows: int, row_bytes: int) -> tuple:
     """Consecutive slices over `rows` rows, each at most _BLOCK_BYTES of
-    row_bytes-sized rows (at least one row)."""
+    row_bytes-sized rows (at least one row).  Cached: a one-row pCN
+    proposal asks for the same block every step."""
     step = max(1, _BLOCK_BYTES // row_bytes)
-    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    return tuple(slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+@functools.lru_cache
+def _grid_plan(lattice: Lattice, oversample: int | None) -> tuple:
+    """(m, axes, points) of a stack on the grid lattice.grid_points(oversample):
+    the points per axis, the grid axes (1, ..., dim) behind the batch axis,
+    and the points per row, m ** dim."""
+    m = lattice.grid_points(oversample)
+    return m, tuple(range(1, lattice.dim + 1)), m ** lattice.dim
 
 
 @functools.lru_cache
@@ -224,13 +235,24 @@ def _positions(n: int, m: int, shift: int = 0) -> np.ndarray:
 
 
 @functools.lru_cache
-def _zero_fill(n: int, m: int, full: int, real: bool) -> list:
-    """(source, destination) index pairs that place the modes |k| <= n of
-    `full` FFT-ordered axes on m points, leaving the middle zero."""
+def _zero_fill(n: int, m: int, dim: int, real: bool) -> tuple:
+    """fft_synthesize's set-up for the modes |k_j| <= n on m points per axis:
+    the grid's shape behind the batch axes, and the (source, destination)
+    index pairs that place the FFT-ordered modes on the axes filled here
+    (all but a half spectrum's last, which irfft pads), leaving the middle
+    zero; no pairs when there is nothing to fill."""
+    if m < 2 * n + 1:
+        raise GridResolutionError(
+            f"grid of {m} points per axis cannot hold modes up to |k| = {n}")
+    full = dim - real
+    shape = (m,) * full + (n + 1,) * real
+    if m == 2 * n + 1 or not full:
+        return shape, ()
     spans = ((slice(0, n + 1),) * 2, (slice(n + 1, 2 * n + 1), slice(m - n, m)))
     rest = (slice(None),) * real
-    return [((...,) + tuple(s for s, _ in axes) + rest, (...,) + tuple(d for _, d in axes) + rest)
-            for axes in itertools.product(spans, repeat=full)]
+    return shape, tuple(((...,) + tuple(s for s, _ in axes) + rest,
+                         (...,) + tuple(d for _, d in axes) + rest)
+                        for axes in itertools.product(spans, repeat=full))
 
 
 def to_fft_order(coefs: np.ndarray, dim: int) -> np.ndarray:
@@ -257,15 +279,11 @@ def fft_synthesize(fcoefs: np.ndarray, dim: int, m: int | None = None,
     spectrum (modes 0..n on the last axis) and the values are real."""
     n = fcoefs.shape[-1] - 1 if real else fcoefs.shape[-1] // 2
     m = 2 * n + 1 if m is None else m
-    if m < 2 * n + 1:
-        raise GridResolutionError(
-            f"grid of {m} points per axis cannot hold modes up to |k| = {n}")
-    full = dim - real                     # axes zero-filled here; irfft pads the last one
+    shape, fills = _zero_fill(n, m, dim, real)
     buf, out = fcoefs, None
-    if m > 2 * n + 1 and full:
-        buf = out = np.zeros(fcoefs.shape[:-dim] + (m,) * full + fcoefs.shape[-1:] * real,
-                             dtype=np.complex128)
-        for src, dst in _zero_fill(n, m, full, real):
+    if fills:
+        buf = out = np.zeros(fcoefs.shape[:-dim] + shape, dtype=np.complex128)
+        for src, dst in fills:
             buf[dst] = fcoefs[src]
     if real:                              # axis -2, then the half spectrum, as irfft2
         if dim == 2:
@@ -282,7 +300,7 @@ def fft_analyze(values: np.ndarray, dim: int, n: int | None = None) -> np.ndarra
     if n is not None and m < 2 * n + 1:
         raise GridResolutionError(
             f"grid of {m} points per axis cannot resolve modes up to |k| = {n}")
-    real = np.isrealobj(values)
+    real = values.dtype.kind != "c"
     c = np.fft.rfft(values, norm="forward") if real else np.fft.fft(values, norm="forward")
     if dim == 2:                          # last axis first, as rfft2 and fft2
         c = np.fft.fft(c, axis=-2, norm="forward")
@@ -297,7 +315,7 @@ def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None
     """Grid values for a batch of centered coefficient arrays on the
     FFT-friendly grid lattice.grid_points(oversample)."""
     return fft_synthesize(to_fft_order(coefs, lattice.dim), lattice.dim,
-                          lattice.grid_points(oversample))
+                          _grid_plan(lattice, oversample)[0])
 
 
 def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -363,21 +381,21 @@ def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray
     blocks sized by what a block holds at once: the complex grid, its
     modulus and its power (32 B per point), at most _BLOCK_BYTES.  Odd p
     synthesizes the real field from its half spectrum, so the caller vouches
-    that the fields are real."""
+    that the fields are real.  The grid mean is np.mean's own sum and
+    division, without its wrapper's cost per call."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
     dim = lattice.dim
-    m = lattice.grid_points(max(lattice.oversample, math.ceil(p / 2)))
-    axes = tuple(range(1, dim + 1))
+    m, axes, points = _grid_plan(lattice, max(lattice.oversample, math.ceil(p / 2)))
     out = np.empty(coefs.shape[0])
-    for rows in _row_blocks(coefs.shape[0], 32 * m ** dim):
+    for rows in _row_blocks(coefs.shape[0], 32 * points):
         fcoefs = to_fft_order(coefs[rows], dim)
         if p % 2:
             vals = fft_synthesize(fcoefs[..., :lattice.n + 1], dim, m, real=True)
         else:
             vals = np.abs(fft_synthesize(fcoefs, dim, m))
-        out[rows] = np.mean(vals ** p, axis=axes)
+        np.divide(np.add.reduce(vals ** p, axes), points, out=out[rows])
     return out
 
 
@@ -396,12 +414,19 @@ def shift_slices(lattice: Lattice, m: tuple):
     return tuple(src), tuple(dst)
 
 
+@functools.lru_cache
+def _shift_rows(lattice: Lattice, m: tuple) -> tuple:
+    """shift_slices for a (B, ...) stack: (src, dst) with the batch axis in
+    front, and the mode axes (1, ..., dim)."""
+    src, dst = shift_slices(lattice, m)
+    return (slice(None),) + src, (slice(None),) + dst, tuple(range(1, lattice.dim + 1))
+
+
 def intensity_mode(coefs: np.ndarray, lattice: Lattice, m: tuple) -> np.ndarray:
-    """(|u|^2)^hat(m) restricted to the lattice, batched over leading axes:
-    sum_j chat(j+m) conj(chat(j)) over j with j, j+m in the lattice."""
-    sl_src, sl_dst = shift_slices(lattice, m)
-    prod = coefs[(slice(None),) + sl_dst] * np.conj(coefs[(slice(None),) + sl_src])
-    return prod.sum(axis=tuple(range(1, prod.ndim)))
+    """(|u|^2)^hat(m) restricted to the lattice, batched over the leading
+    axis: sum_j chat(j+m) conj(chat(j)) over j with j, j+m in the lattice."""
+    src, dst, axes = _shift_rows(lattice, tuple(m))
+    return np.add.reduce(coefs[dst] * np.conj(coefs[src]), axes)
 
 
 # ---------------------------------------------------------------------------

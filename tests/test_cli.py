@@ -377,6 +377,21 @@ def test_lsi_unrestricted_free_field(tmp_path):
     assert report["results"]["prediction"]["alpha"] == 1.0
 
 
+def test_exact_draws_keep_as_many_states_as_the_chain():
+    # the free field on an unrestricted domain is drawn exactly; its size is
+    # the chain's kept count, ceil(steps / thin), as on a domain that needs a chain
+    lat = Lattice(1, 4)
+    model = tg.NLS(4, 0.0)
+    ref = build_reference(model, lat)
+    chain = tg.ChainConfig(steps=401, burn_in=10, thin=2, seed=3, beta=0.5)
+    exact = experiments._gibbs_ensemble(model, tg.PhaseDomain.unrestricted(), ref, chain)
+    chained = experiments._gibbs_ensemble(model, tg.PhaseDomain.mass_ball(1e6), ref, chain)
+    assert len(exact) == len(chained) == 201
+    # a chain keeps every thin-th state, so thin 0 is a schema error (exit 2)
+    with pytest.raises(SchemaError, match="thin must be >= 1"):
+        validate_config({"experiment": "lsi", "sampler": {"steps": 40, "thin": 0}})
+
+
 def test_build_reference_follows_the_model():
     lat1, lat2 = {"dim": 1, "n": 8}, {"dim": 2, "n": 4}
     gp = {"kind": "gp", "lam": 0.5, "kappa": 2.0, "potential": {"kind": "soft_sphere"}}

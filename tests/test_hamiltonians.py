@@ -110,7 +110,6 @@ def _density_cases():
             "gp-bounded": (gp, Lattice(2, 3, 2), False),
             "gp-cosine": (gp_cos, lat2, False),
             "gp-projected": (proj, lat2, False),
-            "none": (None, lat1, False),
             # stacks over more than one row block of the p-integral's grid
             "nls-p4-blocks": (tg.NLS(4, 0.7), lat32, False),
             "kdv-blocks": (tg.KdV(0.9), lat32, True)}
@@ -131,9 +130,6 @@ def test_log_density_rows_match_single_row_calls(case):
     # equal up to the order numpy sums a dense potential's modes in
     np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
     assert ham.interaction_log_density(model, coefs[:0], lat).shape == (0,)
-    if model is None:
-        assert np.all(stacked == 0.0)
-        return
     # H = K - Phi + (rho/2) M row by row, as energy computes it for one field
     energies = ham.energy_batch(model, coefs, lat)
     single = [ham.energy(model, FourierField(lat, c, reality)) for c in coefs]

@@ -73,30 +73,59 @@ def test_sampling_determinism():
     assert np.array_equal(a, b)
 
 
-def _pinned_draw(ref, rng, count):
-    """The reference draw written as a formula: all real parts, then all
-    imaginary parts (a_j, then b_j, for real fields)."""
+def _pinned_std(ref):
+    """The standard deviation of each drawn normal: per lattice mode of a
+    complex field (1 at a frozen zero mode, which is nulled after), per
+    j = 1..n of a real one."""
     lat = ref.lattice
     if ref.field_type == "complex":
         ksq = lat.ksq()
         if ref.rho > 0:
-            std = 1.0 / np.sqrt(ref.rho + ksq)
-        else:
-            ksq[lat.zero_index()] = 1.0
-            std = 1.0 / np.sqrt(ksq)
+            return 1.0 / np.sqrt(ref.rho + ksq)
+        ksq[lat.zero_index()] = 1.0
+        return 1.0 / np.sqrt(ksq)
+    j = np.arange(1, lat.n + 1, dtype=float)
+    return np.ones_like(j) if ref.spectrum == "white" else 1.0 / np.sqrt(ref.rho + j ** 2)
+
+
+def _real_field_rows(a, b):
+    """Real-field coefficient rows from their scaled a_j and b_j."""
+    n = a.shape[1]
+    coefs = np.zeros((a.shape[0], 2 * n + 1), dtype=np.complex128)
+    coefs[:, n + 1:] = 0.5 * (a - 1j * b)
+    coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
+    return coefs
+
+
+def _pinned_draw(ref, rng, count):
+    """The reference draw written as a formula: all real parts, then all
+    imaginary parts (a_j, then b_j, for real fields)."""
+    lat = ref.lattice
+    std = _pinned_std(ref)
+    if ref.field_type == "complex":
         g = rng.standard_normal((2, count) + lat.shape)
         coefs = (g[0] + 1j * g[1]) * std
         if not ref.zero_mode:
             coefs[(slice(None),) + lat.zero_index()] = 0.0
         return coefs
-    n = lat.n
-    j = np.arange(1, n + 1, dtype=float)
-    sig = np.ones_like(j) if ref.spectrum == "white" else 1.0 / np.sqrt(ref.rho + j ** 2)
-    a = rng.standard_normal((count, n)) * sig
-    b = rng.standard_normal((count, n)) * sig
-    coefs = np.zeros((count, 2 * n + 1), dtype=np.complex128)
-    coefs[:, n + 1:] = 0.5 * (a - 1j * b)
-    coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
+    a = rng.standard_normal((count, lat.n)) * std
+    b = rng.standard_normal((count, lat.n)) * std
+    return _real_field_rows(a, b)
+
+
+def _two_call_draw(ref, rng, count):
+    """The same stream drawn by two generator calls, each part scaled as
+    drawn: the real parts written into the rows, then the imaginary parts."""
+    std = _pinned_std(ref)
+    real = rng.standard_normal((count,) + std.shape) * std
+    imag = rng.standard_normal((count,) + std.shape) * std
+    if ref.field_type == "real":
+        return _real_field_rows(real, imag)
+    coefs = np.empty(real.shape, dtype=np.complex128)
+    coefs.real = real
+    coefs.imag = imag
+    if not ref.zero_mode:
+        coefs[(slice(None),) + ref.lattice.zero_index()] = 0.0
     return coefs
 
 
@@ -111,17 +140,29 @@ REFERENCES = {
 }
 
 
+def _assert_draws_bitwise(ref, count, formula):
+    rng, pinned_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(2):          # the stream continues where the last batch ended
+        got = ref.sample_batch(rng, count)
+        want = formula(ref, pinned_rng, count)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == pinned_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("kind", sorted(REFERENCES))
 @pytest.mark.parametrize("count", [1, 37])
 def test_sample_batch_is_the_pinned_formula_bitwise(kind, count):
     ref = GaussianReference(*REFERENCES[kind])
     assert ref.zero_mode == (ref.field_type == "complex" and ref.rho > 0)
-    rng, pinned_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(2):          # the stream continues where the last batch ended
-        got = ref.sample_batch(rng, count)
-        want = _pinned_draw(ref, pinned_rng, count)
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    _assert_draws_bitwise(ref, count, _pinned_draw)
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCES))
+@pytest.mark.parametrize("count", [1, 7])
+def test_sample_batch_is_the_two_call_stream_bitwise(kind, count):
+    # one generator call gives what a call per part gave, scaling included
+    _assert_draws_bitwise(GaussianReference(*REFERENCES[kind]), count, _two_call_draw)
 
 
 @pytest.mark.parametrize("lattice, field_type, count", [
@@ -283,7 +324,7 @@ def test_pcn_ball_matches_rejection_sampler():
     lat = Lattice(1, 4)
     ref = GaussianReference(lat, 0.0, "complex")
     dom = PhaseDomain.mass_ball(3.0)
-    ens, _ = run_pcn_chain(None, dom, ref,
+    ens, _ = run_pcn_chain(tg.NLS(4, 0.0), dom, ref,
                            ChainConfig(steps=60000, burn_in=2000, thin=12, seed=7))
     direct = rejection_sample_domain(ref, dom, 5000, seed=8)
     m_chain = np.sum(np.abs(ens.coefs) ** 2, axis=1)
@@ -297,7 +338,7 @@ def test_pcn_free_second_moments():
     # reference within 3 stderr
     lat = Lattice(1, 4)
     ref = GaussianReference(lat, 0.0, "complex")
-    ens, _ = run_pcn_chain(None, PhaseDomain.unrestricted(), ref,
+    ens, _ = run_pcn_chain(tg.NLS(4, 0.0), PhaseDomain.unrestricted(), ref,
                            ChainConfig(steps=40000, burn_in=1000, thin=8, seed=9,
                                        beta=0.8))
     emp = np.mean(np.abs(ens.coefs) ** 2, axis=0)
@@ -346,6 +387,81 @@ def test_zakharov_product_sampler_moments():
     nt = np.stack([ens.state(i).n for i in range(0, 200, 4)]) if False else None
     w1 = [2 * np.real(-ens.v[i][lat.n + 1] / (np.sqrt(2.0) * 1.0)) for i in range(400)]
     assert abs(np.var(w1) - 1.0) < 0.25  # a_1 of W ~ N(0,1)
+
+
+def _reference_chain(model, domain, reference, config):
+    """run_pcn_chain as a plain loop that forms sqrt(1 - beta^2) u afresh on
+    every proposal and draws each proposal by two generator calls: (kept
+    states, acceptance, beta, warnings)."""
+    lat = reference.lattice
+
+    def rng_for(tag):
+        return np.random.default_rng(np.random.SeedSequence(
+            config.seed, spawn_key=(config.chain_id, tag)))
+
+    def step(rng, state, phi, beta):
+        sq = math.sqrt(max(0.0, 1.0 - beta * beta))
+        prop = _two_call_draw(reference, rng, 1)
+        prop *= beta
+        prop += sq * state
+        logu = math.log(rng.random())
+        if domain.contains_batch(prop, lat)[0]:
+            phi_prop = model.log_density(prop, lat)[0]
+            if phi_prop - phi >= logu:
+                return prop, phi_prop, True
+        return state, phi, False
+
+    zero = np.zeros((1,) + lat.shape, dtype=np.complex128)
+    beta = config.beta
+    if beta is None:                       # the pilot: 60-step blocks from beta = 0.5
+        rng, beta, state = rng_for(1), 0.5, zero
+        phi = model.log_density(state, lat)[0]
+        for _ in range(max(1, config.pilot_steps // 60)):
+            acc = 0
+            for _ in range(60):
+                state, phi, ok = step(rng, state, phi, beta)
+                acc += ok
+            if acc / 60 < 0.25:
+                beta = max(beta / 1.5, 1e-3)
+            elif acc / 60 > 0.40:
+                beta = min(beta * 1.4, 1.0)
+    rng, state = rng_for(0), zero
+    phi = model.log_density(state, lat)[0]
+    kept, accepted = [], 0
+    total = config.burn_in + config.steps
+    for i in range(total):
+        state, phi, acc = step(rng, state, phi, beta)
+        accepted += acc
+        if i >= config.burn_in and (i - config.burn_in) % config.thin == 0:
+            kept.append(state[0])
+    rate = accepted / total
+    warnings = [f"acceptance rate {rate:.3f} < 1%; try beta ~ {beta / 4:.3g}"] \
+        if rate < 0.01 else []
+    return np.array(kept), rate, beta, warnings
+
+
+def _chain_cases():
+    lat_gp = Lattice(2, 12)
+    gp = ham.GrossPitaevskiiProjected(ham.gp_cosine_potential(lat_gp, amplitude=-1.0), 1.0,
+                                      n_project=4)
+    return {"nls-ball": (tg.NLS(4, 0.05), PhaseDomain.mass_ball(4.0),
+                         GaussianReference(Lattice(1, 8, 2), 0.0, "complex")),
+            "kdv-ball": (tg.KdV(0.3), PhaseDomain.mass_ball(4.0),
+                         GaussianReference(Lattice(1, 8, 2), 0.0, "real")),
+            "gp-decay": (gp, PhaseDomain.decay(8.0, 3.5, 0.2, 0.1),
+                         GaussianReference(lat_gp, 0.0, "complex"))}
+
+
+@pytest.mark.parametrize("case", sorted(_chain_cases()))
+@pytest.mark.parametrize("beta", [None, 0.6])
+def test_seeded_chain_is_the_reference_loop_bitwise(case, beta):
+    model, domain, reference = _chain_cases()[case]
+    config = ChainConfig(steps=301, burn_in=40, thin=3, seed=13, beta=beta, pilot_steps=120)
+    ens, stats = run_pcn_chain(model, domain, reference, config)
+    kept, rate, beta_used, warnings = _reference_chain(model, domain, reference, config)
+    assert 0.0 < rate < 1.0
+    assert ens.coefs.tobytes() == kept.tobytes()
+    assert (stats.acceptance_rate, stats.beta, stats.warnings) == (rate, beta_used, warnings)
 
 
 def test_pcn_chain_refuses_the_zakharov_product_measure():

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusgibbs as tg
+from torusgibbs import spectral
 from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice, _fast_len,
                                  analyze_batch, coef_from_coords, coords_from_coef,
                                  dirichlet_multiplier, fft_analyze, fft_synthesize,
@@ -276,6 +278,34 @@ def test_lp_integral_odd_p_rules():
     grid = synthesize_batch(r.coef, lat, 4)
     assert tg.lp_integral(r, 3) == pytest.approx(float(np.mean(np.real(grid) ** 3)),
                                                  rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("p", [3, 4, 6])
+@pytest.mark.parametrize("lat", [Lattice(1, 8, 2), Lattice(2, 5)])
+@pytest.mark.parametrize("stack", ["one-row", "three-blocks"])
+def test_lp_integral_batch_is_np_mean_of_the_grid_power(p, lat, stack):
+    # bit for bit the formula it replaced: np.mean(|u|^p) (u^p for odd p)
+    # over each row block's grid
+    m = lat.grid_points(max(lat.oversample, math.ceil(p / 2)))
+    row_bytes = 32 * m ** lat.dim
+    count = 1 if stack == "one-row" else 2 * (spectral._BLOCK_BYTES // row_bytes) + 5
+    rng = np.random.default_rng(41)
+    coefs = rng.standard_normal((count,) + lat.shape) \
+        + 1j * rng.standard_normal((count,) + lat.shape)
+    if p % 2:
+        coefs = hermitianize(coefs, lat.dim)
+    want = np.empty(count)
+    block_list = spectral._row_blocks(count, row_bytes)
+    assert len(block_list) == (1 if stack == "one-row" else 3)
+    for rows in block_list:
+        fcoefs = to_fft_order(coefs[rows], lat.dim)
+        if p % 2:
+            vals = fft_synthesize(fcoefs[..., :lat.n + 1], lat.dim, m, real=True)
+        else:
+            vals = np.abs(fft_synthesize(fcoefs, lat.dim, m))
+        want[rows] = np.mean(vals ** p, axis=tuple(range(1, lat.dim + 1)))
+    got = spectral.lp_integral_batch(coefs, lat, p)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_intensity_times_potential_zero_mode_only():
