@@ -33,12 +33,19 @@ full, one finite-value check and one hamiltonians.energy_batch call cover
 all of it, and the mass and energy series and the recorded states are
 taken from it.  A recorded state is the start state rebuilt from its
 coefficients (with_coef), whatever the model.  evolve_ensemble pushes a
-whole stack of one model's states, (B, 3, 2n+1) for Zakharov, at once.
+stack of one model's states, (B, 3, 2n+1) for Zakharov, as contiguous row
+parts, one per usable core but none under _PART_BYTES: each part goes
+through every step on its own stepper, the calling thread marching the
+first and one worker thread each of the others (numpy's transforms and
+ufuncs release the GIL).  A row's arithmetic does not depend on the rows
+beside it, so the joined parts equal one march of the whole stack, bit for
+bit; one finite-value check covers them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,9 @@ from . import hamiltonians as ham
 from .spectral import (FourierField, Lattice, _fast_len, _row_blocks, fft_analyze,
                        fft_synthesize, from_fft_order, lp_integral_batch, sobolev_weights,
                        to_fft_order)
+
+
+_PART_BYTES = 2 ** 16     # least stack bytes an ensemble part is worth a thread for
 
 
 class FlowError(RuntimeError):
@@ -92,7 +102,9 @@ class _Stepper:
     """One run's time step dt: the propagators exp(i dt freq) for a full and
     a half linear step (freq in the state layout), the nonlinear substep,
     and the map between centered (B, ...) stacks and the state layout; shape
-    is the centered shape of one state."""
+    is the centered shape of one state.  _rotate writes into a buffer kept
+    on the stepper, so a stepper marches on one thread at a time: threads
+    that march at once each build their own."""
 
     def __init__(self, lattice: Lattice, dt: float, freq: np.ndarray):
         self.dim = lattice.dim
@@ -312,14 +324,29 @@ def evolve(model, state, config: FlowConfig) -> Trajectory:
 
 def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
                     config: FlowConfig) -> np.ndarray:
-    """Push a whole (B, ...) coefficient stack through the flow (vectorized);
-    each row must have the shape of the coef of one of the model's states."""
+    """Push a whole (B, ...) coefficient stack through the flow, in
+    contiguous row parts marched at once (see the module docstring); each
+    row must have the shape of the coef of one of the model's states."""
     steps = config.steps
-    stepper = _make_stepper(model, lattice, config.t_final / steps)
+    dt = config.t_final / steps
+    stepper = _make_stepper(model, lattice, dt)
     if coefs.shape[1:] != stepper.shape:
         raise ValueError(f"a {coefs.shape} stack is no stack of {type(model).__name__} "
                          f"states on {lattice}")
-    out = _march(stepper, stepper.pack(coefs), steps)
+    state = stepper.pack(coefs)
+    rows = state.shape[0]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cores, rows, state.nbytes // _PART_BYTES)
+    if parts <= 1:
+        out = _march(stepper, state, steps)
+    else:       # imported here: a one-part push loads no thread machinery
+        from concurrent.futures import ThreadPoolExecutor
+        bounds = [rows * i // parts for i in range(parts + 1)]
+        with ThreadPoolExecutor(parts - 1, thread_name_prefix="torusgibbs-flow") as pool:
+            rest = [pool.submit(_march, _make_stepper(model, lattice, dt), state[lo:hi], steps)
+                    for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            out = np.concatenate([_march(stepper, state[:bounds[1]], steps)]
+                                 + [part.result() for part in rest])
     _guard(out)
     return stepper.unpack(out)
 

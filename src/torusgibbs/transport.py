@@ -258,13 +258,17 @@ def truncation_coupling_bound(coords: np.ndarray, lattice: Lattice, n: int,
     coordinates of complex fields; an upper bound for the squared L^2
     transportation distance between the n-truncation and the full ensemble.
     E(x|F_n) is the projection that zeroes the tail, exact for product
-    references."""
+    references.  Each row's squared tail is summed on a row block of its
+    tail coordinates, squared in place (at most _BLOCK_BYTES)."""
     if n >= lattice.n:
         return {"n": n, "value": 0.0, "stderr": 0.0, "estimator": "projection",
                 "degenerate": True}
-    tail = coords[:, ~head_coordinate_mask(lattice, n, False, zero_mode)]
-    per = np.sum(tail ** 2, axis=1)
-    b = per.shape[0]
+    tail = ~head_coordinate_mask(lattice, n, False, zero_mode)
+    b = coords.shape[0]
+    per = np.empty(b)
+    for rows in _row_blocks(b, 8 * int(np.count_nonzero(tail))):
+        block = coords[rows][:, tail]
+        per[rows] = np.sum(np.square(block, out=block), axis=1)
     return {"n": n, "value": float(np.mean(per)),
             "stderr": float(np.std(per, ddof=1) / math.sqrt(b)),
             "estimator": "projection", "degenerate": False}

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +117,107 @@ def test_evolve_ensemble_matches_single_state():
         for i, state in enumerate(states):
             single = flows.evolve(model, state, cfg)
             assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12, case
+
+
+def _stack(states, rows):
+    """rows distinct states: the three states, each scaled by its own factor."""
+    return np.stack([(1.0 + 0.01 * i) * states[i % 3].coef for i in range(rows)])
+
+
+def _flow_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """Run evolve_ensemble as if `cores` cores were usable and a part were
+    worth `rows_per_part` packed rows of the stack; returns the rows each
+    _march call got and the names of the threads started."""
+    marched, started = [], []
+    march, start = flows._march, threading.Thread.start
+
+    def counted_march(stepper, state, steps, out=None):
+        marched.append(state.shape[0])
+        return march(stepper, state, steps, out)
+
+    def named_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    def setup(cores, row_bytes, rows_per_part):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(flows, "_PART_BYTES", rows_per_part * row_bytes)
+        monkeypatch.setattr(flows, "_march", counted_march)
+        monkeypatch.setattr(threading.Thread, "start", named_start)
+        return marched, started
+    return setup
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("case", sorted(_ensemble_cases()))
+def test_evolve_ensemble_parts_are_one_march_bitwise(case, cores, parts):
+    model, lat, states = _ensemble_cases()[case]
+    cfg = flows.FlowConfig(1e-2, 0.1)
+    stepper = flows._make_stepper(model, lat, cfg.t_final / cfg.steps)
+    row_bytes = stepper.pack(_stack(states, 1)).nbytes
+    whole = {}
+    for rows in (1, 3, 5, 7, 8):
+        coefs = _stack(states, rows)
+        packed = stepper.pack(coefs)
+        whole[rows] = stepper.unpack(flows._march(stepper, packed, cfg.steps))
+    marched, started = parts(cores, row_bytes, 2)
+    # a part holds at least two rows: 1 and 3 rows stay whole; 5, 7 and 8
+    # rows split 2 + 3, 2 + 2 + 3 and 2 + 3 + 3 on three cores
+    split = {1: [1], 3: [3], 5: [2, 3], 7: [2, 2, 3], 8: [2, 3, 3]}
+    for rows in (1, 3, 5, 7, 8):
+        marched.clear()
+        started.clear()
+        got = flows.evolve_ensemble(model, _stack(states, rows), lat, cfg)
+        assert got.tobytes() == whole[rows].tobytes(), (case, rows)
+        want = split[rows] if cores == 3 else [rows]
+        assert sorted(marched) == want
+        # the pool starts a worker per part but the first, unless an idle one
+        # takes the next part; one part starts none
+        assert len(started) in ({0} if len(want) == 1 else set(range(1, len(want))))
+        assert all(name.startswith("torusgibbs-flow") for name in started)
+        assert _flow_threads() == []
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_a_blow_up_in_the_last_part_raises(cores, parts):
+    model, lat, states = _ensemble_cases()["nls"]
+    cfg = flows.FlowConfig(1e-2, 0.1)
+    coefs = _stack(states, 7)
+    coefs[-1] *= 1e200                  # finite, but |u|^2 overflows in the first step
+    marched, started = parts(cores, coefs[0].nbytes, 2)
+    with pytest.raises(flows.FlowError):
+        flows.evolve_ensemble(model, coefs, lat, cfg)
+    assert marched == ([2, 2, 3] if cores == 3 else [7])
+    assert (len(started) > 0) == (cores == 3)
+    assert _flow_threads() == []
+    # a finite stack of the same parts passes
+    flows.evolve_ensemble(model, coefs[:-1], lat, cfg)
+
+
+def test_a_blow_up_in_the_last_part_exits_3(tmp_path, monkeypatch, parts):
+    from torusgibbs import experiments
+    draws = experiments._reference_draws
+
+    def blown_up(reference, seed, count):
+        ens = draws(reference, seed, count)
+        ens.coefs[-1] *= 1e200
+        return ens
+
+    monkeypatch.setattr(experiments, "_reference_draws", blown_up)
+    marched, started = parts(3, 16 * 17, 2)
+    cfg = {"experiment": "invariance", "seed": 5, "lattice": {"dim": 1, "n": 8},
+           "model": {"kind": "nls", "p": 4, "lam": 0.18}, "sampler": {"steps": 100},
+           "flow": {"dt": 1e-2, "t_final": 0.1},
+           "params": {"gaussian_control": True, "count": 64}}
+    report, code = experiments.run_experiment(cfg, output_dir=str(tmp_path / "inv"))
+    assert code == 3 and "NaN/Inf" in report["error"]
+    assert sorted(marched) == [21, 21, 22] and started
+    assert _flow_threads() == []
 
 
 def test_evolve_ensemble_rejects_zakharov():

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,8 @@ def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     finally:
         tracemalloc.stop()
     assert len(blocks) >= 3
+    # the replay worker is gone once the stream ends
+    assert not [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
     assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]]
     assert blocks[0].start == 0 and blocks[-1].stop == count
     assert rng.bit_generator.state == batch_rng.bit_generator.state

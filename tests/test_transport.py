@@ -220,6 +220,26 @@ def test_coupling_bound_degenerate_and_monotone():
     assert vals[0] > vals[1] > vals[2]
 
 
+def test_coupling_bound_sums_row_blocks_of_the_tail():
+    # the same per-row sums as squaring one copy of the whole tail, bit for
+    # bit, holding a row block of it at a time: the whole tail is 16 MB here
+    lat = Lattice(1, 256)
+    coords = np.random.default_rng(11).standard_normal((2000, 4 * lat.n))
+    for n in (4, 100):
+        tail = coords[:, ~trans.head_coordinate_mask(lat, n, False, False)]
+        per = np.sum(tail ** 2, axis=1)
+        del tail
+        tracemalloc.start()
+        try:
+            row = trans.truncation_coupling_bound(coords, lat, n, zero_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row["value"] == float(np.mean(per))
+        assert row["stderr"] == float(np.std(per, ddof=1) / math.sqrt(len(per)))
+        assert peak < 3 * spectral._BLOCK_BYTES
+
+
 def test_coupling_bound_dominates_direct_w2():
     # the conditional-coupling value >= any directly computed W2(projected, full)^2 on
     # matched samples (coupling suboptimality)
