@@ -22,12 +22,8 @@ class ArchiveError(RuntimeError):
 
 
 def write_ensemble(path: str, ensemble: SampleEnsemble):
-    coefs = np.ascontiguousarray(ensemble.coefs, dtype=np.complex128)
-    payload = coefs.view(np.float64)
-    if payload.dtype.byteorder == ">" or (payload.dtype.byteorder == "="
-                                          and not np.little_endian):
-        payload = payload.astype("<f8")
-    raw = payload.tobytes()
+    coefs = np.ascontiguousarray(ensemble.coefs, dtype="<c16")
+    raw = coefs.tobytes()
     header = {
         "format_version": FORMAT_VERSION,
         "dim": ensemble.lattice.dim,
@@ -79,8 +75,7 @@ def read_ensemble(path: str) -> SampleEnsemble:
     expected = int(np.prod(shape)) * 16
     if len(raw) != expected:
         raise ArchiveError(f"payload length {len(raw)} != expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    coefs = flat.view(np.complex128).reshape(shape).copy()
+    coefs = np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
     return SampleEnsemble(lat, coefs, header["reality"], header["zero_mode"],
                           seed=header.get("seed"), thinning=header.get("thinning", 1),
                           meta=header.get("meta", {}))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, dual_weights, field_coords,
+from .spectral import (FourierField, Lattice, dual_weights, field_coords, hermitianize,
                        intensity_mode, shift_slices)
 
 
@@ -72,7 +72,6 @@ def mode_direction(lattice: Lattice, k, part: str = "re", reality: bool = False,
                                         k if isinstance(k, tuple) else (k,)))
     f.coef[idx] = 1.0 if part == "re" else 1j
     if reality:
-        from .spectral import hermitianize
         f.coef = 2.0 * hermitianize(f.coef, lattice.dim)
     return field_coords(f)
 
@@ -83,7 +82,6 @@ def default_dictionary(lattice: Lattice, reality: bool = False,
     """Linear functionals on low modes, their moduli, tanh compressions and
     the L^2 norm; the default LSI/Poincare dictionary."""
     out = []
-    ks = []
     if lattice.dim == 1:
         ks = [k for k in range(1, min(max_mode, lattice.n) + 1)]
     else:

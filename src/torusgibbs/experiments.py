@@ -237,7 +237,7 @@ def _gibbs_ensemble(model, domain, reference, chain) -> samp.SampleEnsemble:
     """The chain's ensemble of the Gibbs measure; the free field on an
     unrestricted domain is the reference itself, drawn exactly."""
     if model.lam == 0.0 and domain.kind == "unrestricted":
-        return _reference_draws(reference, chain.seed, samp._kept_count(chain))
+        return _reference_draws(reference, chain.seed, chain.kept)
     return samp.run_pcn_chain(model, domain, reference, chain)[0]
 
 
@@ -286,7 +286,7 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
                    tolerance: float = -1e-12) -> tuple[dict, bool | None]:
     rng = np.random.default_rng(seed)
     reality = model.reality
-    ref = samp.GaussianReference(lattice, 0.0, "real" if reality else "complex")
+    ref = build_reference(model, lattice)
     margins = np.empty(trials)
     for i in range(trials):
         pair = []
@@ -295,9 +295,7 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
             fld = FourierField(lattice, coef, reality, zero_mode=False)
             scale = math.sqrt(mass_bound) * math.sqrt(rng.uniform()) \
                 / math.sqrt(max(fld.mass(), 1e-30))
-            fld = scale * fld
-            fld.reality = reality
-            pair.append(fld)
+            pair.append(scale * fld)
         t = rng.uniform(0.05, 0.95)
         margins[i] = ham.convexity_margin(model, pair[0], pair[1], t, mass_bound).value
     results = {"min_margin": float(np.min(margins)),
@@ -322,6 +320,10 @@ def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 
     rep = samp.normalizability_probe(p, lam, mass_bound, n_list, n_samples, seed)
     passed = None if expect is None else rep["classification"] == expect
     return {"results": rep}, passed
+
+
+def _normalizability_levels(n_list: list, **_):
+    samp._check_levels(n_list)
 
 
 def _run_critical_mass(seed: int, *, lam: float = 1.0, n_list: list[int] = (8, 16, 32),
@@ -464,6 +466,8 @@ _RUNNERS = {
     "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
 _PRECONDITIONS = {_run_convexity: _has_convexity_constant,
+                  _run_normalizability: _normalizability_levels,
+                  _run_critical_mass: _normalizability_levels,
                   _sobolev_tail: _sobolev_tail_ranges,
                   _tail_sum: _tail_sum_ranges, _decay_mass: _decay_mass_ranges}
 

@@ -80,7 +80,6 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
     states: list
     mass: np.ndarray
     energy: np.ndarray
@@ -285,11 +284,10 @@ def _guard(states):
 
 
 def flow_step(model, state, dt: float):
-    """One Strang step of the model's truncated canonical flow."""
-    stepper = _make_stepper(model, state.lattice, dt)
-    out = _march(stepper, stepper.pack(state.coef[None]), 1)
-    _guard(out)
-    return state.with_coef(stepper.unpack(out)[0])
+    """One Strang step of the model's truncated canonical flow: the state
+    pushed as a one-row ensemble (a single row is one part)."""
+    return state.with_coef(evolve_ensemble(model, state.coef[None], state.lattice,
+                                           FlowConfig(dt, dt))[0])
 
 
 def evolve(model, state, config: FlowConfig) -> Trajectory:
@@ -318,8 +316,7 @@ def evolve(model, state, config: FlowConfig) -> Trajectory:
             recorded += [state.with_coef(chunk[i].copy()) for i in range(k)
                          if (done + i + 1) % stride == 0 and done + i + 1 < steps]
     recorded.append(state.with_coef(chunk[-1].copy()))
-    return Trajectory(dt * np.arange(steps + 1), recorded, np.concatenate(mass),
-                      np.concatenate(energy))
+    return Trajectory(recorded, np.concatenate(mass), np.concatenate(energy))
 
 
 def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
@@ -432,14 +429,12 @@ def invariance_test(model, ensemble, config: FlowConfig, energy_tol: float = 1e-
 
 @dataclass
 class DuhamelResult:
-    times: np.ndarray
     w_nodes: np.ndarray                # fixed-point perturbation at the nodes
     u_final: FourierField              # u0 + w at t_final
     residuals: list
     contraction: float
     horizon_ok: bool
     k0: float                          # sup_t ||Phi(u0)||_{H^s}
-    s: float
 
 
 def _filon_weights(omega: np.ndarray, h: float):
@@ -496,7 +491,8 @@ def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
     ksq = lat.ksq()
     h = t_final / steps
     times = h * np.arange(steps + 1)
-    u0 = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * phi.coef
+    free = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim))    # e^{-i |k|^2 t}
+    u0 = free * phi.coef
     wmat = sobolev_weights(lat, s)
 
     def phi_map(w_nodes):
@@ -522,17 +518,17 @@ def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
     # sampled Lipschitz quotient on the ball of radius 2 K0
     rng = np.random.default_rng(0)
     quotients = []
+    shape = np.exp(-lat.abs_k())
     for _ in range(4):
         za = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
         zb = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
-        shape = np.exp(-lat.abs_k())
-        wa = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * (za * shape)
-        wb = np.exp(-1j * ksq * times.reshape((-1,) + (1,) * lat.dim)) * (zb * shape)
+        wa = free * (za * shape)
+        wb = free * (zb * shape)
         wa *= 2.0 * k0 * rng.uniform(0.2, 1.0) / max(sup_norm(wa), 1e-30)
         wb *= 2.0 * k0 * rng.uniform(0.2, 1.0) / max(sup_norm(wb), 1e-30)
         quotients.append(sup_norm(phi_map(wa) - phi_map(wb)) / max(sup_norm(wa - wb), 1e-30))
     ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 0]
     contraction = max(quotients + ratios[1:2])
     u_final = FourierField(lat, u0[-1] + w[-1], False, phi.zero_mode)
-    return DuhamelResult(times, w, u_final, residuals, float(contraction),
-                         bool(contraction < 0.5), k0, s)
+    return DuhamelResult(w, u_final, residuals, float(contraction),
+                         bool(contraction < 0.5), k0)

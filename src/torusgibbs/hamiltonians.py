@@ -418,8 +418,7 @@ def _coupled_density(u: np.ndarray, n: np.ndarray, lattice: Lattice) -> np.ndarr
     u and n (leading batch axes allowed)."""
     ugrid = synthesize_batch(u, lattice, 2)
     ngrid = np.real(synthesize_batch(n, lattice, 2))
-    coef = analyze_batch(ngrid + np.abs(ugrid) ** 2, lattice)
-    return 0.5 * (coef + np.conj(coef[..., ::-1]))
+    return hermitianize(analyze_batch(ngrid + np.abs(ugrid) ** 2, lattice), 1)
 
 
 def intensity_coefficients(coefs: np.ndarray, lattice: Lattice) -> np.ndarray:

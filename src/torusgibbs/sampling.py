@@ -9,6 +9,7 @@ min(1, exp(phi(u') - phi(u))) and hard rejection outside the domain.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -73,76 +74,75 @@ class GaussianReference:
         v[nz] = 0.5 * sig2[nz]          # |c_j|^2 = (a_j^2 + b_j^2)/4 per side
         return v
 
+    @functools.cached_property
     def _std(self) -> np.ndarray:
         """Standard deviation of each drawn normal: per lattice mode for
         complex fields, per j = 1..n for real ones."""
-        cached = getattr(self, "_std_cache", None)
-        if cached is None:
-            lat = self.lattice
-            if self.field_type == "real":
-                j = np.arange(1, lat.n + 1, dtype=float)
-                cached = np.ones_like(j) if self.spectrum == "white" else \
-                    1.0 / np.sqrt(self.rho + j ** 2)
-            else:
-                cached = 1.0 / np.sqrt(self.rho + lat.ksq()) if self.rho > 0 else \
-                    _massless_std(lat)
-            object.__setattr__(self, "_std_cache", cached)
-        return cached
+        lat = self.lattice
+        if self.field_type == "real":
+            j = np.arange(1, lat.n + 1, dtype=float)
+            return np.ones_like(j) if self.spectrum == "white" else \
+                1.0 / np.sqrt(self.rho + j ** 2)
+        denom = self.rho + lat.ksq()
+        if self.rho == 0:
+            denom[lat.zero_index()] = 1.0      # placeholder; zero mode is nulled after
+        return 1.0 / np.sqrt(denom)
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count draws as a (count, ...) coefficient stack.  The stream holds
         the real parts of all rows (the cos coefficients a_j of real fields)
         first, then their imaginary parts (the sin coefficients b_j): one
         generator call draws both."""
-        draws = rng.standard_normal((2, count) + self._std().shape)
+        draws = rng.standard_normal((2, count) + self._std.shape)
         return self._complete(draws[0], draws[1])
 
     def sample_blocks(self, rng: np.random.Generator, count: int):
         """Yield (rows, coefs) row blocks whose concatenation is
         sample_batch(rng, count), bit for bit; a finished stream leaves rng
         where sample_batch leaves it.  A block is sized by what it holds at
-        once: its complex rows (16 B per mode) and the real parts drawn and
-        replayed for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
+        once: its complex rows (16 B per mode) and the standard normals
+        drawn for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
 
         The stream draws every row's real part before any imaginary part.
-        One pass over that real section keeps block 0's real part and
-        rng's state at the start of every later block.  Then each block's
-        imaginary part is drawn from rng while the stream's one worker
-        thread, started when there is a block to replay, replays the next
-        block's real part from its saved state (the draws release the GIL).
+        rng draws block 0's real part, and a copy of rng taken there trails
+        it at block 1's; rng then passes over the rest of the real section
+        into one reused block.  Each block's imaginary part is drawn from
+        rng while the stream's one worker thread, started when there is a
+        second block, draws the next block's real part from the copy (the
+        draws release the GIL, and the worker calls nothing but the
+        generator: the perfbench tracer's span stack is not thread-safe).
         So the stream holds a few blocks, never half the batch."""
-        std = self._std()
+        std = self._std
         blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
         if not blocks:
             return
         shapes = [(rows.stop - rows.start,) + std.shape for rows in blocks]
         real = rng.standard_normal(shapes[0])
-        skip = np.empty_like(real)
-        states = []
-        for shape in shapes[1:]:
-            states.append(rng.bit_generator.state)
-            rng.standard_normal(out=skip[:shape[0]])
-        del skip
-        if states:      # imported here: a one-block stream loads no thread machinery
+        trailing = len(blocks) > 1
+        if trailing:    # imported here: a one-block stream loads no thread machinery
             from concurrent.futures import ThreadPoolExecutor
-            gen = np.random.Generator(type(rng.bit_generator)())
-            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusgibbs-replay")
+            trail = copy.deepcopy(rng)
+            skip = np.empty_like(real)
+            for shape in shapes[1:]:
+                rng.standard_normal(out=skip[:shape[0]])
+            del skip
+            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusgibbs-draws")
         try:
             for i, rows in enumerate(blocks):
                 if i:
                     real = ahead.result()
-                if i < len(states):
-                    ahead = worker.submit(_replay, gen, states[i], shapes[i + 1])
+                if i + 1 < len(blocks):
+                    ahead = worker.submit(trail.standard_normal, shapes[i + 1])
                 yield rows, self._complete(real, rng.standard_normal(real.shape))
         finally:
-            if states:
+            if trailing:
                 worker.shutdown()
 
     def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Coefficient rows from the standard normals of their real and
         imaginary parts (a_j and b_j of real fields), each scaled by _std as
         it is written into the rows."""
-        std = self._std()
+        std = self._std
         if self.field_type == "complex":
             coefs = np.empty(real.shape, dtype=np.complex128)
             np.multiply(real, std, out=coefs.real)
@@ -155,20 +155,6 @@ class GaussianReference:
         coefs[:, n + 1:] = 0.5 * (real * std - 1j * (imag * std))
         coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
         return coefs
-
-
-def _replay(gen: np.random.Generator, state: dict, shape: tuple) -> np.ndarray:
-    """A block's real part, drawn again from its saved bit-generator state.
-    Runs on the worker, so it calls nothing but the generator (the
-    perfbench tracer's span stack is not thread-safe)."""
-    gen.bit_generator.state = state
-    return gen.standard_normal(shape)
-
-
-def _massless_std(lat: Lattice) -> np.ndarray:
-    ksq = lat.ksq().copy()
-    ksq[lat.zero_index()] = 1.0      # placeholder; zero mode is nulled after
-    return 1.0 / np.sqrt(ksq)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +304,21 @@ class ChainConfig:
     chain_id: int = 0
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        # beta > 1 makes sqrt(1 - beta^2) imaginary: no reference-preserving proposal
+        if self.beta is not None and not 0 < self.beta <= 1:
+            raise ValueError("beta must be in (0, 1]")
+
+    @property
+    def kept(self) -> int:
+        """The states the chain keeps: every thin-th step after burn-in,
+        ceil(steps / thin)."""
+        return len(range(0, self.steps, self.thin))
 
 
 @dataclass
@@ -363,11 +362,11 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
                   config: ChainConfig):
     """Reference-preserving Metropolis chain for exp(phi) d(reference)
     restricted to the domain; starts at the zero field.  Returns the thinned
-    post-burn-in ensemble and acceptance statistics, collected from the
-    chain's one loop, _pcn_kept."""
+    post-burn-in ensemble of config.kept states and the acceptance
+    statistics, collected from the chain's one loop, _pcn_kept."""
     lat = reference.lattice
     states = _pcn_kept(model, domain, reference, config)
-    kept = np.empty((_kept_count(config),) + lat.shape, dtype=np.complex128)
+    kept = np.empty((config.kept,) + lat.shape, dtype=np.complex128)
     for i in range(len(kept)):
         kept[i] = next(states)[0]
     stats = _chain_stats(states)
@@ -380,8 +379,8 @@ def run_pcn_chain(model, domain: PhaseDomain, reference: GaussianReference,
 def _pcn_kept(model, domain: PhaseDomain, reference: GaussianReference,
               config: ChainConfig):
     """The pCN chain as a generator of its kept (thinned, post-burn-in)
-    states, _kept_count(config) of them, each a (1, ...) array the chain
-    never writes again.  Its return value (StopIteration.value, see
+    states, config.kept of them, each a (1, ...) array the chain never
+    writes again.  Its return value (StopIteration.value, see
     _chain_stats) is the chain's ChainStats, known once every step is run."""
     lat = reference.lattice
     state = np.zeros((1,) + lat.shape, dtype=np.complex128)
@@ -407,10 +406,6 @@ def _pcn_kept(model, domain: PhaseDomain, reference: GaussianReference,
     if rate < 0.01:
         warnings.append(f"acceptance rate {rate:.3f} < 1%; try beta ~ {beta / 4:.3g}")
     return ChainStats(rate, beta, warnings)
-
-
-def _kept_count(config: ChainConfig) -> int:
-    return len(range(config.burn_in, config.burn_in + config.steps, config.thin))
 
 
 def _chain_stats(states) -> ChainStats:
@@ -523,9 +518,18 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
     rise stays below threshold and the Z estimates converge (successive
     |dZ| nonincreasing, last pair within 3 combined stderr); else marginal.
     """
-    n_list = sorted(int(n) for n in n_list)
+    n_list = _check_levels(n_list)
     mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
     return _classify(p, lam, mass_bound, n_list, mass, logd, rise_threshold)
+
+
+def _check_levels(n_list) -> list:
+    """The ascending truncation levels of a normalizability computation,
+    which compares at least two distinct levels n >= 1."""
+    levels = sorted(int(n) for n in n_list)
+    if len(levels) < 2 or len(set(levels)) < len(levels) or levels[0] < 1:
+        raise ValueError("needs at least two distinct truncation levels n >= 1")
+    return levels
 
 
 def _truncation_pass(p: int, lam: float, n_list: list, n_samples: int, seed: int):
@@ -607,7 +611,7 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
     One streamed pass (_truncation_pass) gives every draw's mass and
     log-density at each n, each n on its own lattice; each bisection mass
     only reclassifies those arrays."""
-    n_list = sorted(int(n) for n in n_list)
+    n_list = _check_levels(n_list)
     mass, logd = _truncation_pass(6, lam, n_list, n_samples, seed)
 
     def stable(bound):

@@ -183,9 +183,7 @@ def smooth_state(lattice: Lattice, seed: int, amplitude: float = 0.5,
     if not zero_mode:
         fld.coef[lattice.zero_index()] = 0.0
         fld.zero_mode = False
-    fld = (amplitude / math.sqrt(max(fld.mass(), 1e-30))) * fld
-    fld.reality = reality
-    return fld
+    return (amplitude / math.sqrt(max(fld.mass(), 1e-30))) * fld
 
 
 # ---------------------------------------------------------------------------

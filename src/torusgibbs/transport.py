@@ -17,7 +17,7 @@ import numpy as np
 from . import hamiltonians as ham
 from .concentration import _jackknife
 from .sampling import (ChainConfig, GaussianReference, PhaseDomain, _chain_stats, _ess,
-                       _kept_count, _pcn_kept)
+                       _pcn_kept)
 from .spectral import FourierField, Lattice, _row_blocks, coord_layout, dirichlet_multiplier
 
 
@@ -152,8 +152,8 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     decreases toward the exact optimum as eps drops.  An iteration is two
     calls of this module's logsumexp on the kernel -cost/eps; levels before the
     last stop at marginal residual sqrt(SINKHORN_TOL), the last at
-    SINKHORN_TOL, then up to 10 Newton steps finish.  `converged` reads the
-    residual before rounding."""
+    SINKHORN_TOL, then up to 10 Newton steps finish.  `converged` holds when
+    the residual before rounding is below 1e-8."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     c = cost.matrix(mu.points, nu.points)
@@ -181,7 +181,7 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
                 break
         levels.append(it)
     plan, pre_resid = _newton_polish(f, g, c, la, lb, a, b, eps_list[-1])
-    converged = pre_resid < max(SINKHORN_TOL, 1e-8)
+    converged = pre_resid < 1e-8
     plan = _round_to_marginals(plan, a, b)
     resid = _plan_residual(plan, a, b)
     obj = float(np.sum(plan * c))
@@ -337,7 +337,7 @@ def _chain_delta_u(model_n, model_full, domain: PhaseDomain, reference: Gaussian
     ensemble."""
     lattice = reference.lattice
     states = _pcn_kept(model_n, domain, reference, chain)
-    du = np.empty(_kept_count(chain))
+    du = np.empty(chain.kept)
     blocks = _row_blocks(len(du), 16 * math.prod(lattice.shape))
     buffer = np.empty((blocks[0].stop if blocks else 0,) + lattice.shape, dtype=np.complex128)
     for rows in blocks:

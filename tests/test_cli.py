@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -508,27 +509,58 @@ def test_kdv_on_a_2d_lattice_is_rejected_by_validation(tmp_path):
         assert run_experiment(cfg)[1] == 0
 
 
-# a range each task's computation rejects, and the message it rejects it with
+# a config whose values its computation (or a block's constructor) rejects,
+# where the rejection is reported, and the message it is rejected with
+NORM = "normalizability"
+LEVELS = "needs at least two distinct truncation levels n >= 1"
 RANGE_ERRORS = [
-    ({"task": "sobolev_tail", "s": 0.1}, "tail", "needs 1/4 < s < 1/2"),
-    ({"task": "sobolev_tail", "s": 0.5}, "tail", "needs 1/4 < s < 1/2"),
-    ({"task": "tail_sum", "n_list": [1]}, "transport", "need n >= 2 and s > 0"),
-    ({"task": "tail_sum", "n_list": [4, 8], "s": 0.0}, "transport", "need n >= 2 and s > 0"),
-    ({"task": "decay_mass", "s": 0.3}, "tail", "0 < s < 1/4"),
-    ({"task": "decay_mass", "eps": 0.2}, "tail", "0 < eps < 1/8"),
-    ({"task": "decay_mass", "grid": [[7.5, 3.0], [8.0, 1.0]]}, "tail", "K2 exp"),
+    ({"experiment": "tail", "params": {"task": "sobolev_tail", "s": 0.1}}, "tail",
+     "needs 1/4 < s < 1/2"),
+    ({"experiment": "tail", "params": {"task": "sobolev_tail", "s": 0.5}}, "tail",
+     "needs 1/4 < s < 1/2"),
+    ({"experiment": "transport", "params": {"task": "tail_sum", "n_list": [1]}}, "transport",
+     "need n >= 2 and s > 0"),
+    ({"experiment": "transport", "params": {"task": "tail_sum", "n_list": [4, 8], "s": 0.0}},
+     "transport", "need n >= 2 and s > 0"),
+    ({"experiment": "tail", "params": {"task": "decay_mass", "s": 0.3}}, "tail",
+     "0 < s < 1/4"),
+    ({"experiment": "tail", "params": {"task": "decay_mass", "eps": 0.2}}, "tail",
+     "0 < eps < 1/8"),
+    ({"experiment": "tail",
+      "params": {"task": "decay_mass", "grid": [[7.5, 3.0], [8.0, 1.0]]}}, "tail", "K2 exp"),
+    ({"experiment": NORM, "params": {"n_list": [8]}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"n_list": []}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"n_list": [0, 16]}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"bisect": True, "n_list": [8]}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"bisect": True, "n_list": []}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"bisect": True, "n_list": [0, 16]}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"n_list": [8, 8]}}, NORM, LEVELS),
+    ({"experiment": NORM, "params": {"bisect": True, "n_list": [8, 16, 16]}}, NORM, LEVELS),
+    # values a chain cannot run; beta > 1 is no reference-preserving proposal
+    ({"experiment": "sample", "sampler": {"beta": 2.0}}, "config.sampler",
+     "beta must be in (0, 1]"),
+    ({"experiment": "sample", "sampler": {"beta": 0.0}}, "config.sampler",
+     "beta must be in (0, 1]"),
+    ({"experiment": "sample", "sampler": {"burn_in": -2}}, "config.sampler",
+     "burn_in must be >= 0"),
+    ({"experiment": "sample", "sampler": {"steps": 0}}, "config.sampler",
+     "steps must be >= 1"),
 ]
 
 
-@pytest.mark.parametrize("params,experiment,message", RANGE_ERRORS,
-                         ids=[f"{p['task']}-{i}" for i, (p, _, _) in enumerate(RANGE_ERRORS)])
-def test_ranges_the_computation_rejects_exit_2(tmp_path, params, experiment, message):
+def _range_id(i, cfg):
+    return f"{cfg.get('params', {}).get('task', cfg['experiment'])}-{i}"
+
+
+@pytest.mark.parametrize("cfg,where,message", RANGE_ERRORS,
+                         ids=[_range_id(i, c) for i, (c, _, _) in enumerate(RANGE_ERRORS)])
+def test_ranges_the_computation_rejects_exit_2(tmp_path, cfg, where, message):
     path, out = tmp_path / "cfg.json", tmp_path / "out"
-    path.write_text(json.dumps({"experiment": experiment, "params": params}))
+    path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "-o", str(out)]) == 2
     assert not out.exists()
-    with pytest.raises(SchemaError, match=f"{experiment}: .*{message}"):
-        validate_config({"experiment": experiment, "params": params})
+    with pytest.raises(SchemaError, match=f"{re.escape(where)}: .*{re.escape(message)}"):
+        validate_config(cfg)
 
 
 @pytest.mark.parametrize("exc", [ValueError("KdV field must be real"),

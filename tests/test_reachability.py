@@ -10,6 +10,10 @@ REPO = SRC.parent.parent
 # public names kept although no root reaches them, each with its reason
 ALLOWED = {
     "read_ensemble": "the reader the archive round-trip tests check write_ensemble against",
+    "coef_variance": "GaussianReference's closed-form E|c_k|^2, the oracle the sampling "
+                     "tests check reference draws against",
+    "from_modes": "FourierField's builder from a {mode: coefficient} map, with which the "
+                  "tests write their fields",
 }
 
 
@@ -29,15 +33,25 @@ def _referenced(node, strings=False) -> set:
 
 def test_every_public_name_is_reached():
     # roots: the CLI and the runners, the acceptance criteria, perfbench (whose
-    # tracer names its targets as strings) and every module-level statement
-    defs = {}                          # top-level name -> names its body loads
+    # tracer names its targets as strings) and every module-level statement;
+    # a public method of a class is a name of its own, reached when some
+    # reached body loads an attribute of its name
+    defs = {}                          # top-level name or method -> names its body loads
     reached = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name in ("cli.py", "experiments.py"):
             reached |= _referenced(tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)
+                           and not n.name.startswith("_")]
+                for method in methods:
+                    defs.setdefault(method.name, set()).update(_referenced(method))
+                rest = [n for n in node.body if n not in methods]
+                defs.setdefault(node.name, set()).update(
+                    *map(_referenced, rest + node.decorator_list + node.bases))
+            elif isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, set()).update(_referenced(node))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 reached |= _referenced(node)

@@ -189,7 +189,7 @@ def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     finally:
         tracemalloc.stop()
     assert len(blocks) >= 3
-    # the replay worker is gone once the stream ends
+    # the draw worker is gone once the stream ends
     assert not [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
     assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]]
     assert blocks[0].start == 0 and blocks[-1].stop == count
@@ -198,15 +198,15 @@ def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
     assert peak <= 5 * spectral._BLOCK_BYTES
 
     # abandoned after its first block: rng stands after the real section
-    # and that block's imaginary part, untouched by the pending replay
+    # and that block's imaginary part, untouched by the trailing copy's pending draw
     rng = np.random.default_rng(9)
     stream = ref.sample_blocks(rng, count)
     rows, first = next(stream)
     stream.close()
     assert np.array_equal(first.view(np.uint64), batch[rows].view(np.uint64))
     want = np.random.default_rng(9)
-    want.standard_normal((count,) + ref._std().shape)
-    want.standard_normal((rows.stop,) + ref._std().shape)
+    want.standard_normal((count,) + ref._std.shape)
+    want.standard_normal((rows.stop,) + ref._std.shape)
     assert rng.bit_generator.state == want.bit_generator.state
 
     # two streams iterated in turn
