@@ -80,7 +80,8 @@ def _signature(fn) -> list:
 
 def _typed(value, hint) -> bool:
     """Whether a JSON value fits an annotation; an int passes for a float,
-    a bool for neither."""
+    a bool for neither, and a float only if finite (json reads NaN and
+    Infinity)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Literal:
         return any(value == a and type(value) is type(a) for a in args)
@@ -90,6 +91,8 @@ def _typed(value, hint) -> bool:
         return isinstance(value, list) and all(_typed(v, args[0]) for v in value)
     if hint is float:
         hint = (int, float)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
@@ -393,8 +396,8 @@ def _run_gp_solve(lattice: Lattice, model: {"gp": _hartree}, seed: int, *,
                   tol: float = 1e-8) -> tuple[dict, bool | None]:
     phi = smooth_state(lattice, seed, amplitude)
     res = flows.gp_fixed_point(phi, model.potential, model.lam, t_final, steps, s=s)
-    traj = flows.evolve(model, phi, flows.FlowConfig(dt, t_final))
-    diff = sobolev_norm(res.u_final - traj.states[-1], -s)
+    end = flows.evolve_ensemble(model, phi.coef[None], lattice, flows.FlowConfig(dt, t_final))
+    diff = sobolev_norm(res.u_final - phi.with_coef(end[0]), -s)
     results = {"contraction": res.contraction, "horizon_ok": res.horizon_ok,
                "residuals": res.residuals[:12], "k0": res.k0,
                "fixed_vs_splitstep_h_minus_s": diff}

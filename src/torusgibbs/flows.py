@@ -14,32 +14,33 @@ full complex spectrum, KdV the half spectrum of its real field (modes
 
 Steps.  A stepper is built once per run for its time step: it holds the
 linear propagators (exact Fourier multipliers) for a full and a half step
-and supplies the nonlinear substep.  _march drives every flow through
-Strang steps (linear half step, nonlinear step, linear half step); the two
-linear half steps between consecutive nonlinear steps are fused into one
-full-step multiply (first same as last).  The NLS/GP nonlinear
-substep is the closed-form pointwise phase rotation on the critical grid,
-an exact l^2 isometry, so mass is conserved to roundoff for arbitrary
-states; the phase is the cosine and sine of the real exponent, and the GP
-Hartree potential V * |u|^2 comes from real transforms.  KdV integrates its
-quadratic term with dealiased RK4 (3/2-rule zero padding) by real
-transforms.  The Zakharov nonlinear substep solves the forced wave equation
-exactly per mode with |u|^2 frozen (u only rotates by a real phase) and
-rotates u by the exact time integral of n.
+and supplies the nonlinear substep.  Every run is one _march of Strang steps
+(linear half step, nonlinear step, linear half step), the two linear half
+steps between consecutive nonlinear steps fused into one full-step multiply
+(first same as last).  The NLS/GP nonlinear substep is the closed-form
+pointwise phase rotation on the critical grid, an exact l^2 isometry, so
+mass is conserved to roundoff for arbitrary states; the phase is the cosine
+and sine of the real exponent, and the GP Hartree potential V * |u|^2 comes
+from real transforms.  KdV integrates its quadratic term with dealiased RK4
+(3/2-rule zero padding) by real transforms.  The Zakharov nonlinear substep
+solves the forced wave equation exactly per mode with |u|^2 frozen (u only
+rotates by a real phase) and rotates u by the exact time integral of n.
 
 Recording.  evolve writes the state after every step into a history buffer
-of one spectral row block (at most 2**20 bytes); each time the buffer is
-full, one finite-value check and one hamiltonians.energy_batch call cover
-all of it, and the mass and energy series and the recorded states are
-taken from it.  A recorded state is the start state rebuilt from its
-coefficients (with_coef), whatever the model.  evolve_ensemble pushes a
-stack of one model's states, (B, 3, 2n+1) for Zakharov, as contiguous row
-parts, one per usable core but none under _PART_BYTES: each part goes
-through every step on its own stepper, the calling thread marching the
-first and one worker thread each of the others (numpy's transforms and
-ufuncs release the GIL).  A row's arithmetic does not depend on the rows
-beside it, so the joined parts equal one march of the whole stack, bit for
-bit; one finite-value check covers them.
+of one spectral row block (at most 2**20 bytes), whose spare last row
+carries the open state (before its closing half step), times the full step,
+into the next block; each full buffer gets one finite-value check and one
+hamiltonians.energy_batch call, and the mass and energy series and the
+recorded states are taken from it.  A recorded state is the start state
+rebuilt from its coefficients (with_coef), whatever the model.
+evolve_ensemble pushes a stack of one model's states, (B, 3, 2n+1) for
+Zakharov, as contiguous row parts, one per usable core but none under
+_PART_BYTES: each part goes through every step on its own stepper, the
+calling thread marching the first and one worker thread each of the others
+(numpy's transforms and ufuncs release the GIL).  A row's arithmetic does
+not depend on the rows beside it or on the blocks it is recorded in, so
+evolve, evolve_ensemble and flow_step give the same bits; one finite-value
+check covers the joined parts.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0 or self.dt > self.t_final + 1e-15:
             raise ValueError("need 0 < dt <= t_final")
+        if self.record_stride < 0:
+            raise ValueError("record_stride must be >= 0")
 
     @property
     def steps(self) -> int:
@@ -254,28 +257,28 @@ _STEPPERS = {ham.NLS: _NLSStepper, ham.GrossPitaevskii: _GPStepper, ham.KdV: _Kd
              ham.Zakharov: _ZakharovStepper}
 
 
-def _make_stepper(model, lattice: Lattice, dt: float):
+def _make_stepper(model, lattice: Lattice, config: FlowConfig):
     stepper = _STEPPERS.get(type(model))
     if stepper is None:
         raise TypeError(f"no stepper for {type(model).__name__}")
-    return stepper(model, lattice, dt)
+    return stepper(model, lattice, config.t_final / config.steps)
 
 
 def _march(stepper, state, steps: int, out=None):
-    """Advance a stack in the stepper's layout by `steps` Strang steps and
-    return it; with out, the state after step i is also written to out[i].
-    The linear half steps between two nonlinear steps are fused into one
-    full-step multiply."""
+    """Advance an opened stack in the stepper's layout (its leading linear
+    step taken: a start state times the half step, or an open state times
+    the full step) by `steps` Strang steps.  Without out, return it closed
+    by a half step; with out, write the state after step i, closed, to
+    out[i] and return it opened for a next step, so a march can go on."""
     # overflow is allowed to propagate as inf/nan; the finite check raises
     with np.errstate(over="ignore", invalid="ignore"):
-        state = state * stepper.half
         for i in range(steps):
             state = stepper.nonlinear(state)
             if out is not None:
                 np.multiply(state, stepper.half, out=out[i])
-            if i + 1 < steps:
+            if i + 1 < steps or out is not None:
                 state *= stepper.full
-        return state * stepper.half if out is None else out[steps - 1]
+        return state if out is not None else state * stepper.half
 
 
 def _guard(states):
@@ -291,23 +294,24 @@ def flow_step(model, state, dt: float):
 
 
 def evolve(model, state, config: FlowConfig) -> Trajectory:
-    """Integrate to t_final recording the mass and energy after every step
-    (see the module docstring for how they are computed)."""
+    """Integrate to t_final as one march, carried from history block to
+    history block, recording the mass and energy after every step (see the
+    module docstring for how they are computed)."""
     lattice = state.lattice
     steps = config.steps
-    dt = config.t_final / steps
-    stepper = _make_stepper(model, lattice, dt)
+    stepper = _make_stepper(model, lattice, config)
     start = state.coef[None]
-    cur = stepper.pack(start)
-    blocks = _row_blocks(steps, cur.nbytes)
-    history = np.empty((blocks[0].stop,) + cur.shape, cur.dtype)
+    packed = stepper.pack(start)
+    blocks = _row_blocks(steps, packed.nbytes)
+    history = np.empty((blocks[0].stop + 1,) + packed.shape, packed.dtype)
+    np.multiply(packed, stepper.half, out=history[-1])
     mass = [stepper.mass(start)]
     energy = [ham.energy_batch(model, start, lattice)]
     recorded = [state]
     stride = config.record_stride
     for rows in blocks:
         done, k = rows.start, rows.stop - rows.start
-        cur = _march(stepper, cur, k, history)
+        history[-1] = _march(stepper, history[-1], k, history)
         _guard(history[:k])
         chunk = stepper.unpack(history[:k, 0])
         mass.append(stepper.mass(chunk))
@@ -325,12 +329,11 @@ def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
     contiguous row parts marched at once (see the module docstring); each
     row must have the shape of the coef of one of the model's states."""
     steps = config.steps
-    dt = config.t_final / steps
-    stepper = _make_stepper(model, lattice, dt)
+    stepper = _make_stepper(model, lattice, config)
     if coefs.shape[1:] != stepper.shape:
         raise ValueError(f"a {coefs.shape} stack is no stack of {type(model).__name__} "
                          f"states on {lattice}")
-    state = stepper.pack(coefs)
+    state = stepper.pack(coefs) * stepper.half
     rows = state.shape[0]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cores, rows, state.nbytes // _PART_BYTES)
@@ -340,7 +343,7 @@ def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
         from concurrent.futures import ThreadPoolExecutor
         bounds = [rows * i // parts for i in range(parts + 1)]
         with ThreadPoolExecutor(parts - 1, thread_name_prefix="torusgibbs-flow") as pool:
-            rest = [pool.submit(_march, _make_stepper(model, lattice, dt), state[lo:hi], steps)
+            rest = [pool.submit(_march, _make_stepper(model, lattice, config), state[lo:hi], steps)
                     for lo, hi in zip(bounds[1:-1], bounds[2:])]
             out = np.concatenate([_march(stepper, state[:bounds[1]], steps)]
                                  + [part.result() for part in rest])
@@ -350,11 +353,11 @@ def evolve_ensemble(model, coefs: np.ndarray, lattice: Lattice,
 
 def richardson_order(model, state, t_final: float, dts) -> dict:
     """Self-convergence slope: l^2 distances over the whole coefficient stack
-    between successive-dt solutions at t_final, fitted on a log-log scale
-    (Strang should give 2)."""
+    between successive-dt one-row pushes to t_final (no mass or energy is
+    taken), fitted on a log-log scale (Strang should give 2)."""
     dts = sorted(dts, reverse=True)
-    finals = [evolve(model, state, FlowConfig(dt=dt, t_final=t_final)).states[-1].coef
-              for dt in dts]
+    finals = [evolve_ensemble(model, state.coef[None], state.lattice,
+                              FlowConfig(dt=dt, t_final=t_final))[0] for dt in dts]
     errs = [float(np.linalg.norm(a - b)) for a, b in zip(finals, finals[1:])]
     slope = float(np.polyfit(np.log(dts[:-1]), np.log(errs), 1)[0])
     return {"dts": list(dts), "errors": errs, "order": slope}

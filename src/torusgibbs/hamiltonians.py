@@ -234,7 +234,8 @@ class Zakharov(_Model):
         coupled = 0.25 * np.sum(np.abs(_coupled_density(u, n, lattice)) ** 2, axis=-1)
         k = lattice.axis_modes().astype(float)
         nz = k != 0
-        wave = 0.25 * np.sum(np.abs(v[:, nz]) ** 2 / k[nz] ** 2, axis=-1)
+        vnz = np.compress(nz, v, axis=-1)     # C order (v[:, nz] is F): rows sum as one field's
+        wave = 0.25 * np.sum(np.abs(vnz) ** 2 / k[nz] ** 2, axis=-1)
         return kinetic - 0.25 * lp_integral_batch(u, lattice, 4) + coupled + wave
 
     def gradient(self, st: ZakharovState):

@@ -545,6 +545,9 @@ RANGE_ERRORS = [
      "burn_in must be >= 0"),
     ({"experiment": "sample", "sampler": {"steps": 0}}, "config.sampler",
      "steps must be >= 1"),
+    # a negative stride is no stride (0 records the endpoints only)
+    ({"experiment": "flow", "flow": {"record_stride": -3}}, "config.flow",
+     "record_stride must be >= 0"),
 ]
 
 
@@ -561,6 +564,30 @@ def test_ranges_the_computation_rejects_exit_2(tmp_path, cfg, where, message):
     assert not out.exists()
     with pytest.raises(SchemaError, match=f"{re.escape(where)}: .*{re.escape(message)}"):
         validate_config(cfg)
+
+
+# floats that json reads (json.dumps writes NaN, Infinity and -Infinity) but
+# that no computation can use, and the value they are rejected as
+NON_FINITE = [
+    ({"experiment": "sample", "model": {"kind": "nls", "lam": math.nan}}, "config.model.lam"),
+    ({"experiment": "flow", "flow": {"dt": math.nan}}, "config.flow.dt"),
+    ({"experiment": "flow", "flow": {"t_final": math.inf}}, "config.flow.t_final"),
+    ({"experiment": "flow", "params": {"richardson": True, "richardson_dts": [1e-3, -math.inf]}},
+     "params.richardson_dts"),
+    ({"experiment": "tail", "params": {"task": "decay_mass", "grid": [[7.5, math.nan]]}},
+     "params.grid"),
+]
+
+
+@pytest.mark.parametrize("cfg,where", NON_FINITE, ids=[w for _, w in NON_FINITE])
+def test_non_finite_floats_exit_2(tmp_path, cfg, where):
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert re.search(r"\bNaN\b|\bInfinity\b", path.read_text())
+    assert main(["run", str(path), "-o", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(SchemaError, match=f"{re.escape(where)} must be "):
+        validate_config(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("exc", [ValueError("KdV field must be real"),

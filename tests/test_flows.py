@@ -116,7 +116,7 @@ def test_evolve_ensemble_matches_single_state():
         batch = flows.evolve_ensemble(model, np.stack([s.coef for s in states]), lat, cfg)
         for i, state in enumerate(states):
             single = flows.evolve(model, state, cfg)
-            assert np.max(np.abs(batch[i] - single.states[-1].coef)) < 1e-12, case
+            assert np.array_equal(batch[i], single.states[-1].coef), case
 
 
 def _stack(states, rows):
@@ -158,13 +158,13 @@ def parts(monkeypatch):
 def test_evolve_ensemble_parts_are_one_march_bitwise(case, cores, parts):
     model, lat, states = _ensemble_cases()[case]
     cfg = flows.FlowConfig(1e-2, 0.1)
-    stepper = flows._make_stepper(model, lat, cfg.t_final / cfg.steps)
+    stepper = flows._make_stepper(model, lat, cfg)
     row_bytes = stepper.pack(_stack(states, 1)).nbytes
     whole = {}
     for rows in (1, 3, 5, 7, 8):
         coefs = _stack(states, rows)
-        packed = stepper.pack(coefs)
-        whole[rows] = stepper.unpack(flows._march(stepper, packed, cfg.steps))
+        opened = stepper.pack(coefs) * stepper.half
+        whole[rows] = stepper.unpack(flows._march(stepper, opened, cfg.steps))
     marched, started = parts(cores, row_bytes, 2)
     # a part holds at least two rows: 1 and 3 rows stay whole; 5, 7 and 8
     # rows split 2 + 3, 2 + 2 + 3 and 2 + 3 + 3 on three cores
@@ -290,6 +290,50 @@ def test_evolve_records_the_mass_and_energy_of_every_state(case):
     for a, b in zip(strided.states, kept):
         for x, y in zip(_arrays(a), _arrays(b), strict=True):
             assert np.array_equal(x, y)
+
+
+@pytest.fixture
+def block_bytes():
+    """A setter of spectral._BLOCK_BYTES that clears the _row_blocks cache
+    with every size; on entry and on teardown it sets the default again, so
+    no blocks of a set size reach another test."""
+    default = spectral._BLOCK_BYTES
+
+    def set_size(size):
+        spectral._BLOCK_BYTES = size
+        spectral._row_blocks.cache_clear()
+
+    set_size(default)
+    yield set_size
+    set_size(default)
+
+
+def _same_bytes(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(_arrays(a), _arrays(b), strict=True))
+
+
+@pytest.mark.parametrize("case", ["nls", "nls-n32", "kdv", "gp", "zakharov"])
+def test_evolve_does_not_depend_on_the_block_size(case, block_bytes):
+    model, state, dt, t_final = _recorder_cases()[case]
+    cfg = flows.FlowConfig(dt, t_final, record_stride=1)
+    runs, stepped = [], []
+    # one state per block (a block holds at least one row), the default, 64 MiB
+    for size in (1, spectral._BLOCK_BYTES, 64 * 2 ** 20):
+        block_bytes(size)
+        runs.append(flows.evolve(model, state, cfg))
+        stepped.append(flows.evolve(model, state, flows.FlowConfig(dt, dt)).states[-1])
+    first = runs[0]
+    assert len(first.states) == cfg.steps + 1
+    for traj, step in zip(runs[1:], stepped[1:]):
+        assert traj.mass.tobytes() == first.mass.tobytes()
+        assert traj.energy.tobytes() == first.energy.tobytes()
+        assert len(traj.states) == len(first.states)
+        assert all(_same_bytes(a, b) for a, b in zip(traj.states, first.states))
+        assert _same_bytes(step, stepped[0])
+    # the last state is the one-row push, and one step is flow_step
+    pushed = flows.evolve_ensemble(model, state.coef[None], state.lattice, cfg)[0]
+    assert _same_bytes(state.with_coef(pushed), first.states[-1])
+    assert _same_bytes(flows.flow_step(model, state, dt), stepped[0])
 
 
 def test_invariance_free_measure_under_free_flow():
