@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, dual_weights, field_coords, hermitianize,
-                       intensity_mode, shift_slices)
+from .spectral import (FourierField, Lattice, _row_blocks, dual_weights, field_coords,
+                       hermitianize, intensity_mode, shift_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -204,33 +204,42 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
 class IncrementSeries:
     m: tuple
     d: np.ndarray                 # d_r, r = 1..R
-    radii: np.ndarray
     truncated: bool               # R clipped to the lattice diameter
 
 
 def multiplicative_increments(fld: FourierField, m: tuple, r_max: int) -> IncrementSeries:
     """Annular increments d_r = sum_{r-1 < |j| <= r} uhat(j+m) conj(uhat(j));
     the partial sums telescope to the lattice-restricted (|u|^2)^hat(m).
-    Requires a mean-zero (massless) 2D field and m != 0."""
-    lat = fld.lattice
-    if lat.dim != 2:
-        raise ValueError("increments are defined for D = 2 fields")
+    Requires a mean-zero (massless) 2D field and m != 0.  The one-row form
+    of _increment_stack."""
     if fld.zero_mode and abs(fld.zero_coef()) > 1e-13:
         raise ValueError("increments require a massless (mean-zero) field")
-    if tuple(m) == (0, 0):
+    d = _increment_stack(fld.coef[None], fld.lattice, tuple(m), r_max)[0]
+    return IncrementSeries(tuple(m), d, len(d) < r_max)
+
+
+def _increment_stack(coefs: np.ndarray, lattice: Lattice, m: tuple, r_max: int) -> np.ndarray:
+    """The increments d_1, ..., d_R of each row of a (B, ...) 2D coefficient
+    stack as a (B, R) array, R = min(r_max, lattice diameter).  In each row
+    block, ring r's products uhat(j+m) conj(uhat(j)) are gathered in mode
+    order and summed."""
+    if lattice.dim != 2:
+        raise ValueError("increments are defined for D = 2 fields")
+    if m == (0, 0):
         raise ValueError("m must be nonzero")
-    diam = math.ceil(lat.n * math.sqrt(2.0))
-    truncated = r_max > diam
-    r_eff = min(r_max, diam)
-    series = np.zeros(r_eff, dtype=np.complex128)
-    sl_src, sl_dst = shift_slices(lat, tuple(m))
-    prod = fld.coef[sl_dst] * np.conj(fld.coef[sl_src])
-    k1, k2 = lat.mode_arrays()
-    absj = np.sqrt(k1.astype(float) ** 2 + k2.astype(float) ** 2)[sl_src]
-    for r in range(1, r_eff + 1):
-        ring = (absj > r - 1) & (absj <= r)
-        series[r - 1] = prod[ring].sum()
-    return IncrementSeries(tuple(m), series, np.arange(1, r_eff + 1), truncated)
+    r_eff = min(r_max, math.ceil(lattice.n * math.sqrt(2.0)))
+    sl_src, sl_dst = shift_slices(lattice, m)
+    ring = np.ceil(lattice.abs_k()[sl_src])               # r with r - 1 < |j| <= r
+    flat = np.arange(math.prod(lattice.shape)).reshape(lattice.shape)
+    rings = [(flat[sl_dst][ring == r], flat[sl_src][ring == r]) for r in range(1, r_eff + 1)]
+    out = np.empty((coefs.shape[0], r_eff), dtype=np.complex128)
+    for rows in _row_blocks(coefs.shape[0], 64 * int(np.count_nonzero(ring <= r_eff))):
+        block = coefs[rows].reshape(rows.stop - rows.start, -1)
+        for r, (dst, src) in enumerate(rings):
+            # np.take keeps rows C-ordered: each is summed as a row alone is
+            prod = np.take(block, dst, axis=1) * np.conj(np.take(block, src, axis=1))
+            out[rows, r] = np.sum(prod, axis=1)
+    return out
 
 
 def exp_square_moment(ensemble_coefs: np.ndarray, lattice: Lattice, m_list,
@@ -264,27 +273,20 @@ def increment_orthogonality(ensemble_coefs: np.ndarray, lattice: Lattice,
     """Empirical E[d_{r1} d_{r2}] for r1 != r2 (products of distinct
     increments are mean zero); both real and imaginary parts must sit within
     3 stderr of 0."""
+    r_max = max(max(r1, r2) for r1, r2, _ in triples)
+    stacks = {m: _increment_stack(ensemble_coefs, lattice, m, r_max)
+              for m in {tuple(m) for *_, m in triples}}
     rows = []
     all_pass = True
-    cache = {}
     for (r1, r2, m) in triples:
-        key = tuple(m)
-        if key not in cache:
-            rmax = math.ceil(lattice.n * math.sqrt(2.0))
-            stack = []
-            for i in range(ensemble_coefs.shape[0]):
-                ser = multiplicative_increments(
-                    FourierField(lattice, ensemble_coefs[i], zero_mode=False), key, rmax)
-                stack.append(ser.d)
-            cache[key] = np.array(stack)
-        d = cache[key]
+        d = stacks[tuple(m)]
         prod = d[:, r1 - 1] * d[:, r2 - 1]
         b = prod.shape[0]
         mre, mim = float(np.mean(prod.real)), float(np.mean(prod.imag))
         sre = float(np.std(prod.real, ddof=1) / math.sqrt(b))
         sim = float(np.std(prod.imag, ddof=1) / math.sqrt(b))
         ok = abs(mre) <= 3 * sre and abs(mim) <= 3 * sim
-        rows.append({"r1": r1, "r2": r2, "m": key, "mean_re": mre, "se_re": sre,
+        rows.append({"r1": r1, "r2": r2, "m": tuple(m), "mean_re": mre, "se_re": sre,
                      "mean_im": mim, "se_im": sim, "pass": bool(ok)})
         all_pass = all_pass and ok
     return {"rows": rows, "pass": bool(all_pass)}

@@ -3,8 +3,10 @@ coupling bounds, relative entropy between Gibbs truncations and the Gaussian
 tail-sum bound.
 
 All D_{L^2} style numbers produced here are explicit-coupling upper bounds
-(the coordinate projection E(x | F_n)); the true infimum over couplings of
-metric measure spaces is never computed.
+(the projection E(x | F_n) = P_n x); the true infimum over couplings of
+metric measure spaces is never computed.  The coupling bound and the
+relative entropy stream their reference draws in row blocks, so neither
+holds its ensemble.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import hamiltonians as ham
 from .concentration import _jackknife
 from .sampling import (ChainConfig, GaussianReference, PhaseDomain, _chain_stats, _ess,
                        _pcn_kept)
-from .spectral import FourierField, Lattice, _row_blocks, coord_layout, dirichlet_multiplier
+from .spectral import FourierField, Lattice, _row_blocks, dirichlet_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +152,10 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     """Log-domain Sinkhorn with a geometric eps-scaling schedule and warm
     starts; the returned objective is the plan cost sum plan * cost, which
     decreases toward the exact optimum as eps drops.  An iteration is two
-    calls of this module's logsumexp on the kernel -cost/eps; levels before the
-    last stop at marginal residual sqrt(SINKHORN_TOL), the last at
-    SINKHORN_TOL, then up to 10 Newton steps finish.  `converged` holds when
-    the residual before rounding is below 1e-8."""
+    calls of this module's logsumexp on the kernel -cost/eps; every level
+    stops at marginal residual sqrt(SINKHORN_TOL), and up to 10 Newton steps
+    then finish the last one to SINKHORN_TOL.  `converged` holds when the
+    residual before rounding is below 1e-8."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
     c = cost.matrix(mu.points, nu.points)
@@ -169,9 +171,9 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     f = np.zeros(len(a))
     g = np.zeros(len(b))
     levels = []
-    for level, e in enumerate(eps_list):
+    stop = math.sqrt(SINKHORN_TOL)
+    for e in eps_list:
         k = -c / e
-        stop = SINKHORN_TOL if level == len(eps_list) - 1 else math.sqrt(SINKHORN_TOL)
         it = 0
         for it in range(1, max_iter + 1):
             f = -e * logsumexp(k + (g / e + lb)[None, :], axis=1)
@@ -246,32 +248,28 @@ def sinkhorn_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSp
 # truncation coupling bound (conditional-expectation coupling)
 # ---------------------------------------------------------------------------
 
-def head_coordinate_mask(lattice: Lattice, n: int, reality: bool,
-                         zero_mode: bool) -> np.ndarray:
-    """Boolean mask over the field_coords layout selecting modes |k_j| <= n."""
-    return coord_layout(dirichlet_multiplier(lattice, n) > 0, lattice, reality, zero_mode)
-
-
-def truncation_coupling_bound(coords: np.ndarray, lattice: Lattice, n: int,
-                              zero_mode: bool = True) -> dict:
-    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2, from the
-    coordinates of complex fields; an upper bound for the squared L^2
-    transportation distance between the n-truncation and the full ensemble.
-    E(x|F_n) is the projection that zeroes the tail, exact for product
-    references.  Each row's squared tail is summed on a row block of its
-    tail coordinates, squared in place (at most _BLOCK_BYTES)."""
-    if n >= lattice.n:
-        return {"n": n, "value": 0.0, "stderr": 0.0, "estimator": "projection",
-                "degenerate": True}
-    tail = ~head_coordinate_mask(lattice, n, False, zero_mode)
-    b = coords.shape[0]
-    per = np.empty(b)
-    for rows in _row_blocks(b, 8 * int(np.count_nonzero(tail))):
-        block = coords[rows][:, tail]
-        per[rows] = np.sum(np.square(block, out=block), axis=1)
-    return {"n": n, "value": float(np.mean(per)),
-            "stderr": float(np.std(per, ddof=1) / math.sqrt(b)),
-            "estimator": "projection", "degenerate": False}
+def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: int) -> list:
+    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2 over n_samples draws
+    of the massless reference, one row per n of n_list: an upper bound for
+    the squared L^2 transportation distance between the n-truncation and the
+    full ensemble.  E(x|F_n) = P_n x zeroes the tail (exact for product
+    references), so a row's value is the mean of sum |c_k|^2 over the modes
+    outside P_n.  The draws of sample_batch(default_rng(seed), n_samples)
+    stream in row blocks; each block's |c_k|^2 is taken once and summed over
+    every tail in mode order.  A row with n >= lattice.n has no tail: it is
+    degenerate, with value 0.0."""
+    tails = [np.flatnonzero(dirichlet_multiplier(lattice, n) == 0) for n in n_list]
+    per = np.empty((len(tails), n_samples))
+    reference = GaussianReference(lattice, rho=0.0, field_type="complex")
+    for rows, block in reference.sample_blocks(np.random.default_rng(seed), n_samples):
+        sq = (block.real ** 2 + block.imag ** 2).reshape(len(block), -1)
+        for tail_sums, tail in zip(per, tails):
+            # np.take keeps rows C-ordered: each is summed as a row alone is
+            tail_sums[rows] = np.sum(np.take(sq, tail, axis=1), axis=1)
+    return [{"n": n, "value": float(np.mean(tail_sums)),
+             "stderr": float(np.std(tail_sums, ddof=1) / math.sqrt(n_samples)),
+             "estimator": "projection", "degenerate": n >= lattice.n}
+            for n, tail_sums in zip(n_list, per)]
 
 
 # ---------------------------------------------------------------------------

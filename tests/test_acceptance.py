@@ -400,18 +400,11 @@ def test_criterion_10_transport():
     sink_ok = sink_rel < 0.02 and conv and plan.marginal_residual < 1e-8
     # (b) conditional-expectation coupling vs the analytic Gaussian tail
     from scipy.special import polygamma
-    lat = Lattice(1, 1024)
-    ref = GaussianReference(lat, 0.0, "complex")
-    coefs = ref.sample_batch(np.random.default_rng(1013), 3000)
-    ens = SampleEnsemble(lat, coefs, False, False)
-    coords = ens.coords()
     rels = []
-    for n in (4, 8, 16):
-        got = trans.truncation_coupling_bound(coords, lat, n, zero_mode=False)["value"]
-        analytic = 4.0 * float(polygamma(1, n + 1))
-        rels.append(abs(got - analytic) / analytic)
+    for row in trans.truncation_coupling_bound((4, 8, 16), Lattice(1, 1024), 3000, seed=1013):
+        analytic = 4.0 * float(polygamma(1, row["n"] + 1))
+        rels.append(abs(row["value"] - analytic) / analytic)
     coupling_ok = all(r < 0.05 for r in rels)
-    del coords, coefs
     # (c) Ent(nu_n | nu) strictly decreasing in n
     lat2 = Lattice(2, 48)
     pot = ham.gp_cosine_potential(lat2, amplitude=-1.0)
@@ -430,7 +423,7 @@ def test_criterion_10_transport():
     report(10, sink_ok and coupling_ok and ent_ok and tail_ok,
            f"sinkhorn rel {sink_rel:.4f}, converged {conv} (pre-rounding residual "
            f"{plan.pre_rounding_residual:.1e}); coupling rels "
-           + ", ".join(f"{r:.3f}" for r in rels)
+           + ", ".join(f"{r:.4f}" for r in rels)
            + "; Ent trend " + " > ".join(f"{e:.4f}" for e in ents)
            + f"; tail sums hold: {tail_ok}")
 

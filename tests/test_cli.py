@@ -567,26 +567,33 @@ def test_ranges_the_computation_rejects_exit_2(tmp_path, cfg, where, message):
 
 
 # floats that json reads (json.dumps writes NaN, Infinity and -Infinity) but
-# that no computation can use, and the value they are rejected as
+# that no computation can use, the value they are rejected as and the fault
+# named; a value that also has a wrong type is named by its type
 NON_FINITE = [
-    ({"experiment": "sample", "model": {"kind": "nls", "lam": math.nan}}, "config.model.lam"),
-    ({"experiment": "flow", "flow": {"dt": math.nan}}, "config.flow.dt"),
-    ({"experiment": "flow", "flow": {"t_final": math.inf}}, "config.flow.t_final"),
+    ({"experiment": "sample", "model": {"kind": "nls", "lam": math.nan}}, "config.model.lam",
+     "a finite float"),
+    ({"experiment": "flow", "flow": {"dt": math.nan}}, "config.flow.dt", "a finite float"),
+    ({"experiment": "flow", "flow": {"t_final": math.inf}}, "config.flow.t_final",
+     "a finite float"),
     ({"experiment": "flow", "params": {"richardson": True, "richardson_dts": [1e-3, -math.inf]}},
-     "params.richardson_dts"),
+     "params.richardson_dts", "list[float] with finite values"),
     ({"experiment": "tail", "params": {"task": "decay_mass", "grid": [[7.5, math.nan]]}},
-     "params.grid"),
+     "params.grid", "list[list[float]] with finite values"),
+    ({"experiment": "flow", "params": {"richardson": True, "richardson_dts": [math.nan, "x"]}},
+     "params.richardson_dts", "list[float]"),
 ]
 
 
-@pytest.mark.parametrize("cfg,where", NON_FINITE, ids=[w for _, w in NON_FINITE])
-def test_non_finite_floats_exit_2(tmp_path, cfg, where):
+@pytest.mark.parametrize("cfg,where,fault", NON_FINITE,
+                         ids=[w if "finite" in f else f"{w}-wrong-type"
+                              for _, w, f in NON_FINITE])
+def test_non_finite_floats_exit_2(tmp_path, cfg, where, fault):
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     assert re.search(r"\bNaN\b|\bInfinity\b", path.read_text())
     assert main(["run", str(path), "-o", str(out)]) == 2
     assert not out.exists()
-    with pytest.raises(SchemaError, match=f"{re.escape(where)} must be "):
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'{where} must be {fault}')}$"):
         validate_config(json.loads(path.read_text()))
 
 

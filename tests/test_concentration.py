@@ -7,7 +7,7 @@ import torusgibbs as tg
 from torusgibbs import concentration as conc
 from torusgibbs.sampling import GaussianReference, PhaseDomain, SampleEnsemble, \
     rejection_sample_domain
-from torusgibbs.spectral import FourierField, Lattice, dual_weights, field_coords
+from torusgibbs.spectral import FourierField, Lattice, dual_weights, field_coords, shift_slices
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,28 @@ def test_increments_telescope_to_convolution(decay_ensemble):
             ser = conc.multiplicative_increments(fld, m, 40)
             direct = conc.intensity_mode(fld.coef[None], lat, m)[0]
             assert abs(ser.d.sum() - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+def _ring_loop_increments(coef, lat, m, r_max):
+    """The increments of one field by a loop over ring masks, the reference."""
+    sl_src, sl_dst = shift_slices(lat, m)
+    prod = coef[sl_dst] * np.conj(coef[sl_src])
+    absj = lat.abs_k()[sl_src]
+    return np.array([prod[(absj > r - 1) & (absj <= r)].sum() for r in range(1, r_max + 1)])
+
+
+def test_increment_stack_matches_the_ring_loop(decay_ensemble):
+    # one row and every row of a row block give the loop's bits
+    lat, ens = decay_ensemble
+    coefs = ens.coefs[:200]
+    for m in [(1, 0), (3, 4), (-2, 5), (12, -12)]:
+        ref = np.array([_ring_loop_increments(c, lat, m, 17) for c in coefs])
+        for i in (0, 7):
+            ser = conc.multiplicative_increments(FourierField(lat, coefs[i], zero_mode=False),
+                                                 m, 40)
+            assert ser.truncated and np.array_equal(ser.d, ref[i])
+        stack = conc._increment_stack(coefs, lat, m, 40)
+        assert np.array_equal(stack, ref)
 
 
 def test_increment_orthogonality(decay_ensemble):

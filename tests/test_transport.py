@@ -8,8 +8,7 @@ import pytest
 import torusgibbs as tg
 from torusgibbs import hamiltonians as ham
 from torusgibbs import transport as trans
-from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain, \
-    SampleEnsemble
+from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain
 from torusgibbs import spectral
 from torusgibbs.spectral import Lattice
 
@@ -160,9 +159,9 @@ def test_logsumexp_matches_scipy(size):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-def test_sinkhorn_intermediate_levels_stop_early():
-    # criterion 10a's clouds at eps = 5e-3 x mean cost: every level before the
-    # last reaches its sqrt(tol) residual well inside the default max_iter
+def _criterion_10a_solve():
+    """Criterion 10a's clouds, exact value and Sinkhorn solve at eps = 5e-3 x
+    mean cost."""
     rng = np.random.default_rng(1012)
     xs = rng.standard_normal((32, 4))
     ys = rng.standard_normal((32, 4)) + 0.5
@@ -170,9 +169,24 @@ def test_sinkhorn_intermediate_levels_stop_early():
     cost = trans.CostSpec()
     exact, _ = trans.wasserstein_exact(mu, nu, cost)
     scale = float(np.mean(cost.matrix(xs, ys)))
-    val, plan, conv = trans.sinkhorn(mu, nu, cost, eps=5e-3 * scale)
+    return (exact,) + trans.sinkhorn(mu, nu, cost, eps=5e-3 * scale)
+
+
+def test_sinkhorn_intermediate_levels_stop_early():
+    # every level before the last reaches its sqrt(tol) residual well inside
+    # the default max_iter
+    exact, val, plan, conv = _criterion_10a_solve()
     assert len(plan.level_iterations) > 1
     assert all(0 < it < 2000 for it in plan.level_iterations[:-1])
+    assert conv and plan.pre_rounding_residual < 1e-8
+    assert abs(val - exact) / exact < 0.02
+
+
+def test_sinkhorn_last_level_stops_early_and_newton_finishes():
+    # the last level stops at the same sqrt(tol) residual as the others,
+    # inside the default max_iter, and the Newton finish takes it below 1e-8
+    exact, val, plan, conv = _criterion_10a_solve()
+    assert 0 < plan.level_iterations[-1] < 2000
     assert conv and plan.pre_rounding_residual < 1e-8
     assert abs(val - exact) / exact < 0.02
 
@@ -208,53 +222,63 @@ def test_sinkhorn_divergence_debiases():
 # -- coupling bound ---------------------------------------------------------------
 
 def test_coupling_bound_degenerate_and_monotone():
-    lat = Lattice(1, 16)
-    ref = GaussianReference(lat, 0.0, "complex")
-    rng = np.random.default_rng(9)
-    ens = SampleEnsemble(lat, ref.sample_batch(rng, 1500), False, False)
-    coords = ens.coords()
-    full = trans.truncation_coupling_bound(coords, lat, 16, zero_mode=False)
-    assert full["degenerate"] and full["value"] == 0.0
-    vals = [trans.truncation_coupling_bound(coords, lat, n, zero_mode=False)["value"]
-            for n in (2, 4, 8)]
-    assert vals[0] > vals[1] > vals[2]
+    rows = trans.truncation_coupling_bound([16, 2, 4, 8, 20], Lattice(1, 16), 1500, seed=9)
+    assert [r["n"] for r in rows] == [16, 2, 4, 8, 20]
+    for row in (rows[0], rows[-1]):
+        assert row["degenerate"] and row["value"] == 0.0 and row["stderr"] == 0.0
+    assert not any(r["degenerate"] for r in rows[1:4])
+    assert rows[1]["value"] > rows[2]["value"] > rows[3]["value"] > 0
 
 
-def test_coupling_bound_sums_row_blocks_of_the_tail():
-    # the same per-row sums as squaring one copy of the whole tail, bit for
-    # bit, holding a row block of it at a time: the whole tail is 16 MB here
-    lat = Lattice(1, 256)
-    coords = np.random.default_rng(11).standard_normal((2000, 4 * lat.n))
-    for n in (4, 100):
-        tail = coords[:, ~trans.head_coordinate_mask(lat, n, False, False)]
-        per = np.sum(tail ** 2, axis=1)
-        del tail
-        tracemalloc.start()
-        try:
-            row = trans.truncation_coupling_bound(coords, lat, n, zero_mode=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+@pytest.mark.parametrize("dim,n,count", [(1, 1024, 600), (2, 24, 400), (1, 64, 255)])
+def test_coupling_bound_streams_the_direct_tail_sums(dim, n, count):
+    # the streamed rows are, bit for bit, each draw's |c_k|^2 summed alone
+    # over its tail in mode order, on the whole batch of the same draws; the
+    # last case ends in a one-row block
+    lat = Lattice(dim, n)
+    n_list = [1, n // 4, n - 1, n]
+    rows = trans.truncation_coupling_bound(n_list, lat, count, seed=7)
+    assert len(spectral._row_blocks(count, 32 * math.prod(lat.shape))) > 1
+    c = GaussianReference(lat, 0.0, "complex").sample_batch(np.random.default_rng(7), count)
+    sq = c.real ** 2 + c.imag ** 2
+    for row, m in zip(rows, n_list):
+        tail = spectral.dirichlet_multiplier(lat, m) == 0
+        per = np.array([np.sum(draw[tail]) for draw in sq])
         assert row["value"] == float(np.mean(per))
-        assert row["stderr"] == float(np.std(per, ddof=1) / math.sqrt(len(per)))
-        assert peak < 3 * spectral._BLOCK_BYTES
+        assert row["stderr"] == float(np.std(per, ddof=1) / math.sqrt(count))
+        assert row["degenerate"] == (m == n)
+
+
+def test_coupling_bound_peak_holds_a_few_blocks():
+    # the whole ensemble would be 16 B x 513 modes x 2500 rows, about 12 blocks;
+    # the first call also imports the stream's thread machinery, so the
+    # second is traced
+    lat, count = Lattice(1, 256), 2500
+    assert 16 * math.prod(lat.shape) * count > 10 * spectral._BLOCK_BYTES
+    first = trans.truncation_coupling_bound([4, 100], lat, count, seed=11)
+    tracemalloc.start()
+    try:
+        rows = trans.truncation_coupling_bound([4, 100], lat, count, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == first
+    assert peak < 3 * spectral._BLOCK_BYTES
 
 
 def test_coupling_bound_dominates_direct_w2():
     # the conditional-coupling value >= any directly computed W2(projected, full)^2 on
     # matched samples (coupling suboptimality)
-    lat = Lattice(1, 8)
-    ref = GaussianReference(lat, 0.0, "complex")
-    rng = np.random.default_rng(10)
-    ens = SampleEnsemble(lat, ref.sample_batch(rng, 128), False, False)
-    coords = ens.coords()
-    n = 3
-    bound = trans.truncation_coupling_bound(coords, lat, n, zero_mode=False)["value"]
-    mask = trans.head_coordinate_mask(lat, n, False, False)
-    projected = coords.copy()
-    projected[:, ~mask] = 0.0
-    w2, _ = trans.wasserstein_exact(trans.EmpiricalMeasure(projected),
-                                    trans.EmpiricalMeasure(coords))
+    lat, n, count = Lattice(1, 8), 3, 128
+    bound = trans.truncation_coupling_bound([n], lat, count, seed=10)[0]["value"]
+    coefs = GaussianReference(lat, 0.0, "complex").sample_batch(np.random.default_rng(10),
+                                                                count)
+    projected = coefs * spectral.dirichlet_multiplier(lat, n)
+
+    def cloud(c):
+        return trans.EmpiricalMeasure(np.hstack([c.real, c.imag]))
+
+    w2, _ = trans.wasserstein_exact(cloud(projected), cloud(coefs))
     assert w2 ** 2 <= bound + 1e-9
 
 
