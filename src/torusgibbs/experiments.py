@@ -382,6 +382,10 @@ def _coupling(lattice: Lattice, seed: int, *, n_samples: int = 4000,
     return {"results": {"rows": rows}}, all(r["rel_err"] < tol for r in gated) if gated else None
 
 
+def _coupling_ranges(n_samples: int, **_):
+    trans._check_coupling_draws(n_samples)
+
+
 def _tail_inverse_square(n: int, top: int) -> float:
     """sum_{n < k <= top} k^-2, the trigamma difference psi_1(n+1) - psi_1(top+1)."""
     return math.fsum(1.0 / k ** 2 for k in range(n + 1, top + 1))
@@ -469,7 +473,8 @@ _PRECONDITIONS = {_run_convexity: _has_convexity_constant,
                   _run_normalizability: _normalizability_levels,
                   _run_critical_mass: _normalizability_levels,
                   _sobolev_tail: _sobolev_tail_ranges,
-                  _tail_sum: _tail_sum_ranges, _decay_mass: _decay_mass_ranges}
+                  _tail_sum: _tail_sum_ranges, _coupling: _coupling_ranges,
+                  _decay_mass: _decay_mass_ranges}
 
 
 def _real_fields_are_1d(lattice: Lattice | None = None, model=None, **_):

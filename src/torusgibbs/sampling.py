@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,64 +98,178 @@ class GaussianReference:
         return self._complete(draws[0], draws[1])
 
     def sample_blocks(self, rng: np.random.Generator, count: int):
-        """Yield (rows, coefs) row blocks whose concatenation is
-        sample_batch(rng, count), bit for bit; a finished stream leaves rng
-        where sample_batch leaves it.  A block is sized by what it holds at
-        once: its complex rows (16 B per mode) and the standard normals
-        drawn for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
+        """The (rows, coefs) row blocks whose concatenation is
+        sample_batch(rng, count), bit for bit, as an iterator with a close
+        method.  A block is sized by what it holds at once: its complex rows
+        (16 B per mode) and the standard normals drawn for them (8 + 8 B per
+        mode), at most spectral._BLOCK_BYTES.
 
         The stream draws every row's real part before any imaginary part.
-        rng draws block 0's real part, and a copy of rng taken there trails
-        it at block 1's; rng then passes over the rest of the real section
-        into one reused block.  Each block's imaginary part is drawn from
-        rng while the stream's one worker thread, started when there is a
-        second block, draws the next block's real part from the copy (the
-        draws release the GIL, and the worker calls nothing but the
-        generator: the perfbench tracer's span stack is not thread-safe).
-        So the stream holds a few blocks, never half the batch."""
-        std = self._std
+        A one-block stream draws both on the calling thread when its block
+        is asked for.  A longer one starts two worker threads as it is
+        opened (_DrawStream): one draws each block's real part from a copy
+        of rng, and the other passes a second copy over the whole real
+        section and then draws each block's imaginary part.  They draw into
+        a ring of buffers that the stream allocates, at most one real block
+        and two imaginary blocks ahead of the one handed over, so the
+        stream holds a few blocks, never half the batch.  rng itself is
+        written only on the calling thread: as each block is handed over it
+        is set to the state after that block's imaginary part.  So a
+        finished stream leaves rng where sample_batch leaves it, an
+        abandoned one where its last block left it, and a stream closed or
+        dropped before its first block leaves rng untouched."""
         blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
-        if not blocks:
-            return
-        shapes = [(rows.stop - rows.start,) + std.shape for rows in blocks]
-        real = rng.standard_normal(shapes[0])
-        trailing = len(blocks) > 1
-        if trailing:    # imported here: a one-block stream loads no thread machinery
-            from concurrent.futures import ThreadPoolExecutor
-            trail = copy.deepcopy(rng)
-            skip = np.empty_like(real)
-            for shape in shapes[1:]:
-                rng.standard_normal(out=skip[:shape[0]])
-            del skip
-            worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="torusgibbs-draws")
-        try:
-            for i, rows in enumerate(blocks):
-                if i:
-                    real = ahead.result()
-                if i + 1 < len(blocks):
-                    ahead = worker.submit(trail.standard_normal, shapes[i + 1])
-                yield rows, self._complete(real, rng.standard_normal(real.shape))
-        finally:
-            if trailing:
-                worker.shutdown()
+        if len(blocks) > 1:
+            return _DrawStream(self, rng, blocks)
+        return self._inline_blocks(rng, blocks)
+
+    def _inline_blocks(self, rng: np.random.Generator, blocks: tuple):
+        """sample_blocks of a stream of at most one block."""
+        for rows in blocks:
+            real = rng.standard_normal((rows.stop - rows.start,) + self._std.shape)
+            yield rows, self._complete(real, rng.standard_normal(real.shape))
 
     def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Coefficient rows from the standard normals of their real and
         imaginary parts (a_j and b_j of real fields), each scaled by _std as
         it is written into the rows."""
-        std = self._std
         if self.field_type == "complex":
+            std = self._std
             coefs = np.empty(real.shape, dtype=np.complex128)
             np.multiply(real, std, out=coefs.real)
             np.multiply(imag, std, out=coefs.imag)
             if not self.zero_mode:
                 coefs[(slice(None),) + self.lattice.zero_index()] = 0.0
             return coefs
+        # c_j = (a_j - i b_j) / 2 for j >= 1 and c_{-j} = conj(c_j); halving
+        # _std is exact, so a_j / 2 and -b_j / 2 are each one rounding
         n = self.lattice.n
+        half, negative_half = self._halves
         coefs = np.zeros((real.shape[0], 2 * n + 1), dtype=np.complex128)
-        coefs[:, n + 1:] = 0.5 * (real * std - 1j * (imag * std))
-        coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
+        positive = coefs[:, n + 1:]
+        if np.count_nonzero(real) + np.count_nonzero(imag) < 2 * real.size:
+            # an exact zero keeps the signed zero of this complex arithmetic
+            positive[...] = 0.5 * (real * self._std - 1j * (imag * self._std))
+        else:
+            np.multiply(real, half, out=positive.real)
+            np.multiply(imag, negative_half, out=positive.imag)
+        np.conjugate(positive[:, ::-1], out=coefs[:, :n])
         return coefs
+
+    @functools.cached_property
+    def _halves(self) -> tuple:
+        """_std / 2 and -_std / 2 of a real field."""
+        return 0.5 * self._std, -0.5 * self._std
+
+
+class _DrawStream:
+    """GaussianReference.sample_blocks of two or more blocks: the real parts
+    and the imaginary parts of the blocks are each drawn by a _Producer from
+    its own copy of rng, both started as the stream opens, with two and
+    three ring buffers of a largest block: the block being handed over, and
+    up to one real and two imaginary blocks ahead of it.  The imaginary
+    producer first passes its copy over the real section in one of its
+    buffers.  Handing a block over completes it from the two buffers, gives
+    them back and sets rng to the imaginary producer's state after the
+    block.  The last hand-over, a producer's exception, close() and the
+    stream's collection stop and join both threads."""
+
+    def __init__(self, reference: GaussianReference, rng: np.random.Generator, blocks: tuple):
+        self._reference, self._rng, self._blocks = reference, rng, blocks
+        self._handed = 0
+        self._producers = []
+        shapes = [(rows.stop - rows.start,) + reference._std.shape for rows in blocks]
+        try:
+            self._producers.append(_Producer(copy.deepcopy(rng), [], shapes, 2, "real"))
+            self._producers.append(_Producer(copy.deepcopy(rng), shapes, shapes, 3, "imag"))
+        except BaseException:
+            self.close()
+            raise
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if not self._producers:
+            raise StopIteration
+        real, imag = self._producers
+        try:
+            real_slot, _ = real.take()
+            imag_slot, state = imag.take()
+        except BaseException:
+            self.close()
+            raise
+        rows = self._blocks[self._handed]
+        size = rows.stop - rows.start
+        coefs = self._reference._complete(real_slot[:size], imag_slot[:size])
+        self._rng.bit_generator.state = state
+        self._handed += 1
+        if self._handed == len(self._blocks):
+            self.close()
+        else:
+            real.free.put(real_slot)
+            imag.free.put(imag_slot)
+        return rows, coefs
+
+    def close(self):
+        """Stop and join the producers; the stream then ends."""
+        producers, self._producers = self._producers, []
+        for producer in producers:
+            producer.stop.set()
+            producer.free.put(None)
+        for producer in producers:
+            producer.thread.join()
+
+    __del__ = close
+
+
+class _Producer:
+    """A _DrawStream worker thread (_produce) with its queues: `free` holds
+    the ring buffers it may draw into, allocated here on the calling
+    thread, and `ready` the (buffer, state) of each block drawn, in order,
+    or the exception that ended it."""
+
+    def __init__(self, rng: np.random.Generator, skip: list, shapes: list, slots: int,
+                 part: str):
+        import queue        # imported here: a batch draw or a one-block stream loads none of it
+        self.free, self.ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for slot in np.empty((slots,) + shapes[0]):
+            self.free.put(slot)
+        self.stop = threading.Event()
+        self.thread = threading.Thread(
+            target=_produce, args=(rng, skip, shapes, self.free, self.ready, self.stop),
+            name=f"torusgibbs-draws-{part}", daemon=True)
+        self.thread.start()
+
+    def take(self) -> tuple:
+        """The next (buffer, state) drawn; raises what ended the worker."""
+        item = self.ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+
+def _produce(rng, skip, shapes, free, ready, stop):
+    """A _Producer's thread: pass rng over the skip shapes in its first
+    buffer, then draw each of shapes into a free buffer and post it with
+    rng's state after it.  It calls nothing but rng (the draws release the
+    GIL, and the perfbench tracer's span stack is not thread-safe); a None
+    buffer or the stop event ends it."""
+    try:
+        slot = free.get()
+        for shape in skip:
+            if stop.is_set():
+                return
+            rng.standard_normal(out=slot[:shape[0]])
+        for i, shape in enumerate(shapes):
+            if i:
+                slot = free.get()
+            if slot is None or stop.is_set():
+                return
+            rng.standard_normal(out=slot[:shape[0]])
+            ready.put((slot, rng.bit_generator.state))
+    except BaseException as exc:      # relayed: the consumer raises it on its thread
+        ready.put(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ holds its ensemble.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,15 +250,16 @@ def sinkhorn_divergence(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSp
 # ---------------------------------------------------------------------------
 
 def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: int) -> list:
-    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2 over n_samples draws
-    of the massless reference, one row per n of n_list: an upper bound for
-    the squared L^2 transportation distance between the n-truncation and the
-    full ensemble.  E(x|F_n) = P_n x zeroes the tail (exact for product
+    """Empirical E ||x - E(x|F_n)||^2 in coefficient l^2 over n_samples >= 2
+    draws of the massless reference, one row per n of n_list: an upper bound
+    for the squared L^2 transportation distance between the n-truncation and
+    the full ensemble.  E(x|F_n) = P_n x zeroes the tail (exact for product
     references), so a row's value is the mean of sum |c_k|^2 over the modes
     outside P_n.  The draws of sample_batch(default_rng(seed), n_samples)
     stream in row blocks; each block's |c_k|^2 is taken once and summed over
     every tail in mode order.  A row with n >= lattice.n has no tail: it is
     degenerate, with value 0.0."""
+    _check_coupling_draws(n_samples)
     tails = [np.flatnonzero(dirichlet_multiplier(lattice, n) == 0) for n in n_list]
     per = np.empty((len(tails), n_samples))
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
@@ -270,6 +272,12 @@ def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: in
              "stderr": float(np.std(tail_sums, ddof=1) / math.sqrt(n_samples)),
              "estimator": "projection", "degenerate": n >= lattice.n}
             for n, tail_sums in zip(n_list, per)]
+
+
+def _check_coupling_draws(n_samples: int) -> None:
+    """A row's stderr needs two draws."""
+    if n_samples < 2:
+        raise ValueError("needs n_samples >= 2 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +304,27 @@ def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDo
     partition functions are estimated by importance sampling on one streamed
     pass of common reference draws (GaussianReference.sample_blocks) that
     serves every level: the log ratio is jackknifed on paired weights, and
-    each block's membership and full log-density are taken once.  The peak
-    holds a few blocks.  U(P_n u) is evaluated on the centered block of
+    each block's membership and full log-density are taken once.  The
+    stream is opened before the chains run, so its worker threads pass over
+    its real section and draw its first blocks meanwhile.  The peak holds a
+    few blocks.  U(P_n u) is evaluated on the centered block of
     cutoff min(2n, lattice.n), not on the whole lattice
     (GrossPitaevskiiProjected)."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_full = ham.GrossPitaevskiiProjected(potential, lam)
     models = [ham.GrossPitaevskiiProjected(potential, lam, n_project=n) for n in chains]
-    chain_terms = [_chain_delta_u(model_n, model_full, domain, reference, chain)
-                   for model_n, chain in zip(models, chains.values())]
     inside = np.empty(n_z_samples, dtype=bool)
     lw_full = np.empty(n_z_samples)
     lw_n = np.empty((len(models), n_z_samples))
-    for rows, draws in reference.sample_blocks(np.random.default_rng(z_seed), n_z_samples):
-        inside[rows] = domain.contains_batch(draws, lattice)
-        lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
-        for lw, model_n in zip(lw_n, models):
-            lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
+    # opened first: the stream's workers draw while the chains run
+    with closing(reference.sample_blocks(np.random.default_rng(z_seed), n_z_samples)) as stream:
+        chain_terms = [_chain_delta_u(model_n, model_full, domain, reference, chain)
+                       for model_n, chain in zip(models, chains.values())]
+        for rows, draws in stream:
+            inside[rows] = domain.contains_batch(draws, lattice)
+            lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
+            for lw, model_n in zip(lw_n, models):
+                lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
     out = []
     for n, (du, stats), lw in zip(chains, chain_terms, lw_n):
@@ -363,8 +375,7 @@ def gaussian_tail_bound(n: int, s: float) -> dict:
     r_cut = 400
     bound = 4.0 * math.pi / (s * (n - 1) ** (2 * s))
     m = np.arange(-r_cut, r_cut + 1, dtype=float)
-    m1, m2 = np.meshgrid(m, m, indexing="ij")
-    r = np.sqrt(m1 ** 2 + m2 ** 2)
+    r = np.sqrt(m[:, None] ** 2 + m[None, :] ** 2)
     mask = (r >= n) & (r <= r_cut)
     partial = float(np.sum(2.0 / r[mask] ** (2 + 2 * s)))
     remainder = 2.0 * math.pi * (r_cut - 1) ** (-2 * s) / s

@@ -630,6 +630,18 @@ def test_transport_coupling_experiment(tmp_path):
     assert code == 0 and report["passed"] is True
 
 
+@pytest.mark.parametrize("n_samples", [0, 1, -5])
+def test_coupling_needs_two_draws_exit_2(tmp_path, n_samples):
+    # a row's stderr needs two draws: fewer is a schema fault (exit 2), not a numerical one
+    cfg = {"experiment": "transport", "params": {"task": "coupling", "n_samples": n_samples}}
+    with pytest.raises(SchemaError, match="^transport: needs n_samples >= 2 draws$"):
+        run_experiment(cfg, output_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 2
+
+
 def test_transport_coupling_at_its_defaults():
     # lattice n = 8: the n = 4 row is held to the lattice's own tail,
     # 4 sum_{4 < k <= 8} k^-2; n = 8 and 16 have no tail and are not gated

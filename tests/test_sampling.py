@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -220,6 +222,124 @@ def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
         batch = ref.sample_batch(batch_rng, count)
         assert np.array_equal(np.concatenate(out).view(np.uint64), batch.view(np.uint64))
         assert r.bit_generator.state == batch_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["real-massive", "real-massive-rho", "real-white"])
+def test_real_field_rows_are_the_complex_expression_bitwise(kind):
+    # the halves written in place equal 0.5 (a - i b) and its mirrored
+    # conjugate in every bit, on draws and on inputs that hold signed zeros
+    ref = GaussianReference(*REFERENCES[kind])
+    std = _pinned_std(ref)
+    n = ref.lattice.n
+    real, imag = np.random.default_rng(17).standard_normal((2, 40, n))
+    zeros = [0.0, -0.0, 1.5, -0.25]
+    pairs = np.array(list(itertools.product(zeros, repeat=2)))
+    signed_real = np.repeat(pairs[:, :1], n, axis=1)
+    signed_imag = np.repeat(pairs[:, 1:], n, axis=1)
+    for real, imag in ((real, imag), (signed_real, signed_imag)):
+        got = ref._complete(real, imag)
+        want = _real_field_rows(real * std, imag * std)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(ref._complete(signed_real, signed_imag).real).any()
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
+
+
+# 1200 draws at n = 64 are five blocks of 254 rows
+STREAM_REF, STREAM_COUNT = GaussianReference(Lattice(1, 64)), 1200
+
+
+def test_a_stream_closed_or_dropped_before_its_first_block_draws_nothing():
+    for end in ("close", "drop"):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        stream = STREAM_REF.sample_blocks(rng, STREAM_COUNT)
+        assert len(_draw_threads()) == 2
+        if end == "close":
+            stream.close()
+            assert list(stream) == []
+        del stream
+        assert rng.bit_generator.state == state
+        assert _draw_threads() == []
+
+
+def test_a_consumer_that_raises_leaves_rng_at_its_last_block():
+    rng = np.random.default_rng(3)
+    handed = []
+
+    def consume():
+        for rows, _ in STREAM_REF.sample_blocks(rng, STREAM_COUNT):
+            handed.append(rows)
+            if len(handed) == 3:
+                raise KeyError("consumer")
+
+    with pytest.raises(KeyError, match="consumer"):
+        consume()
+    assert _draw_threads() == []
+    want = np.random.default_rng(3)
+    want.standard_normal((STREAM_COUNT,) + STREAM_REF._std.shape)
+    want.standard_normal((handed[-1].stop,) + STREAM_REF._std.shape)
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+class _FailingGenerator:
+    """A copied generator whose third draw fails."""
+
+    def __init__(self):
+        self.draws = 0
+        self._rng = np.random.default_rng(0)
+        self.bit_generator = self._rng.bit_generator
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        if self.draws == 3:
+            raise FloatingPointError("draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_a_failing_producer_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(sampling.copy, "deepcopy", lambda rng: _FailingGenerator())
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    raised = []
+
+    def consume():
+        try:
+            for _ in STREAM_REF.sample_blocks(rng, STREAM_COUNT):
+                pass
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=consume, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["draw failed"]
+    assert rng.bit_generator.state == state
+    assert _draw_threads() == []
+
+
+def test_streams_in_turn_under_fast_thread_switching():
+    # six producers on the machine's cores, switching every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rngs = [np.random.default_rng(seed) for seed in (4, 5, 6)]
+        got = [[], [], []]
+        streams = [STREAM_REF.sample_blocks(r, STREAM_COUNT) for r in rngs]
+        for blocks in zip(*streams):
+            for out, (_, coefs) in zip(got, blocks):
+                out.append(coefs)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, rng, out in zip((4, 5, 6), rngs, got):
+        want_rng = np.random.default_rng(seed)
+        want = STREAM_REF.sample_batch(want_rng, STREAM_COUNT)
+        assert np.array_equal(np.concatenate(out).view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert _draw_threads() == []
 
 
 # -- phase domains -----------------------------------------------------------

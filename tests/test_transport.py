@@ -7,6 +7,7 @@ import pytest
 
 import torusgibbs as tg
 from torusgibbs import hamiltonians as ham
+from torusgibbs import sampling
 from torusgibbs import transport as trans
 from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain
 from torusgibbs import spectral
@@ -293,6 +294,27 @@ def test_gaussian_tail_bound_formula_and_shape():
     assert trans.gaussian_tail_bound(4, 0.25)["holds"]
 
 
+def test_tail_sum_broadcasts_the_meshgrid_sum_bitwise():
+    # the radii as an outer sum of squares are the meshgrid's, in its order
+    def meshgrid_sum(n, s):
+        m = np.arange(-400, 401, dtype=float)
+        m1, m2 = np.meshgrid(m, m, indexing="ij")
+        r = np.sqrt(m1 ** 2 + m2 ** 2)
+        mask = (r >= n) & (r <= 400)
+        return float(np.sum(2.0 / r[mask] ** (2 + 2 * s))) + 2.0 * math.pi * 399 ** (-2 * s) / s
+
+    for n, s in ((4, 0.1), (8, 0.3), (16, 0.05)):
+        got = trans.gaussian_tail_bound(n, s)["lattice_sum_upper"]
+        assert np.float64(got).tobytes() == np.float64(meshgrid_sum(n, s)).tobytes()
+    tracemalloc.start()
+    try:
+        trans.gaussian_tail_bound(4, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20          # two 801 x 801 meshgrids alone are 10 MB
+
+
 # -- relative entropy between truncations ----------------------------------------
 
 def test_relative_entropy_zero_interaction():
@@ -356,6 +378,30 @@ def test_relative_entropy_levels_equal_their_own_calls():
                     "reliable"):
             assert np.float64(row[key]).tobytes() == np.float64(single[key]).tobytes(), key
         assert row == single
+
+
+def test_relative_entropy_opens_its_stream_before_its_chains(monkeypatch):
+    # the reference stream's workers draw while the level chains run
+    events = []
+    sample_blocks, pcn_step = GaussianReference.sample_blocks, sampling._pcn_step
+
+    def opened(self, rng, count):
+        events.append("open")
+        return sample_blocks(self, rng, count)
+
+    def proposal(*args):
+        events.append("proposal")
+        return pcn_step(*args)
+
+    monkeypatch.setattr(GaussianReference, "sample_blocks", opened)
+    monkeypatch.setattr(sampling, "_pcn_step", proposal)
+    lat = Lattice(2, 8)                # 113 reference rows per block: 4 blocks
+    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
+    dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
+    chains = {4: ChainConfig(steps=40, burn_in=10, thin=2, seed=40, beta=0.5),
+              2: ChainConfig(steps=30, burn_in=10, thin=3, seed=41, beta=0.5)}
+    trans.relative_entropy_levels(pot, 1.0, dom, lat, chains, 400, 42)
+    assert events == ["open"] + ["proposal"] * (50 + 40)
 
 
 def test_relative_entropy_streams_its_chain():
