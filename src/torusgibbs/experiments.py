@@ -36,7 +36,7 @@ from . import flows
 from . import hamiltonians as ham
 from . import sampling as samp
 from . import transport as trans
-from .spectral import FourierField, Lattice, smooth_state, sobolev_norm
+from .spectral import FourierField, Lattice, dirichlet_multiplier, smooth_state, sobolev_norm
 
 
 class SchemaError(ValueError):
@@ -160,6 +160,8 @@ def validate_config(cfg: dict):
     seed = cfg.get("seed", 0)
     if not _typed(seed, int) or seed < 0:
         raise SchemaError("seed must be a non-negative integer")
+    if not _typed(cfg.get("output_dir"), str | None):
+        raise SchemaError("output_dir must be a string")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
@@ -175,10 +177,9 @@ def validate_config(cfg: dict):
     args.update(_arguments([p for p in sig if p.kind == p.KEYWORD_ONLY], params, "params",
                            given))
     bound = {p.name: args.get(p.name, p.default) for p in sig}
-    try:
-        _real_fields_are_1d(**bound)
-        if runner in _PRECONDITIONS:
-            _PRECONDITIONS[runner](**bound)
+    try:                                       # each check takes the bound values it names
+        for check in filter(None, (_real_fields_are_1d, _PRECONDITIONS.get(runner))):
+            check(**{p.name: bound[p.name] for p in _signature(check) if p.name in bound})
     except ValueError as exc:                  # a range the computation would reject
         raise SchemaError(f"{cfg['experiment']}: {exc}") from exc
     return runner, args
@@ -311,7 +312,7 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
     return {"results": results}, bool(passed)
 
 
-def _has_convexity_constant(lattice: Lattice, model, mass_bound: float, **_):
+def _has_convexity_constant(lattice: Lattice, model, mass_bound: float):
     """convexity gates on the model's closed-form constant, so the model
     must have one on the lattice's dimension."""
     alpha, _, why = model.convexity_constant(mass_bound, lattice.dim)
@@ -327,10 +328,6 @@ def _run_normalizability(seed: int, *, p: Literal[2, 4, 6, 8] = 4, lam: float = 
     rep = samp.normalizability_probe(p, lam, mass_bound, n_list, n_samples, seed)
     passed = None if expect is None else rep["classification"] == expect
     return {"results": rep}, passed
-
-
-def _normalizability_levels(n_list: list, **_):
-    samp._check_levels(n_list)
 
 
 def _run_critical_mass(seed: int, *, lam: float = 1.0, n_list: list[int] = (8, 16, 32),
@@ -363,32 +360,19 @@ def _tail_sum(*, s: float = 0.25, n_list: list[int] = (4, 8, 16)) -> tuple[dict,
     return {"results": {"rows": rows}}, all(r["holds"] for r in rows)
 
 
-def _tail_sum_ranges(s: float, n_list: list, **_):
-    for n in n_list:
-        trans._check_tail_sum(n, s)
-
-
 def _coupling(lattice: Lattice, seed: int, *, n_samples: int = 4000,
               n_list: list[int] = (4, 8, 16), tol: float = 0.05) -> tuple[dict, bool | None]:
-    """The empirical tail mass of the massless reference beyond mode n
-    against the lattice's own, 4 sum_{n < k <= lattice.n} k^-2; a row with
-    n >= lattice.n has no tail (degenerate) and is not gated; with no
-    gated row there is no gate."""
+    """The empirical tail mass of the massless reference beyond mode n against
+    its sum of E|c_k|^2 = 2/|k|^2 over the modes outside P_n; a row with
+    n >= lattice.n has no tail (degenerate) and is not gated; with no gated
+    row there is no gate."""
     rows = trans.truncation_coupling_bound(n_list, lattice, n_samples, seed)
     gated = [row for row in rows if not row["degenerate"]]
+    variance = samp.GaussianReference(lattice, 0.0).coef_variance()
     for row in gated:
-        row["analytic"] = 4.0 * _tail_inverse_square(row["n"], lattice.n)
+        row["analytic"] = math.fsum(variance[dirichlet_multiplier(lattice, row["n"]) == 0])
         row["rel_err"] = abs(row["value"] - row["analytic"]) / row["analytic"]
     return {"results": {"rows": rows}}, all(r["rel_err"] < tol for r in gated) if gated else None
-
-
-def _coupling_ranges(n_samples: int, **_):
-    trans._check_coupling_draws(n_samples)
-
-
-def _tail_inverse_square(n: int, top: int) -> float:
-    """sum_{n < k <= top} k^-2, the trigamma difference psi_1(n+1) - psi_1(top+1)."""
-    return math.fsum(1.0 / k ** 2 for k in range(n + 1, top + 1))
 
 
 def _run_gp_solve(lattice: Lattice, model: {"gp": _hartree}, seed: int, *,
@@ -434,11 +418,6 @@ def _decay_mass(lattice: Lattice, seed: int, *,
         bool(ok and increasing)
 
 
-def _decay_mass_ranges(grid: list, s: float, eps: float, **_):
-    for k1, k2 in grid:
-        samp._decay_domain(k1, k2, s, eps)
-
-
 def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_projected"),
                   domain: samp.PhaseDomain, sampler: samp.ChainConfig, *,
                   s: float = 0.35, r2_tol: float = 0.9) -> tuple[dict, bool | None]:
@@ -449,13 +428,9 @@ def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_proje
     return {"results": rep}, bool(passed)
 
 
-def _sobolev_tail_ranges(s: float, **_):
-    samp._check_tail_exponent(s)
-
-
 # kind -> runner, or (key, {value: runner}) when params[key] picks the task,
-# the first value by default; a runner in _PRECONDITIONS also has its bound
-# arguments checked together there, before any work (a ValueError is exit 2)
+# the first value by default; _PRECONDITIONS maps a runner to its computation's
+# range check, called before any work as _real_fields_are_1d is (see validate_config)
 _RUNNERS = {
     "sample": _run_sample,
     "flow": _run_flow,
@@ -470,17 +445,17 @@ _RUNNERS = {
     "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
 _PRECONDITIONS = {_run_convexity: _has_convexity_constant,
-                  _run_normalizability: _normalizability_levels,
-                  _run_critical_mass: _normalizability_levels,
-                  _sobolev_tail: _sobolev_tail_ranges,
-                  _tail_sum: _tail_sum_ranges, _coupling: _coupling_ranges,
-                  _decay_mass: _decay_mass_ranges}
+                  _run_normalizability: samp._check_levels,
+                  _run_critical_mass: samp._check_levels,
+                  _sobolev_tail: samp._check_tail_exponent,
+                  _tail_sum: trans._check_tail_sum, _coupling: trans._check_coupling_draws,
+                  _decay_mass: samp._decay_domains}
 
 
-def _real_fields_are_1d(lattice: Lattice | None = None, model=None, **_):
-    """Every runner's precondition: a real-field model (KdV) lives on a 1D
-    lattice, as do its reference, coordinates and Hermitian check."""
-    if model is not None and lattice is not None and model.reality and lattice.dim != 1:
+def _real_fields_are_1d(lattice: Lattice | None = None, model=None):
+    """Every runner's precondition: real fields (KdV's, Zakharov's n and v)
+    live on a 1D lattice, as do their references and Hermitian checks."""
+    if model is not None and lattice is not None and model.real_fields and lattice.dim != 1:
         raise ValueError(f"{type(model).__name__} fields are real and need a 1D lattice, "
                          f"not dim = {lattice.dim}")
 

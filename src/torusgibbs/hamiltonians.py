@@ -39,10 +39,10 @@ ALPHA0 = 0.5          # the perturbation constant alpha0 of the critical p = 6 L
 
 class _Model:
     """The generic energy, gradient and Hessian form of a single-field model,
-    read from its log-density, whether its field is real (reality), and the
-    mass rho of its Gaussian reference at truncation n (reference_mass)."""
+    read from its log-density, whether its field (or any field) is real
+    (reality, real_fields), and its reference mass rho at n (reference_mass)."""
 
-    reality = False
+    reality = real_fields = False
 
     def reference_mass(self, n: int) -> float:
         return 0.0
@@ -179,7 +179,7 @@ class KdV(_Model):
     """Real mean-zero field; lam is the reciprocal temperature (lam >= 0)."""
 
     lam: float = 0.0
-    reality = True
+    reality = real_fields = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -217,6 +217,7 @@ class Zakharov(_Model):
     so it has no single log-density."""
 
     mass_bound: float = 0.01
+    real_fields = True          # n and v; u is complex
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         raise TypeError("use sample_zakharov_ensemble for the product measure")

@@ -104,15 +104,13 @@ class GaussianReference:
         (16 B per mode) and the standard normals drawn for them (8 + 8 B per
         mode), at most spectral._BLOCK_BYTES.
 
-        The stream draws every row's real part before any imaginary part.
-        A one-block stream draws both on the calling thread when its block
-        is asked for.  A longer one starts two worker threads as it is
-        opened (_DrawStream): one draws each block's real part from a copy
-        of rng, and the other passes a second copy over the whole real
-        section and then draws each block's imaginary part.  They draw into
-        a ring of buffers that the stream allocates, at most one real block
-        and two imaginary blocks ahead of the one handed over, so the
-        stream holds a few blocks, never half the batch.  rng itself is
+        A one-block stream is the sample_batch call, made when its block is
+        asked for.  A longer one (_DrawStream) starts two worker threads as
+        it opens: one draws each block's real part from a copy of rng, and
+        the other passes a second copy over the whole real section and then
+        draws each block's imaginary part, into ring buffers the stream
+        allocates, at most one real and two imaginary blocks ahead of the
+        one handed over: the stream holds a few blocks.  rng itself is
         written only on the calling thread: as each block is handed over it
         is set to the state after that block's imaginary part.  So a
         finished stream leaves rng where sample_batch leaves it, an
@@ -121,13 +119,7 @@ class GaussianReference:
         blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
         if len(blocks) > 1:
             return _DrawStream(self, rng, blocks)
-        return self._inline_blocks(rng, blocks)
-
-    def _inline_blocks(self, rng: np.random.Generator, blocks: tuple):
-        """sample_blocks of a stream of at most one block."""
-        for rows in blocks:
-            real = rng.standard_normal((rows.stop - rows.start,) + self._std.shape)
-            yield rows, self._complete(real, rng.standard_normal(real.shape))
+        return ((rows, self.sample_batch(rng, count)) for rows in blocks)
 
     def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Coefficient rows from the standard normals of their real and
@@ -163,25 +155,29 @@ class GaussianReference:
 
 
 class _DrawStream:
-    """GaussianReference.sample_blocks of two or more blocks: the real parts
-    and the imaginary parts of the blocks are each drawn by a _Producer from
-    its own copy of rng, both started as the stream opens, with two and
-    three ring buffers of a largest block: the block being handed over, and
-    up to one real and two imaginary blocks ahead of it.  The imaginary
-    producer first passes its copy over the real section in one of its
-    buffers.  Handing a block over completes it from the two buffers, gives
-    them back and sets rng to the imaginary producer's state after the
-    block.  The last hand-over, a producer's exception, close() and the
-    stream's collection stop and join both threads."""
+    """GaussianReference.sample_blocks of two or more blocks: one (free,
+    ready, thread) per part, real then imaginary.  `free` holds the ring
+    buffers of a largest block that its _produce thread may draw into (two
+    real, three imaginary), and `ready` the (buffer, state) of each block
+    drawn, in order, or the exception that ended it, raised as it is taken.
+    The last hand-over, a failure, close() and the stream's collection set
+    the one stop event and join both threads."""
 
     def __init__(self, reference: GaussianReference, rng: np.random.Generator, blocks: tuple):
+        import queue        # imported here: a batch draw or a one-block stream loads none of it
+        self._parts, self._stop, self._handed = [], threading.Event(), 0
         self._reference, self._rng, self._blocks = reference, rng, blocks
-        self._handed = 0
-        self._producers = []
         shapes = [(rows.stop - rows.start,) + reference._std.shape for rows in blocks]
         try:
-            self._producers.append(_Producer(copy.deepcopy(rng), [], shapes, 2, "real"))
-            self._producers.append(_Producer(copy.deepcopy(rng), shapes, shapes, 3, "imag"))
+            for skip, slots, part in (([], 2, "real"), (shapes, 3, "imag")):
+                free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+                for slot in np.empty((slots,) + shapes[0]):
+                    free.put(slot)
+                thread = threading.Thread(
+                    target=_produce, name=f"torusgibbs-draws-{part}", daemon=True,
+                    args=(copy.deepcopy(rng), skip, shapes, free, ready, self._stop))
+                thread.start()
+                self._parts.append((free, ready, thread))
         except BaseException:
             self.close()
             raise
@@ -190,15 +186,18 @@ class _DrawStream:
         return self
 
     def __next__(self):
-        if not self._producers:
+        if not self._parts:
             raise StopIteration
-        real, imag = self._producers
+        taken = []
         try:
-            real_slot, _ = real.take()
-            imag_slot, state = imag.take()
+            for _, ready, _ in self._parts:
+                taken.append(ready.get())
+                if isinstance(taken[-1], BaseException):
+                    raise taken[-1]
         except BaseException:
             self.close()
             raise
+        (real_slot, _), (imag_slot, state) = taken
         rows = self._blocks[self._handed]
         size = rows.stop - rows.start
         coefs = self._reference._complete(real_slot[:size], imag_slot[:size])
@@ -207,50 +206,24 @@ class _DrawStream:
         if self._handed == len(self._blocks):
             self.close()
         else:
-            real.free.put(real_slot)
-            imag.free.put(imag_slot)
+            for (free, _, _), (slot, _) in zip(self._parts, taken):
+                free.put(slot)
         return rows, coefs
 
     def close(self):
-        """Stop and join the producers; the stream then ends."""
-        producers, self._producers = self._producers, []
-        for producer in producers:
-            producer.stop.set()
-            producer.free.put(None)
-        for producer in producers:
-            producer.thread.join()
+        """Stop and join the workers; the stream then ends."""
+        parts, self._parts = self._parts, []
+        self._stop.set()
+        for free, _, _ in parts:
+            free.put(None)
+        for _, _, thread in parts:
+            thread.join()
 
     __del__ = close
 
 
-class _Producer:
-    """A _DrawStream worker thread (_produce) with its queues: `free` holds
-    the ring buffers it may draw into, allocated here on the calling
-    thread, and `ready` the (buffer, state) of each block drawn, in order,
-    or the exception that ended it."""
-
-    def __init__(self, rng: np.random.Generator, skip: list, shapes: list, slots: int,
-                 part: str):
-        import queue        # imported here: a batch draw or a one-block stream loads none of it
-        self.free, self.ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for slot in np.empty((slots,) + shapes[0]):
-            self.free.put(slot)
-        self.stop = threading.Event()
-        self.thread = threading.Thread(
-            target=_produce, args=(rng, skip, shapes, self.free, self.ready, self.stop),
-            name=f"torusgibbs-draws-{part}", daemon=True)
-        self.thread.start()
-
-    def take(self) -> tuple:
-        """The next (buffer, state) drawn; raises what ended the worker."""
-        item = self.ready.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-
 def _produce(rng, skip, shapes, free, ready, stop):
-    """A _Producer's thread: pass rng over the skip shapes in its first
+    """A _DrawStream thread: pass rng over the skip shapes in its first
     buffer, then draw each of shapes into a free buffer and post it with
     rng's state after it.  It calls nothing but rng (the draws release the
     GIL, and the perfbench tracer's span stack is not thread-safe); a None
@@ -815,7 +788,7 @@ def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
     bound is reported even when vacuous (negative).  The draws stream in row
     blocks (GaussianReference.sample_blocks), so the peak holds a few
     blocks."""
-    domains = [_decay_domain(k1, k2, s, eps) for k1, k2 in grid]
+    domains = _decay_domains(grid, s, eps)
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
     rng = np.random.default_rng(seed)
     hits = [0] * len(domains)
@@ -841,8 +814,12 @@ def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
     return rows
 
 
-def _decay_domain(k1: float, k2: float, s: float, eps: float) -> PhaseDomain:
-    """decay_domain_mass_grid's domain; its lower bound needs K2 exp(K2^2/2) > 4."""
-    if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
-        raise ValueError("requires K2 exp(K2^2/2) > 4")
-    return PhaseDomain.decay(k1, k2, s, eps)
+def _decay_domains(grid, s: float, eps: float) -> list:
+    """decay_domain_mass_grid's domains, one per (K1, K2) of grid; each lower
+    bound needs K2 exp(K2^2/2) > 4."""
+    domains = []
+    for k1, k2 in grid:
+        if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:
+            raise ValueError("requires K2 exp(K2^2/2) > 4")
+        domains.append(PhaseDomain.decay(k1, k2, s, eps))
+    return domains

@@ -371,7 +371,7 @@ def gaussian_tail_bound(n: int, s: float) -> dict:
     """Closed form 4 pi / (s (n-1)^{2s}) against an upper estimate of the
     lattice sum sum_{|m| >= n} 2/|m|^{2+2s} (direct summation to |m| = 400
     plus an integral remainder)."""
-    _check_tail_sum(n, s)
+    _check_tail_sum([n], s)
     r_cut = 400
     bound = 4.0 * math.pi / (s * (n - 1) ** (2 * s))
     m = np.arange(-r_cut, r_cut + 1, dtype=float)
@@ -384,6 +384,7 @@ def gaussian_tail_bound(n: int, s: float) -> dict:
             "holds": bool(total_upper <= bound)}
 
 
-def _check_tail_sum(n: int, s: float) -> None:
-    if n < 2 or s <= 0:
+def _check_tail_sum(n_list, s: float) -> None:
+    """gaussian_tail_bound's range, for each n of n_list."""
+    if any(n < 2 or s <= 0 for n in n_list):
         raise ValueError("need n >= 2 and s > 0")

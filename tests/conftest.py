@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain, run
 # the invariance and LSI acceptance criteria (n = 8, 10^4 samples).
 NLS_MASS_BOUND = 4.0
 NLS_LAM = 3.0 / (28.0 * math.pi ** 2 * NLS_MASS_BOUND)
+
+
+def torusgibbs_threads() -> list:
+    """The package's live worker threads: draw streams and flow parts."""
+    return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_outlives_its_test():
+    yield
+    assert torusgibbs_threads() == []
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -13,8 +14,7 @@ from torusgibbs import archive as arch
 from torusgibbs import hamiltonians as ham
 from torusgibbs.cli import main
 from torusgibbs import experiments
-from torusgibbs.experiments import (SchemaError, _tail_inverse_square, build_reference,
-                                    run_experiment, validate_config)
+from torusgibbs.experiments import SchemaError, build_reference, run_experiment, validate_config
 from torusgibbs.sampling import GaussianReference, SampleEnsemble
 from torusgibbs.spectral import GridResolutionError, Lattice
 
@@ -495,6 +495,27 @@ def test_probe_exponent_is_rejected_by_validation():
         validate_config({"experiment": "normalizability", "params": {"p": 7}})
 
 
+def test_zakharov_off_a_1d_lattice_exits_2(tmp_path, capsys):
+    # Zakharov's u is complex, but its n and v are real fields, which are 1D
+    zak2 = {"lattice": {"dim": 2, "n": 4}, "model": {"kind": "zakharov"}}
+    for i, cfg in enumerate([dict(zak2, experiment="zakharov"), dict(zak2, experiment="flow")]):
+        path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "Zakharov fields are real and need a 1D lattice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", [5, True])
+def test_a_non_string_output_dir_exits_2(tmp_path, output_dir):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "transport", "output_dir": output_dir,
+                                "params": {"task": "tail_sum"}}))
+    assert main(["run", str(path)]) == 2
+    with pytest.raises(SchemaError, match="^output_dir must be a string$"):
+        validate_config(json.loads(path.read_text()))
+
+
 def test_kdv_on_a_2d_lattice_is_rejected_by_validation(tmp_path):
     # real fields are 1D throughout (the reference, the Hermitian check), so
     # validation rejects KdV on a 2D lattice before any work
@@ -620,14 +641,35 @@ def test_tail_experiment_sobolev_tail(tmp_path):
 
 
 def test_transport_coupling_experiment(tmp_path):
+    # the analytic tail sums the reference's E|c_k|^2 = 2/|k|^2 over the
+    # modes with some |k_j| > n: in 1D, 4 sum_{n < k <= N} k^-2 to the bit,
+    # which is 4 (psi_1(n+1) - psi_1(N+1))
     from scipy.special import polygamma
-    for n, top in ((1, 8), (4, 8), (4, 512), (16, 512), (100, 2000), (1000, 2000)):
-        expect = float(polygamma(1, n + 1) - polygamma(1, top + 1))
-        assert _tail_inverse_square(n, top) == pytest.approx(expect, rel=1e-12)
-    cfg = {"experiment": "transport", "seed": 5, "lattice": {"dim": 1, "n": 512},
-           "params": {"task": "coupling", "n_list": [4, 8], "n_samples": 2000}}
-    report, code = run_experiment(cfg, output_dir=str(tmp_path / "cp"))
-    assert code == 0 and report["passed"] is True
+    for dim, top in ((1, 512), (2, 24)):
+        cfg = {"experiment": "transport", "seed": 5, "lattice": {"dim": dim, "n": top},
+               "params": {"task": "coupling", "n_list": [4, 8], "n_samples": 2000}}
+        report, code = run_experiment(cfg, output_dir=str(tmp_path / f"cp{dim}"))
+        assert code == 0 and report["passed"] is True
+        for row in report["results"]["rows"]:
+            n = row["n"]
+            if dim == 1:
+                assert row["analytic"] == 4.0 * math.fsum(1.0 / k ** 2
+                                                          for k in range(n + 1, top + 1))
+                expect = 4.0 * float(polygamma(1, n + 1) - polygamma(1, top + 1))
+            else:
+                modes = np.array(list(np.ndindex(2 * top + 1, 2 * top + 1))) - top
+                expect = math.fsum(2.0 / np.sum(modes[np.abs(modes).max(axis=1) > n] ** 2,
+                                                axis=1))
+            assert row["analytic"] == pytest.approx(expect, rel=1e-12)
+
+
+def test_every_precondition_names_only_parameters_of_its_runner():
+    # validation calls a check with the bound arguments its parameters name,
+    # so a parameter its runner lacks would go missing or keep its default
+    assert len(experiments._PRECONDITIONS) == 7
+    for runner, check in experiments._PRECONDITIONS.items():
+        names = set(inspect.signature(check).parameters)
+        assert names <= set(inspect.signature(runner).parameters), (runner, check)
 
 
 @pytest.mark.parametrize("n_samples", [0, 1, -5])

@@ -11,6 +11,8 @@ from torusgibbs.experiments import smooth_state
 from torusgibbs.sampling import GaussianReference, SampleEnsemble
 from torusgibbs.spectral import FourierField, Lattice, sobolev_norm
 
+from conftest import torusgibbs_threads
+
 
 def test_free_nls_single_mode_exact():
     lat = Lattice(1, 8)
@@ -124,10 +126,6 @@ def _stack(states, rows):
     return np.stack([(1.0 + 0.01 * i) * states[i % 3].coef for i in range(rows)])
 
 
-def _flow_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
-
-
 @pytest.fixture
 def parts(monkeypatch):
     """Run evolve_ensemble as if `cores` cores were usable and a part were
@@ -180,7 +178,7 @@ def test_evolve_ensemble_parts_are_one_march_bitwise(case, cores, parts):
         # takes the next part; one part starts none
         assert len(started) in ({0} if len(want) == 1 else set(range(1, len(want))))
         assert all(name.startswith("torusgibbs-flow") for name in started)
-        assert _flow_threads() == []
+        assert torusgibbs_threads() == []
 
 
 @pytest.mark.parametrize("cores", [1, 3])
@@ -194,7 +192,7 @@ def test_a_blow_up_in_the_last_part_raises(cores, parts):
         flows.evolve_ensemble(model, coefs, lat, cfg)
     assert marched == ([2, 2, 3] if cores == 3 else [7])
     assert (len(started) > 0) == (cores == 3)
-    assert _flow_threads() == []
+    assert torusgibbs_threads() == []
     # a finite stack of the same parts passes
     flows.evolve_ensemble(model, coefs[:-1], lat, cfg)
 
@@ -217,7 +215,7 @@ def test_a_blow_up_in_the_last_part_exits_3(tmp_path, monkeypatch, parts):
     report, code = experiments.run_experiment(cfg, output_dir=str(tmp_path / "inv"))
     assert code == 3 and "NaN/Inf" in report["error"]
     assert sorted(marched) == [21, 21, 22] and started
-    assert _flow_threads() == []
+    assert torusgibbs_threads() == []
 
 
 def test_evolve_ensemble_rejects_zakharov():

@@ -10,8 +10,6 @@ REPO = SRC.parent.parent
 # public names kept although no root reaches them, each with its reason
 ALLOWED = {
     "read_ensemble": "the reader the archive round-trip tests check write_ensemble against",
-    "coef_variance": "GaussianReference's closed-form E|c_k|^2, the oracle the sampling "
-                     "tests check reference draws against",
     "from_modes": "FourierField's builder from a {mode: coefficient} map, with which the "
                   "tests write their fields",
 }

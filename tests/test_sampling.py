@@ -22,6 +22,8 @@ from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
 from torusgibbs import spectral
 from torusgibbs.spectral import FourierField, Lattice
 
+from conftest import torusgibbs_threads
+
 
 # -- Gaussian references -----------------------------------------------------
 
@@ -243,10 +245,6 @@ def test_real_field_rows_are_the_complex_expression_bitwise(kind):
     assert np.signbit(ref._complete(signed_real, signed_imag).real).any()
 
 
-def _draw_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
-
-
 # 1200 draws at n = 64 are five blocks of 254 rows
 STREAM_REF, STREAM_COUNT = GaussianReference(Lattice(1, 64)), 1200
 
@@ -256,13 +254,13 @@ def test_a_stream_closed_or_dropped_before_its_first_block_draws_nothing():
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         stream = STREAM_REF.sample_blocks(rng, STREAM_COUNT)
-        assert len(_draw_threads()) == 2
+        assert len(torusgibbs_threads()) == 2
         if end == "close":
             stream.close()
             assert list(stream) == []
         del stream
         assert rng.bit_generator.state == state
-        assert _draw_threads() == []
+        assert torusgibbs_threads() == []
 
 
 def test_a_consumer_that_raises_leaves_rng_at_its_last_block():
@@ -277,7 +275,7 @@ def test_a_consumer_that_raises_leaves_rng_at_its_last_block():
 
     with pytest.raises(KeyError, match="consumer"):
         consume()
-    assert _draw_threads() == []
+    assert torusgibbs_threads() == []
     want = np.random.default_rng(3)
     want.standard_normal((STREAM_COUNT,) + STREAM_REF._std.shape)
     want.standard_normal((handed[-1].stop,) + STREAM_REF._std.shape)
@@ -318,7 +316,7 @@ def test_a_failing_producer_raises_in_the_caller(monkeypatch):
     assert not caller.is_alive()
     assert [str(exc) for exc in raised] == ["draw failed"]
     assert rng.bit_generator.state == state
-    assert _draw_threads() == []
+    assert torusgibbs_threads() == []
 
 
 def test_streams_in_turn_under_fast_thread_switching():
@@ -339,7 +337,7 @@ def test_streams_in_turn_under_fast_thread_switching():
         want = STREAM_REF.sample_batch(want_rng, STREAM_COUNT)
         assert np.array_equal(np.concatenate(out).view(np.uint64), want.view(np.uint64))
         assert rng.bit_generator.state == want_rng.bit_generator.state
-    assert _draw_threads() == []
+    assert torusgibbs_threads() == []
 
 
 # -- phase domains -----------------------------------------------------------
@@ -507,7 +505,11 @@ def test_zakharov_product_sampler_moments():
     # u inside the ball, v mean-zero, W-loop variance sane
     assert st0.u.mass() <= model.mass_bound + 1e-12
     assert abs(st0.v.zero_coef()) < 1e-13
-    nt = np.stack([ens.state(i).n for i in range(0, 200, 4)]) if False else None
+    # ntilde = (n + P_n|u|^2) / sqrt(2) is white: a_1, b_1 ~ N(0,1), no zero mode
+    nt = (ens.n + ham.intensity_coefficients(ens.u, lat)) / np.sqrt(2.0)
+    assert abs(np.var(2 * nt[:, lat.n + 1].real) - 1.0) < 0.25
+    assert abs(np.var(-2 * nt[:, lat.n + 1].imag) - 1.0) < 0.25
+    assert np.all(nt[:, lat.n] == 0)
     w1 = [2 * np.real(-ens.v[i][lat.n + 1] / (np.sqrt(2.0) * 1.0)) for i in range(400)]
     assert abs(np.var(w1) - 1.0) < 0.25  # a_1 of W ~ N(0,1)
 
