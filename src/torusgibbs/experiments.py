@@ -355,6 +355,14 @@ def _sinkhorn_vs_exact(seed: int, *, points: int = 32, dim: int = 4, eps_rel: fl
     return {"results": res}, bool(rel < tol and converged)
 
 
+def _sinkhorn_vs_exact_ranges(points: int, dim: int, eps_rel: float) -> None:
+    """Clouds the exact oracle takes, with a positive cost scale and eps."""
+    if points < 1 or dim < 1:
+        raise ValueError("needs points >= 1 and dim >= 1")
+    trans._check_oracle_support(points)
+    trans._check_eps(eps_rel)
+
+
 def _tail_sum(*, s: float = 0.25, n_list: list[int] = (4, 8, 16)) -> tuple[dict, bool | None]:
     rows = [trans.gaussian_tail_bound(n, s) for n in n_list]
     return {"results": {"rows": rows}}, all(r["holds"] for r in rows)
@@ -448,7 +456,8 @@ _PRECONDITIONS = {_run_convexity: _has_convexity_constant,
                   _run_normalizability: samp._check_levels,
                   _run_critical_mass: samp._check_levels,
                   _sobolev_tail: samp._check_tail_exponent,
-                  _tail_sum: trans._check_tail_sum, _coupling: trans._check_coupling_draws,
+                  _sinkhorn_vs_exact: _sinkhorn_vs_exact_ranges,
+                  _tail_sum: trans._check_tail_sum, _coupling: trans._check_coupling,
                   _decay_mass: samp._decay_domains}
 
 

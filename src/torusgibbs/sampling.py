@@ -815,8 +815,10 @@ def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
 
 
 def _decay_domains(grid, s: float, eps: float) -> list:
-    """decay_domain_mass_grid's domains, one per (K1, K2) of grid; each lower
-    bound needs K2 exp(K2^2/2) > 4."""
+    """decay_domain_mass_grid's domains, one per (K1, K2) of a non-empty
+    grid; each lower bound needs K2 exp(K2^2/2) > 4."""
+    if not grid:
+        raise ValueError("needs at least one (K1, K2) domain")
     domains = []
     for k1, k2 in grid:
         if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:

@@ -133,8 +133,7 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     numpy by _assignment; clouds of unequal size are rejected.  Returns
     (W_s value, TransportPlan)."""
     m, n = len(mu), len(nu)
-    if max(m, n) > 256:
-        raise ValueError("exact oracle is limited to 256 support points; use sinkhorn")
+    _check_oracle_support(max(m, n))
     if m != n:
         raise ValueError(f"exact oracle needs clouds of equal size, not {m} and {n}")
     c = cost.matrix(mu.points, nu.points)
@@ -145,6 +144,12 @@ def wasserstein_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     return value, TransportPlan(plan, _plan_residual(plan, mu.weights, nu.weights), obj)
 
 
+def _check_oracle_support(points: int) -> None:
+    """wasserstein_exact's support limit."""
+    if points > 256:
+        raise ValueError("exact oracle is limited to 256 support points; use sinkhorn")
+
+
 SINKHORN_TOL = 1e-9
 
 
@@ -153,12 +158,15 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     """Log-domain Sinkhorn with a geometric eps-scaling schedule and warm
     starts; the returned objective is the plan cost sum plan * cost, which
     decreases toward the exact optimum as eps drops.  An iteration is two
-    calls of this module's logsumexp on the kernel -cost/eps; every level
-    stops at marginal residual sqrt(SINKHORN_TOL), and up to 10 Newton steps
-    then finish the last one to SINKHORN_TOL.  `converged` holds when the
-    residual before rounding is below 1e-8."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    calls of this module's logsumexp on the kernel -cost/eps.  When mu is nu
+    (the self terms of sinkhorn_divergence) the fixed point is symmetric, and
+    an iteration is the symmetric update f <- (f + T(f))/2 with g = f (Feydy
+    et al. 2019), one logsumexp call.  A level stops at marginal residual
+    sqrt(SINKHORN_TOL) * e / eps, so the warm-start levels are solved only
+    roughly (Schmitzer 2019) and the last, e = eps, to sqrt(SINKHORN_TOL);
+    up to 10 Newton steps then finish it to SINKHORN_TOL.  `converged` holds
+    when the residual before rounding is below 1e-8."""
+    _check_eps(eps)
     c = cost.matrix(mu.points, nu.points)
     a, b = mu.weights, nu.weights
     la, lb = np.log(a + 1e-300), np.log(b + 1e-300)
@@ -172,13 +180,16 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     f = np.zeros(len(a))
     g = np.zeros(len(b))
     levels = []
-    stop = math.sqrt(SINKHORN_TOL)
     for e in eps_list:
         k = -c / e
+        stop = math.sqrt(SINKHORN_TOL) * e / eps
         it = 0
         for it in range(1, max_iter + 1):
-            f = -e * logsumexp(k + (g / e + lb)[None, :], axis=1)
-            g = -e * logsumexp(k + (f / e + la)[:, None], axis=0)
+            if mu is nu:
+                f = g = 0.5 * (f - e * logsumexp(k + (f / e + la)[None, :], axis=1))
+            else:
+                f = -e * logsumexp(k + (g / e + lb)[None, :], axis=1)
+                g = -e * logsumexp(k + (f / e + la)[:, None], axis=0)
             if it % 10 == 0 and _plan_residual(
                     np.exp(k + (f / e + la)[:, None] + (g / e + lb)[None, :]), a, b) < stop:
                 break
@@ -190,6 +201,12 @@ def sinkhorn(mu: EmpiricalMeasure, nu: EmpiricalMeasure, cost: CostSpec,
     obj = float(np.sum(plan * c))
     value = obj ** (1.0 / cost.order)
     return value, TransportPlan(plan, resid, obj, tuple(levels), pre_resid), converged
+
+
+def _check_eps(eps: float) -> None:
+    """sinkhorn's entropic regularisation is positive."""
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
 
 
 def _newton_polish(f, g, c, la, lb, a, b, e: float):
@@ -259,7 +276,7 @@ def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: in
     stream in row blocks; each block's |c_k|^2 is taken once and summed over
     every tail in mode order.  A row with n >= lattice.n has no tail: it is
     degenerate, with value 0.0."""
-    _check_coupling_draws(n_samples)
+    _check_coupling(n_list, n_samples)
     tails = [np.flatnonzero(dirichlet_multiplier(lattice, n) == 0) for n in n_list]
     per = np.empty((len(tails), n_samples))
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
@@ -274,8 +291,10 @@ def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: in
             for n, tail_sums in zip(n_list, per)]
 
 
-def _check_coupling_draws(n_samples: int) -> None:
-    """A row's stderr needs two draws."""
+def _check_coupling(n_list, n_samples: int) -> None:
+    """At least one row, and two draws for a row's stderr."""
+    if not n_list:
+        raise ValueError("needs at least one truncation level n")
     if n_samples < 2:
         raise ValueError("needs n_samples >= 2 draws")
 
@@ -385,6 +404,8 @@ def gaussian_tail_bound(n: int, s: float) -> dict:
 
 
 def _check_tail_sum(n_list, s: float) -> None:
-    """gaussian_tail_bound's range, for each n of n_list."""
+    """gaussian_tail_bound's range, for each n of a non-empty n_list."""
+    if not n_list:
+        raise ValueError("needs at least one n")
     if any(n < 2 or s <= 0 for n in n_list):
         raise ValueError("need n >= 2 and s > 0")

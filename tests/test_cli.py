@@ -666,7 +666,7 @@ def test_transport_coupling_experiment(tmp_path):
 def test_every_precondition_names_only_parameters_of_its_runner():
     # validation calls a check with the bound arguments its parameters name,
     # so a parameter its runner lacks would go missing or keep its default
-    assert len(experiments._PRECONDITIONS) == 7
+    assert len(experiments._PRECONDITIONS) == 8
     for runner, check in experiments._PRECONDITIONS.items():
         names = set(inspect.signature(check).parameters)
         assert names <= set(inspect.signature(runner).parameters), (runner, check)
@@ -682,6 +682,37 @@ def test_coupling_needs_two_draws_exit_2(tmp_path, n_samples):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path)]) == 2
+
+
+# task parameters that used to pass validation: an empty level list is no
+# result (tail_sum and decay_mass passed on no rows, decay_mass after drawing
+# its samples, and coupling had no gate), and sinkhorn_vs_exact clouds the
+# solvers failed on with exit 3 (dim 0 as a zero eps, points 0 as a division
+# by zero)
+TASK_RANGE_ERRORS = [
+    ({"task": "tail_sum", "n_list": []}, "needs at least one n"),
+    ({"task": "coupling", "n_list": []}, "needs at least one truncation level n"),
+    ({"task": "sinkhorn_vs_exact", "eps_rel": 0.0}, "eps must be > 0"),
+    ({"task": "sinkhorn_vs_exact", "eps_rel": -1e-3}, "eps must be > 0"),
+    ({"task": "sinkhorn_vs_exact", "dim": 0}, "needs points >= 1 and dim >= 1"),
+    ({"task": "sinkhorn_vs_exact", "points": 0}, "needs points >= 1 and dim >= 1"),
+    ({"task": "sinkhorn_vs_exact", "points": 300},
+     "exact oracle is limited to 256 support points; use sinkhorn"),
+    ({"task": "decay_mass", "grid": []}, "needs at least one (K1, K2) domain"),
+]
+
+
+@pytest.mark.parametrize("params,message", TASK_RANGE_ERRORS,
+                         ids=["-".join(map(str, p.values())) for p, _ in TASK_RANGE_ERRORS])
+def test_task_ranges_exit_2_before_any_work(tmp_path, params, message):
+    kind = "tail" if params["task"] == "decay_mass" else "transport"
+    cfg = {"experiment": kind, "params": params}
+    with pytest.raises(SchemaError, match=f"^{kind}: {re.escape(message)}$"):
+        run_experiment(cfg, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_transport_coupling_at_its_defaults():

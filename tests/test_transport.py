@@ -174,8 +174,8 @@ def _criterion_10a_solve():
 
 
 def test_sinkhorn_intermediate_levels_stop_early():
-    # every level before the last reaches its sqrt(tol) residual well inside
-    # the default max_iter
+    # every level before the last reaches its residual sqrt(tol) * e / eps
+    # well inside the default max_iter
     exact, val, plan, conv = _criterion_10a_solve()
     assert len(plan.level_iterations) > 1
     assert all(0 < it < 2000 for it in plan.level_iterations[:-1])
@@ -184,8 +184,8 @@ def test_sinkhorn_intermediate_levels_stop_early():
 
 
 def test_sinkhorn_last_level_stops_early_and_newton_finishes():
-    # the last level stops at the same sqrt(tol) residual as the others,
-    # inside the default max_iter, and the Newton finish takes it below 1e-8
+    # the last level stops at residual sqrt(tol), inside the default
+    # max_iter, and the Newton finish takes it below 1e-8
     exact, val, plan, conv = _criterion_10a_solve()
     assert 0 < plan.level_iterations[-1] < 2000
     assert conv and plan.pre_rounding_residual < 1e-8
@@ -218,6 +218,59 @@ def test_sinkhorn_divergence_debiases():
     raw, _, _ = trans.sinkhorn(mu, nu, cost, eps=0.2 * scale)
     deb = trans.sinkhorn_divergence(mu, nu, cost, eps=0.2 * scale)
     assert abs(deb - exact) < abs(raw - exact)
+
+
+def test_sinkhorn_self_transport_takes_one_logsumexp_per_update(monkeypatch):
+    # mu is nu: the symmetric update f <- (f + T(f))/2 with g = f; a copy
+    # of mu is a distinct measure and takes the two-sided iteration
+    mu, _ = clouds(11, m=24, d=3)
+    eps = 5e-3 * float(np.mean(trans.CostSpec().matrix(mu.points, mu.points)))
+    calls, inner = [0], trans.logsumexp
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(trans, "logsumexp", counted)
+    _, plan, _ = trans.sinkhorn(mu, mu, trans.CostSpec(), eps=eps)
+    assert calls[0] == sum(plan.level_iterations) > 0
+    calls[0] = 0
+    _, plan, _ = trans.sinkhorn(mu, trans.EmpiricalMeasure(mu.points.copy()),
+                                trans.CostSpec(), eps=eps)
+    assert calls[0] == 2 * sum(plan.level_iterations) > 0
+
+
+@pytest.mark.parametrize("seed", range(11, 21))
+def test_sinkhorn_self_transport_matches_the_two_sided_solve(seed, monkeypatch):
+    # the reference is the two-sided solve of a distinct copy of mu with its
+    # Newton finish taken to roundoff: at the default target that solve's
+    # self objective is itself off by up to 1.4e-8 relative here, while the
+    # plan's rank-one rounding moves it by about the l1 slack times the
+    # largest cost
+    mu, _ = clouds(seed, m=32, d=4)
+    cost = trans.CostSpec()
+    eps = 0.05 * float(np.mean(cost.matrix(mu.points, mu.points)))
+    _, sym, sym_ok = trans.sinkhorn(mu, mu, cost, eps=eps)
+    monkeypatch.setattr(trans, "SINKHORN_TOL", 1e-24)
+    _, two, two_ok = trans.sinkhorn(mu, trans.EmpiricalMeasure(mu.points.copy()), cost,
+                                    eps=eps)
+    assert sym_ok and two_ok and two.pre_rounding_residual < 1e-15
+    assert sym.objective == pytest.approx(two.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_sinkhorn_converges_at_the_bench_budget(seed):
+    # perfbench's sinkhorn-vs-lp budget: 32-point clouds in 4D, eps = largest
+    # cost / 1024 and 100 iterations per level; the cross solve converges at
+    # these seeds, and it and the divergence are within 2% of the exact value
+    mu, nu = clouds(seed, m=32, d=4)
+    cost = trans.CostSpec()
+    exact, _ = trans.wasserstein_exact(mu, nu, cost)
+    eps = float(np.max(cost.matrix(mu.points, nu.points))) / 1024.0
+    val, _, conv = trans.sinkhorn(mu, nu, cost, eps=eps, max_iter=100)
+    div = trans.sinkhorn_divergence(mu, nu, cost, eps, max_iter=100)
+    assert conv
+    assert abs(val - exact) / exact < 0.02 and abs(div - exact) / exact < 0.02
 
 
 # -- coupling bound ---------------------------------------------------------------
