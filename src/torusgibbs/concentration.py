@@ -48,20 +48,27 @@ class TestFunctional:
             return np.linalg.norm(coords, axis=1)
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
-    def gradients(self, coords: np.ndarray) -> np.ndarray:
-        b = coords.shape[0]
+    def gradient_factors(self, coords: np.ndarray) -> tuple:
+        """(a, d) with the coordinate gradient a[i] d at row i: d is xi,
+        or, for l2norm, the rows themselves (row i's gradient a[i] d[i])."""
         if self.kind == "linear":
-            return np.broadcast_to(self.xi, (b, self.xi.size))
+            return np.ones(coords.shape[0]), self.xi
         if self.kind == "modulus":
-            sign = np.sign(coords @ self.xi)[:, None]
-            return sign * self.xi[None, :]
+            return np.sign(coords @ self.xi), self.xi
         if self.kind == "tanh":
             z = (coords @ self.xi) / self.scale
-            return (1.0 / np.cosh(z) ** 2 / self.scale)[:, None] * self.xi[None, :]
+            return 1.0 / np.cosh(z) ** 2 / self.scale, self.xi
         if self.kind == "l2norm":
-            norms = np.maximum(np.linalg.norm(coords, axis=1, keepdims=True), 1e-300)
-            return coords / norms
+            return 1.0 / np.maximum(np.linalg.norm(coords, axis=1), 1e-300), coords
         raise ValueError(f"unknown functional kind {self.kind!r}")
+
+    def gradient_squares(self, coords: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The gradient's squared norm sum_j weights_j (df/dx_j)^2 at each
+        row, from gradient_factors: a^2 times d's weighted square, which is
+        one number when d is xi.  Taken as a (a S): at the zero field
+        l2norm's a is 1e300 and S is 0."""
+        a, d = self.gradient_factors(coords)
+        return a * (a * np.add.reduce(d * d * weights, axis=-1))
 
 
 def mode_direction(lattice: Lattice, k, part: str = "re", reality: bool = False,
@@ -107,41 +114,83 @@ def default_dictionary(lattice: Lattice, reality: bool = False,
 N_BATCHES = 30      # contiguous blocks of every block jackknife
 
 
-def _jackknife(values: np.ndarray, stat):
-    """Leave-one-block-out jackknife over N_BATCHES contiguous blocks of rows
-    (blocks preserve chain order, so the stderr is robust to autocorrelation
-    at the block scale)."""
-    m = values.shape[0]
-    edges = np.linspace(0, m, min(N_BATCHES, m) + 1, dtype=int)
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    nb = len(blocks)
-    full = stat(values)
+def _jackknife(features: np.ndarray, stat):
+    """Delete-a-block jackknife of a smooth function of means (Kunsch 1989).
+    features holds per-row values as an (n, ..., k) array, and stat maps an
+    (..., k) array of column means to (...) values.  The rows fall into
+    min(N_BATCHES, n) contiguous blocks, which keep chain order, so the
+    stderr is robust to autocorrelation at the block scale.  Each block is
+    summed once (np.add.reduceat), and a leave-one-block-out mean is formed
+    from the other blocks' sums, so one stat call takes every block's.
+    Returns (stat of the full-sample means, stderr), each of shape (...);
+    the stderr is nan with fewer than two blocks."""
+    n = features.shape[0]
+    starts = np.linspace(0, n, min(N_BATCHES, n) + 1, dtype=int)
+    sums = np.add.reduceat(features, starts[:-1], axis=0)
+    nb = len(sums)
+    # before[b] and after[b]: the sums of the blocks before and after b, so
+    # no leave-one-block-out sum cancels a block that holds most of the total
+    zero = np.zeros_like(sums[:1])
+    before = np.concatenate([zero, np.cumsum(sums[:-1], axis=0)])
+    after = np.concatenate([np.cumsum(sums[:0:-1], axis=0)[::-1], zero])
+    full = stat((before[-1] + sums[-1]) / n)
     if nb < 2:
-        return full, float("nan")
-    loo = np.array([stat(np.delete(values, block, axis=0)) for block in blocks])
-    dev = loo - np.add.reduce(loo) / nb
-    se = math.sqrt(max(0.0, (nb - 1) / nb * float(np.add.reduce(dev * dev))))
-    return full, se
+        return full, np.full(np.shape(full), np.nan)
+    sizes = np.diff(starts).reshape((nb,) + (1,) * (features.ndim - 1))
+    loo = stat((before + after) / (n - sizes))
+    dev = loo - _sum_rows(loo) / nb
+    # fmax maps a nan (an infinite statistic) to 0, as max(0.0, nan) does
+    return full, np.sqrt(np.fmax((nb - 1) / nb * _sum_rows(dev * dev), 0.0))
 
 
-def _entropy_stat(fsq: np.ndarray) -> float:
-    """Ent(f^2) = E f^2 log f^2 - E f^2 log E f^2 of samples fsq of f^2."""
-    n = fsq.shape[0]
-    mean = np.add.reduce(fsq) / n
-    if mean <= 0:
-        return 0.0
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x summed over its first axis, each element in an order that does not
+    depend on the shape of the other axes (np.add.reduce's order does), so a
+    statistic's stderr is the same alone or in a stack."""
+    return np.add.reduceat(x, [0], axis=0)[0]
+
+
+def _entropy_columns(fsq: np.ndarray) -> np.ndarray:
+    """The columns f^2 and f^2 log f^2 (0 log 0 = 0) of samples fsq of f^2,
+    stacked on a new last axis."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(fsq > 0, fsq * np.log(fsq), 0.0)
-    return float(np.add.reduce(term) / n - mean * math.log(mean))
+        return np.stack([fsq, np.where(fsq > 0, fsq * np.log(fsq), 0.0)], axis=-1)
+
+
+def _entropy_stat(means: np.ndarray) -> np.ndarray:
+    """Ent(f^2) = E f^2 log f^2 - m log m from the means (m, E f^2 log f^2) of
+    _entropy_columns; 0 where m <= 0."""
+    m = means[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(m > 0, means[..., 1] - m * np.log(m), 0.0)
+
+
+def _lsi_ratio_stat(means: np.ndarray) -> np.ndarray:
+    """2 E |grad f|^2 / Ent(f^2) from the means of the columns f^2,
+    f^2 log f^2 and |grad f|^2; inf where the entropy is not positive."""
+    ent = _entropy_stat(means)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ent > 0, 2.0 * means[..., 2] / ent, np.inf)
+
+
+def _poincare_ratio_stat(means: np.ndarray) -> np.ndarray:
+    """2 E |grad f|^2 / Var f from the means of the columns |grad f|^2, c and
+    c^2, with c = f less its full-sample mean, so that Var f = E c^2 - (E c)^2
+    does not cancel; inf where the variance is not positive."""
+    var = means[..., 2] - means[..., 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(var > 0, 2.0 * means[..., 0] / var, np.inf)
 
 
 def entropy_of_functional(values: np.ndarray):
     """Plug-in Ent(f^2) = E f^2 log f^2 - E f^2 log E f^2 >= 0 with a
-    block-jackknife stderr; exactly 0 for constant samples."""
+    block-jackknife stderr, from the samples of f in values, an (n, ...)
+    array: one (entropy, stderr) pair of shape (...), one entry per
+    functional, in one jackknife call.  Exactly 0 for constant samples."""
     fsq = np.asarray(values, dtype=float) ** 2
-    if np.allclose(fsq, fsq[0]):
-        return 0.0, 0.0
-    return _jackknife(fsq, _entropy_stat)
+    constant = np.all(np.isclose(fsq, fsq[:1]), axis=0)
+    ent, se = _jackknife(_entropy_columns(fsq), _entropy_stat)
+    return np.where(constant, 0.0, ent), np.where(constant, 0.0, se)
 
 
 @dataclass(frozen=True)
@@ -158,30 +207,38 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
     """Per-functional ratios 2 E / Ent (lsi) or 2 E / Var (poincare), the
     dictionary infimum alpha_hat, and the PASS flag alpha_hat >=
     alpha_predicted - 3 stderr.  Each ratio upper-bounds the optimal
-    constant, so the predicted alpha must not exceed alpha_hat."""
-    def ratio_stat(idx_vals):
-        # idx_vals carries (value, gradient-square) pairs column-stacked
-        v = idx_vals[:, 0]
-        gsq = idx_vals[:, 1]
-        denom = _entropy_stat(v ** 2) if mode == "lsi" else float(np.var(v))
-        if denom <= 0:
-            return float("inf")
-        return 2.0 * float(np.add.reduce(gsq) / gsq.shape[0]) / denom
+    constant, so the predicted alpha must not exceed alpha_hat.
 
+    Every functional's samples and dual gradient squares |grad f|^2 form
+    (n, functionals) arrays, and one block-jackknife call gives every
+    entropy Ent(f^2) (entropy_of_functional) and one every ratio, from the
+    stacked columns f^2, f^2 log f^2 and |grad f|^2 (lsi) or |grad f|^2, f
+    less its mean and that square (poincare).  In lsi mode a functional
+    whose entropy is within 3 stderr of 0 is skipped and has no ratio."""
     rows = []
-    w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
-    for f in dictionary:
-        vals = f.values(coords)
-        gsq = np.sum(w[None, :] * f.gradients(coords) ** 2, axis=1)
+    if dictionary:
+        w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
+        vals = np.stack([f.values(coords) for f in dictionary], axis=1)
+        gsq = np.stack([f.gradient_squares(coords, w) for f in dictionary], axis=1)
         ent, ent_se = entropy_of_functional(vals)
-        if mode == "lsi" and (ent <= 0 or ent <= 3 * ent_se):
-            rows.append({"functional": f.name, "ratio": None,
-                         "note": "entropy below noise floor; skipped"})
-            continue
-        stacked = np.column_stack([vals, gsq])
-        ratio, se = _jackknife(stacked, ratio_stat)
-        rows.append({"functional": f.name, "ratio": float(ratio),
-                     "stderr": float(se), "entropy": float(ent)})
+        if mode == "lsi":
+            keep = ~((ent <= 0) | (ent <= 3 * ent_se))
+            feats = np.concatenate([_entropy_columns(vals[:, keep] ** 2), gsq[:, keep, None]],
+                                   axis=-1)
+            ratios = zip(*_jackknife(feats, _lsi_ratio_stat))
+        else:
+            keep = np.ones(len(dictionary), dtype=bool)
+            centred = vals - _sum_rows(vals) / len(vals)
+            feats = np.stack([gsq, centred, centred * centred], axis=-1)
+            ratios = zip(*_jackknife(feats, _poincare_ratio_stat))
+        for f, kept, e in zip(dictionary, keep, ent):
+            if not kept:
+                rows.append({"functional": f.name, "ratio": None,
+                             "note": "entropy below noise floor; skipped"})
+                continue
+            ratio, se = next(ratios)
+            rows.append({"functional": f.name, "ratio": float(ratio),
+                         "stderr": float(se), "entropy": float(e)})
     usable = [r for r in rows if r.get("ratio") is not None]
     if not usable:
         return {"rows": rows, "alpha_hat": None, "pass": None,

@@ -130,8 +130,8 @@ class GaussianReference:
             coefs = np.empty(real.shape, dtype=np.complex128)
             np.multiply(real, std, out=coefs.real)
             np.multiply(imag, std, out=coefs.imag)
-            if not self.zero_mode:
-                coefs[(slice(None),) + self.lattice.zero_index()] = 0.0
+            if self._massless_zero is not None:
+                coefs[self._massless_zero] = 0.0
             return coefs
         # c_j = (a_j - i b_j) / 2 for j >= 1 and c_{-j} = conj(c_j); halving
         # _std is exact, so a_j / 2 and -b_j / 2 are each one rounding
@@ -147,6 +147,12 @@ class GaussianReference:
             np.multiply(imag, negative_half, out=positive.imag)
         np.conjugate(positive[:, ::-1], out=coefs[:, :n])
         return coefs
+
+    @functools.cached_property
+    def _massless_zero(self) -> tuple | None:
+        """The zero mode's index in a stack of complex rows when it carries
+        no mass (it is nulled in every draw), else None."""
+        return None if self.zero_mode else (slice(None),) + self.lattice.zero_index()
 
     @functools.cached_property
     def _halves(self) -> tuple:
@@ -249,6 +255,9 @@ def _produce(rng, skip, shapes, free, ready, stop):
 # phase domains
 # ---------------------------------------------------------------------------
 
+_MODE_AXES = {1: (1,), 2: (1, 2)}     # the mode axes of a (B, ...) stack, by lattice dim
+
+
 @dataclass(frozen=True)
 class PhaseDomain:
     """Restriction set; membership is exact in the coefficients.
@@ -294,10 +303,10 @@ class PhaseDomain:
         return {}
 
     def _plan(self, lattice: Lattice) -> tuple:
-        """The per-lattice constants of contains_batch, cached on the domain:
-        the mode axes (1, ..., dim) of a stack, the zero mode's index in it,
-        and the kind's weights (mass_and_sobolev: |k|^{2s}; decay: |k|^{-2s}
-        and the squared caps)."""
+        """The per-lattice constants of contains_batch past the mass ball,
+        cached on the domain: the zero mode's index in a stack, and the
+        kind's weights (mass_and_sobolev: |k|^{2s}; decay: |k|^{-2s} and the
+        squared caps)."""
         plan = self._plans.get(lattice)
         if plan is None:
             weights = None
@@ -310,17 +319,19 @@ class PhaseDomain:
                 nz = absk > 0
                 capsq[nz] = (self.k2 * absk[nz] ** (-0.75 - self.eps)) ** 2
                 weights = (wneg, capsq)
-            plan = self._plans[lattice] = (tuple(range(1, lattice.dim + 1)),
-                                           (slice(None),) + lattice.zero_index(), weights)
+            plan = self._plans[lattice] = ((slice(None),) + lattice.zero_index(), weights)
         return plan
 
     def contains_batch(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
+        """Membership of each row of a (B, ...) coefficient stack.  The mass
+        ball answers before the plan lookup, which hashes the lattice."""
         if self.kind == "unrestricted":
             return np.ones(coefs.shape[0], dtype=bool)
-        axes, zero, weights = self._plan(lattice)
+        axes = _MODE_AXES[lattice.dim]
         absq = np.abs(coefs) ** 2
         if self.kind == "mass_ball":
             return np.add.reduce(absq, axes) <= self.mass
+        zero, weights = self._plan(lattice)
         if self.kind == "mass_and_sobolev":
             return ((np.add.reduce(absq, axes) <= self.mass)
                     & (np.add.reduce(absq * weights, axes) <= self.kappa))

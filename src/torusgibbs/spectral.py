@@ -377,24 +377,47 @@ def lp_integral(fld: FourierField, p: int) -> float:
 def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray:
     """lp_integral over a (B, ...) coefficient stack, synthesized in row
     blocks sized by what a block holds at once: the complex grid, its
-    modulus and its power (32 B per point), at most _BLOCK_BYTES.  Odd p
-    synthesizes the real field from its half spectrum, so the caller vouches
-    that the fields are real.  The grid mean is np.mean's own sum and
-    division, without its wrapper's cost per call."""
+    modulus and its power (32 B per point), at most _BLOCK_BYTES.  Even p
+    copies each block's centred rows straight onto its zero grid
+    (_centred_fill) and transforms it in place, as fft_synthesize does its
+    zero-padded grid.  Odd p synthesizes the real field from its half
+    spectrum, so the caller vouches that the fields are real; in 1D that
+    half spectrum is a view of the centred rows.  The grid mean is np.mean's
+    own sum and division, without its wrapper's cost per call."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    dim = lattice.dim
+    dim, n = lattice.dim, lattice.n
     m, axes, points = _grid_plan(lattice, max(lattice.oversample, math.ceil(p / 2)))
     out = np.empty(coefs.shape[0])
     for rows in _row_blocks(coefs.shape[0], 32 * points):
-        fcoefs = to_fft_order(coefs[rows], dim)
-        if p % 2:
-            vals = fft_synthesize(fcoefs[..., :lattice.n + 1], dim, m, real=True)
+        count = rows.stop - rows.start
+        if p % 2 == 0:
+            grid = np.zeros((count,) + (m,) * dim, dtype=np.complex128)
+            block = coefs[rows]
+            for src, dst in _centred_fill(n, m, dim):
+                grid[dst] = block[src]
+            grid = np.fft.ifft(grid, norm="forward", out=grid)
+            if dim == 2:
+                grid = np.fft.ifft(grid, axis=-2, norm="forward", out=grid)
+            vals = np.abs(grid)
+        elif dim == 1:
+            vals = np.fft.irfft(coefs[rows, n:], m, norm="forward")
         else:
-            vals = np.abs(fft_synthesize(fcoefs, dim, m))
+            vals = fft_synthesize(to_fft_order(coefs[rows], dim)[..., :n + 1], dim, m,
+                                  real=True)
         np.divide(np.add.reduce(vals ** p, axes), points, out=out[rows])
     return out
+
+
+@functools.lru_cache
+def _centred_fill(n: int, m: int, dim: int) -> tuple:
+    """The (source, destination) index pairs that copy centred coefficients
+    of the modes |k_j| <= n onto a grid of m >= 2n+1 points per axis in FFT
+    order: modes 0..n to the start of each axis, -n..-1 to its end."""
+    spans = ((slice(n, 2 * n + 1), slice(0, n + 1)), (slice(0, n), slice(m - n, m)))
+    return tuple(((...,) + tuple(s for s, _ in axes), (...,) + tuple(d for _, d in axes))
+                 for axes in itertools.product(spans, repeat=dim))
 
 
 def shift_slices(lattice: Lattice, m: tuple):

@@ -328,7 +328,9 @@ def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDo
     its real section and draw its first blocks meanwhile.  The peak holds a
     few blocks.  U(P_n u) is evaluated on the centered block of
     cutoff min(2n, lattice.n), not on the whole lattice
-    (GrossPitaevskiiProjected)."""
+    (GrossPitaevskiiProjected).  With no draw inside the domain, or a
+    weight mean of 0 with one jackknife block left out, the log ratio has
+    no estimate: a ValueError says so."""
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
     model_full = ham.GrossPitaevskiiProjected(potential, lam)
     models = [ham.GrossPitaevskiiProjected(potential, lam, n_project=n) for n in chains]
@@ -344,13 +346,17 @@ def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDo
             lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
             for lw, model_n in zip(lw_n, models):
                 lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
+    if not inside.any():
+        raise ValueError(f"none of the {n_z_samples} reference draws lies inside the domain: "
+                         "log Z - log Z_n has no importance-sampling estimate")
     w_full = np.where(inside, np.exp(np.minimum(lw_full, 700.0)), 0.0)
     out = []
     for n, (du, stats), lw in zip(chains, chain_terms, lw_n):
-        mean_du, se_du = _jackknife(du, lambda x: float(np.mean(x)))
+        mean_du, se_du = map(float, _jackknife(du[:, None], lambda means: means[..., 0]))
         w_n = np.where(inside, np.exp(np.minimum(lw, 700.0)), 0.0)
-        log_ratio, se_ratio = _jackknife(np.column_stack([w_full, w_n]), _log_mean_ratio)
-        reliable = np.mean(inside) > 0 and _ess(w_full) >= 30 and _ess(w_n) >= 30
+        log_ratio, se_ratio = map(float, _jackknife(np.column_stack([w_full, w_n]),
+                                                    _log_mean_ratio))
+        reliable = _ess(w_full) >= 30 and _ess(w_n) >= 30
         out.append({"n": n, "entropy": mean_du + log_ratio,
                     "stderr": math.hypot(se_du, se_ratio), "mean_delta_u": mean_du,
                     "log_z_ratio": log_ratio, "acceptance": stats.acceptance_rate,
@@ -378,8 +384,15 @@ def _chain_delta_u(model_n, model_full, domain: PhaseDomain, reference: Gaussian
     return du, _chain_stats(states)
 
 
-def _log_mean_ratio(pair: np.ndarray) -> float:
-    return math.log(np.mean(pair[:, 0])) - math.log(np.mean(pair[:, 1]))
+def _log_mean_ratio(means: np.ndarray) -> np.ndarray:
+    """log E w_full - log E w_n from the means of the paired importance
+    weights; a zero mean, on the whole draw or with one block left out, has
+    no log and is refused by name."""
+    if not np.all(means > 0):
+        raise ValueError("an importance-weight mean of the reference draws is 0, on the "
+                         "whole draw or with one jackknife block left out: too few draws "
+                         "carry weight inside the domain to estimate log Z - log Z_n")
+    return np.log(means[..., 0]) - np.log(means[..., 1])
 
 
 # ---------------------------------------------------------------------------

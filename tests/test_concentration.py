@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import torusgibbs as tg
 from torusgibbs import concentration as conc
+from torusgibbs import transport as trans
 from torusgibbs.sampling import GaussianReference, PhaseDomain, SampleEnsemble, \
     rejection_sample_domain
 from torusgibbs.spectral import FourierField, Lattice, dual_weights, field_coords, shift_slices
@@ -52,6 +54,117 @@ def test_entropy_lognormal_oracle():
     assert abs(ent - expect) < 3 * se + 0.01
 
 
+# -- the block jackknife ---------------------------------------------------------
+
+def _delete_a_block_jackknife(values, stat):
+    """The oracle: stat of the rows with each of the N_BATCHES contiguous
+    blocks deleted by np.delete, one copy per block."""
+    m = values.shape[0]
+    edges = np.linspace(0, m, min(conc.N_BATCHES, m) + 1, dtype=int)
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    nb = len(blocks)
+    full = stat(values)
+    if nb < 2:
+        return full, float("nan")
+    loo = np.array([stat(np.delete(values, block, axis=0)) for block in blocks])
+    dev = loo - np.add.reduce(loo) / nb
+    return full, math.sqrt(max(0.0, (nb - 1) / nb * float(np.add.reduce(dev * dev))))
+
+
+def _oracle_entropy(fsq):
+    mean = float(np.mean(fsq))
+    if mean <= 0:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.mean(np.where(fsq > 0, fsq * np.log(fsq), 0.0)) - mean * math.log(mean))
+
+
+def _oracle_ratio(mode):
+    def ratio(pairs):            # columns: value, dual gradient square
+        v, gsq = pairs[:, 0], pairs[:, 1]
+        denom = _oracle_entropy(v ** 2) if mode == "lsi" else float(np.var(v))
+        return 2.0 * float(np.mean(gsq)) / denom if denom > 0 else float("inf")
+    return ratio
+
+
+def _jackknife_cases(m):
+    """(name, oracle rows, oracle stat, feature columns, stat of means)."""
+    rng = np.random.default_rng(m)
+    v = 0.7 * rng.standard_normal(m) + 0.3
+    gsq = rng.uniform(0.5, 2.0, m)
+    w = np.exp(rng.standard_normal((m, 2)))
+    fsq = v ** 2
+    ent = conc._entropy_columns(fsq)
+    centred = v - np.mean(v)
+    return [
+        ("mean", v, lambda x: float(np.mean(x)), v[:, None], lambda means: means[..., 0]),
+        ("entropy", fsq, _oracle_entropy, ent, conc._entropy_stat),
+        ("lsi-ratio", np.column_stack([v, gsq]), _oracle_ratio("lsi"),
+         np.concatenate([ent, gsq[:, None]], axis=-1), conc._lsi_ratio_stat),
+        ("poincare-ratio", np.column_stack([v, gsq]), _oracle_ratio("poincare"),
+         np.stack([gsq, centred, centred ** 2], axis=-1), conc._poincare_ratio_stat),
+        ("log-mean-ratio", w,
+         lambda x: math.log(np.mean(x[:, 0])) - math.log(np.mean(x[:, 1])),
+         w, trans._log_mean_ratio),
+    ]
+
+
+@pytest.mark.parametrize("m", [1000, 1001, 29, 2])
+def test_block_jackknife_matches_the_delete_a_block_oracle(m):
+    # 1001 rows make unequal blocks; 29 are fewer rows than N_BATCHES blocks
+    for name, rows, oracle_stat, features, stat in _jackknife_cases(m):
+        want, want_se = _delete_a_block_jackknife(rows, oracle_stat)
+        got, got_se = conc._jackknife(features, stat)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), name
+        # an entropy of one row is 0 in exact arithmetic: its stderr may be
+        # a rounding, on the scale of the statistic
+        assert got_se == pytest.approx(want_se, rel=1e-12, abs=1e-14 * abs(want)), name
+
+
+def test_block_jackknife_of_one_row_has_no_stderr():
+    for name, rows, oracle_stat, features, stat in _jackknife_cases(1):
+        got, got_se = conc._jackknife(features, stat)
+        want, want_se = _delete_a_block_jackknife(rows, oracle_stat)
+        assert got == want, name
+        assert math.isnan(got_se) and math.isnan(want_se), name
+
+
+def test_block_jackknife_takes_a_stack_of_statistics():
+    # (n, ..., k) features give (...) statistics, each that of its own column
+    rng = np.random.default_rng(9)
+    features = np.exp(rng.standard_normal((500, 4, 3, 2)))
+    full, se = conc._jackknife(features, trans._log_mean_ratio)
+    assert full.shape == se.shape == (4, 3)
+    for i, j in itertools.product(range(4), range(3)):
+        one = conc._jackknife(features[:, i, j], trans._log_mean_ratio)
+        assert (full[i, j], se[i, j]) == (one[0], one[1])
+
+
+def test_poincare_variance_does_not_cancel():
+    # mean 1e4 and sd 1: E v^2 - (E v)^2 of the raw values would lose about
+    # eight digits; the centred columns keep np.var's
+    rng = np.random.default_rng(12)
+    v = 1e4 + rng.standard_normal(3000)
+    gsq = rng.uniform(0.5, 2.0, 3000)
+    want, want_se = _delete_a_block_jackknife(np.column_stack([v, gsq]),
+                                              _oracle_ratio("poincare"))
+    centred = v - np.mean(v)
+    got, got_se = conc._jackknife(np.stack([gsq, centred, centred ** 2], axis=-1),
+                                  conc._poincare_ratio_stat)
+    assert got == pytest.approx(want, rel=1e-10)
+    assert got_se == pytest.approx(want_se, rel=1e-10)
+    # through the report: the first coordinate as a linear functional
+    lat = Lattice(1, 2)
+    w = dual_weights(lat, 1.0, False, False)
+    coords = np.zeros((3000, w.size))
+    coords[:, 0] = v
+    xi = np.zeros(w.size)
+    xi[0] = 1.0
+    rep = conc.lsi_gap_report(coords, [conc.TestFunctional("c0", "linear", xi)], lat,
+                              conc.MetricSpec(1.0), False, False, mode="poincare")
+    assert rep["alpha_hat"] == pytest.approx(2.0 * w[0] / np.var(v), rel=1e-10)
+
+
 # -- Dirichlet energy ---------------------------------------------------------
 
 def test_dirichlet_energy_linear_mode_weights(loop_coords):
@@ -60,12 +173,18 @@ def test_dirichlet_energy_linear_mode_weights(loop_coords):
 
     def energy(k, s_dual):
         xi = conc.mode_direction(lat, k, "re", False, False)
-        grads = conc.TestFunctional("re", "linear", xi).gradients(coords)
-        return float(np.mean(np.sum(dual_weights(lat, s_dual, False, False) * grads ** 2,
-                                    axis=1)))
+        f = conc.TestFunctional("re", "linear", xi)
+        return float(np.mean(f.gradient_squares(coords, dual_weights(lat, s_dual, False,
+                                                                     False))))
 
     assert energy(1, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert energy(2, 1.0) / energy(2, 0.0) == pytest.approx(0.25, rel=1e-12)
+
+
+def _gradients(f, coords):
+    """The coordinate gradient at each row, from the functional's factors."""
+    a, d = f.gradient_factors(coords)
+    return a[:, None] * d
 
 
 def test_functional_gradients_match_finite_differences(loop_coords):
@@ -78,7 +197,7 @@ def test_functional_gradients_match_finite_differences(loop_coords):
     for f in (conc.TestFunctional("lin", "linear", xi),
               conc.TestFunctional("tanh", "tanh", xi, scale=0.7),
               conc.TestFunctional("norm", "l2norm")):
-        g = f.gradients(x0[None])[0]
+        g = _gradients(f, x0[None])[0]
         errs = []
         ts = [1e-3, 3e-4, 1e-4]
         for t in ts:
@@ -86,6 +205,16 @@ def test_functional_gradients_match_finite_differences(loop_coords):
             errs.append(abs(fd - g @ v) + 1e-16)
         slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
         assert slope > 1.6 or max(errs) < 1e-10, f.name
+
+
+def test_gradient_squares_are_the_weighted_squares_of_the_gradients(loop_coords):
+    lat, coords = loop_coords
+    coords = np.vstack([np.zeros(coords.shape[1]), coords[:200]])     # the zero field too
+    w = dual_weights(lat, 1.0, False, False)
+    for f in conc.default_dictionary(lat, False, False, max_mode=3, tanh_scale=0.7):
+        want = np.sum(w * _gradients(f, coords) ** 2, axis=1)
+        np.testing.assert_allclose(f.gradient_squares(coords, w), want, rtol=1e-14,
+                                   atol=0, err_msg=f.name)
 
 
 # -- LSI reports ---------------------------------------------------------------
@@ -107,6 +236,20 @@ def test_lsi_report_degenerate_dictionary(loop_coords):
                               False, False, alpha_predicted=1.0)
     assert rep["alpha_hat"] is None
     assert "degenerate" in rep["note"]
+
+
+@pytest.mark.parametrize("mode", ["lsi", "poincare"])
+def test_lsi_report_in_one_call_equals_its_functionals_one_by_one(loop_coords, mode):
+    lat, coords = loop_coords
+    dic = conc.default_dictionary(lat, False, False, max_mode=3, tanh_scale=1.0)
+    dic.append(conc.TestFunctional("const", "linear", np.zeros(coords.shape[1])))
+    rep = conc.lsi_gap_report(coords[:1500], dic, lat, conc.MetricSpec(1.0), False, False,
+                              mode=mode)
+    assert len(rep["rows"]) == len(dic)
+    for row, f in zip(rep["rows"], dic):
+        alone = conc.lsi_gap_report(coords[:1500], [f], lat, conc.MetricSpec(1.0), False,
+                                    False, mode=mode)
+        assert alone["rows"] == [row], f.name
 
 
 def test_poincare_mode_linear_ratio(loop_coords):

@@ -280,12 +280,13 @@ def test_lp_integral_odd_p_rules():
                                                  rel=1e-12, abs=1e-13)
 
 
-@pytest.mark.parametrize("p", [3, 4, 6])
-@pytest.mark.parametrize("lat", [Lattice(1, 8, 2), Lattice(2, 5)])
+@pytest.mark.parametrize("p", [3, 4, 6, 2])
+@pytest.mark.parametrize("lat", [Lattice(1, 8, 2), Lattice(2, 5), Lattice(1, 7)])
 @pytest.mark.parametrize("stack", ["one-row", "three-blocks"])
 def test_lp_integral_batch_is_np_mean_of_the_grid_power(p, lat, stack):
     # bit for bit the formula it replaced: np.mean(|u|^p) (u^p for odd p)
-    # over each row block's grid
+    # over each row block's grid from fft_synthesize; Lattice(1, 7) at p = 2
+    # has a grid of 2n+1 points, which fft_synthesize does not pad
     m = lat.grid_points(max(lat.oversample, math.ceil(p / 2)))
     row_bytes = 32 * m ** lat.dim
     count = 1 if stack == "one-row" else 2 * (spectral._BLOCK_BYTES // row_bytes) + 5

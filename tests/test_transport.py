@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import torusgibbs as tg
+from torusgibbs import concentration as conc
+from torusgibbs import experiments
 from torusgibbs import hamiltonians as ham
 from torusgibbs import sampling
 from torusgibbs import transport as trans
@@ -399,6 +401,41 @@ def test_relative_entropy_positive_and_decreasing():
         assert row["reliable"]
         ents.append(row["entropy"])
     assert ents[0] > ents[1] > -1e-3
+
+
+def test_relative_entropy_without_a_draw_inside_the_domain_fails_by_name():
+    # K1 = 0.01: the zero field starts the chain, but no reference draw is inside
+    lat = Lattice(2, 8)
+    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
+    dom = PhaseDomain.decay(0.01, 3.5, 0.2, 0.1)
+    chain = ChainConfig(steps=20, burn_in=0, thin=2, seed=16, beta=0.5)
+    with pytest.raises(ValueError, match="none of the 200 reference draws lies inside"):
+        trans.relative_entropy_truncation(pot, 1.0, dom, lat, 4, chain, 200, 17)
+
+
+def test_relative_entropy_without_a_draw_inside_the_domain_exits_3(tmp_path, monkeypatch):
+    def runner(seed):
+        lat = Lattice(2, 8)
+        return trans.relative_entropy_truncation(
+            ham.gp_cosine_potential(lat, amplitude=-1.0), 1.0,
+            PhaseDomain.decay(0.01, 3.5, 0.2, 0.1), lat, 4,
+            ChainConfig(steps=20, burn_in=0, thin=2, seed=seed, beta=0.5), 200, seed)
+
+    monkeypatch.setitem(experiments._RUNNERS, "tail", runner)
+    report, code = experiments.run_experiment({"experiment": "tail", "seed": 3},
+                                              output_dir=str(tmp_path / "relent"))
+    assert code == 3 and report["passed"] is False
+    assert "reference draws lies inside the domain" in report["error"]
+
+
+def test_log_z_ratio_refuses_a_block_that_holds_every_weight():
+    # the weights of every draw outside the first block are 0, so the mean
+    # with that block left out is 0 and has no log
+    w = np.zeros((300, 2))
+    w[:10] = 1.0
+    with pytest.raises(ValueError, match="with one jackknife block left out"):
+        conc._jackknife(w, trans._log_mean_ratio)
+    assert conc._jackknife(w[:10], trans._log_mean_ratio)[0] == 0.0
 
 
 def test_relative_entropy_streams_its_reference_draws():
