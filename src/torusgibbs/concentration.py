@@ -213,8 +213,9 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
     (n, functionals) arrays, and one block-jackknife call gives every
     entropy Ent(f^2) (entropy_of_functional) and one every ratio, from the
     stacked columns f^2, f^2 log f^2 and |grad f|^2 (lsi) or |grad f|^2, f
-    less its mean and that square (poincare).  In lsi mode a functional
-    whose entropy is within 3 stderr of 0 is skipped and has no ratio."""
+    less its mean and that square (poincare).  A functional is skipped and
+    has no ratio when its entropy is within 3 stderr of 0 (lsi) or its
+    samples are all equal, so its variance is 0 (poincare)."""
     rows = []
     if dictionary:
         w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
@@ -226,15 +227,16 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
             feats = np.concatenate([_entropy_columns(vals[:, keep] ** 2), gsq[:, keep, None]],
                                    axis=-1)
             ratios = zip(*_jackknife(feats, _lsi_ratio_stat))
+            skipped = "entropy below noise floor; skipped"
         else:
-            keep = np.ones(len(dictionary), dtype=bool)
-            centred = vals - _sum_rows(vals) / len(vals)
-            feats = np.stack([gsq, centred, centred * centred], axis=-1)
+            keep = np.any(vals != vals[:1], axis=0)
+            centred = vals[:, keep] - _sum_rows(vals[:, keep]) / len(vals)
+            feats = np.stack([gsq[:, keep], centred, centred * centred], axis=-1)
             ratios = zip(*_jackknife(feats, _poincare_ratio_stat))
+            skipped = "zero variance; skipped"
         for f, kept, e in zip(dictionary, keep, ent):
             if not kept:
-                rows.append({"functional": f.name, "ratio": None,
-                             "note": "entropy below noise floor; skipped"})
+                rows.append({"functional": f.name, "ratio": None, "note": skipped})
                 continue
             ratio, se = next(ratios)
             rows.append({"functional": f.name, "ratio": float(ratio),

@@ -9,7 +9,6 @@ min(1, exp(phi(u') - phi(u))) and hard rejection outside the domain.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import threading
@@ -97,29 +96,48 @@ class GaussianReference:
         draws = rng.standard_normal((2, count) + self._std.shape)
         return self._complete(draws[0], draws[1])
 
-    def sample_blocks(self, rng: np.random.Generator, count: int):
-        """The (rows, coefs) row blocks whose concatenation is
-        sample_batch(rng, count), bit for bit, as an iterator with a close
-        method.  A block is sized by what it holds at once: its complex rows
-        (16 B per mode) and the standard normals drawn for them (8 + 8 B per
-        mode), at most spectral._BLOCK_BYTES.
+    def sample_blocks(self, seed: int, count: int):
+        """A generator of (rows, coefs) row blocks of count draws from
+        default_rng(seed): block i is, bit for bit, the i-th of successive
+        sample_batch calls of its rows.  A block is sized by what it holds at
+        once: its complex rows (16 B per mode) and the standard normals drawn
+        for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
 
-        A one-block stream is the sample_batch call, made when its block is
-        asked for.  A longer one (_DrawStream) starts two worker threads as
-        it opens: one draws each block's real part from a copy of rng, and
-        the other passes a second copy over the whole real section and then
-        draws each block's imaginary part, into ring buffers the stream
-        allocates, at most one real and two imaginary blocks ahead of the
-        one handed over: the stream holds a few blocks.  rng itself is
-        written only on the calling thread: as each block is handed over it
-        is set to the state after that block's imaginary part.  So a
-        finished stream leaves rng where sample_batch leaves it, an
-        abandoned one where its last block left it, and a stream closed or
-        dropped before its first block leaves rng untouched."""
+        A one-block stream is drawn on the calling thread.  A longer one
+        starts a worker thread at its first block that calls nothing but the
+        generator's standard_normal (the draws release the GIL, and the
+        perfbench tracer's span stack is not thread-safe), into two slots of
+        a largest block that the calling thread allocates; each slot is
+        returned once its block's coefficients are complete, so the stream
+        holds a few blocks.  Exhaustion, close(), the generator's collection
+        and an exception in the consumer stop and join the worker; the
+        worker's exception is raised in the consumer."""
+        rng = np.random.default_rng(seed)
         blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
-        if len(blocks) > 1:
-            return _DrawStream(self, rng, blocks)
-        return ((rows, self.sample_batch(rng, count)) for rows in blocks)
+        if len(blocks) < 2:
+            for rows in blocks:
+                yield rows, self.sample_batch(rng, count)
+            return
+        import queue        # imported here: a batch draw or a one-block stream loads none of it
+        shapes = [(2, rows.stop - rows.start) + self._std.shape for rows in blocks]
+        free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for slot in np.empty((2, math.prod(shapes[0]))):
+            free.put(slot)
+        worker = threading.Thread(target=_draw_blocks, args=(rng, shapes, free, ready),
+                                  name="torusgibbs-draws", daemon=True)
+        worker.start()
+        try:
+            for rows in blocks:
+                drawn = ready.get()
+                if isinstance(drawn, BaseException):
+                    raise drawn
+                slot, draws = drawn
+                coefs = self._complete(draws[0], draws[1])
+                free.put(slot)
+                yield rows, coefs
+        finally:
+            free.put(None)
+            worker.join()
 
     def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Coefficient rows from the standard normals of their real and
@@ -160,93 +178,16 @@ class GaussianReference:
         return 0.5 * self._std, -0.5 * self._std
 
 
-class _DrawStream:
-    """GaussianReference.sample_blocks of two or more blocks: one (free,
-    ready, thread) per part, real then imaginary.  `free` holds the ring
-    buffers of a largest block that its _produce thread may draw into (two
-    real, three imaginary), and `ready` the (buffer, state) of each block
-    drawn, in order, or the exception that ended it, raised as it is taken.
-    The last hand-over, a failure, close() and the stream's collection set
-    the one stop event and join both threads."""
-
-    def __init__(self, reference: GaussianReference, rng: np.random.Generator, blocks: tuple):
-        import queue        # imported here: a batch draw or a one-block stream loads none of it
-        self._parts, self._stop, self._handed = [], threading.Event(), 0
-        self._reference, self._rng, self._blocks = reference, rng, blocks
-        shapes = [(rows.stop - rows.start,) + reference._std.shape for rows in blocks]
-        try:
-            for skip, slots, part in (([], 2, "real"), (shapes, 3, "imag")):
-                free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-                for slot in np.empty((slots,) + shapes[0]):
-                    free.put(slot)
-                thread = threading.Thread(
-                    target=_produce, name=f"torusgibbs-draws-{part}", daemon=True,
-                    args=(copy.deepcopy(rng), skip, shapes, free, ready, self._stop))
-                thread.start()
-                self._parts.append((free, ready, thread))
-        except BaseException:
-            self.close()
-            raise
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if not self._parts:
-            raise StopIteration
-        taken = []
-        try:
-            for _, ready, _ in self._parts:
-                taken.append(ready.get())
-                if isinstance(taken[-1], BaseException):
-                    raise taken[-1]
-        except BaseException:
-            self.close()
-            raise
-        (real_slot, _), (imag_slot, state) = taken
-        rows = self._blocks[self._handed]
-        size = rows.stop - rows.start
-        coefs = self._reference._complete(real_slot[:size], imag_slot[:size])
-        self._rng.bit_generator.state = state
-        self._handed += 1
-        if self._handed == len(self._blocks):
-            self.close()
-        else:
-            for (free, _, _), (slot, _) in zip(self._parts, taken):
-                free.put(slot)
-        return rows, coefs
-
-    def close(self):
-        """Stop and join the workers; the stream then ends."""
-        parts, self._parts = self._parts, []
-        self._stop.set()
-        for free, _, _ in parts:
-            free.put(None)
-        for _, _, thread in parts:
-            thread.join()
-
-    __del__ = close
-
-
-def _produce(rng, skip, shapes, free, ready, stop):
-    """A _DrawStream thread: pass rng over the skip shapes in its first
-    buffer, then draw each of shapes into a free buffer and post it with
-    rng's state after it.  It calls nothing but rng (the draws release the
-    GIL, and the perfbench tracer's span stack is not thread-safe); a None
-    buffer or the stop event ends it."""
+def _draw_blocks(rng, shapes, free, ready):
+    """A sample_blocks worker: draw the standard normals of each of shapes
+    into a free slot and post (slot, draws), in order; a None slot ends it,
+    and an exception is posted for the consumer to raise."""
     try:
-        slot = free.get()
-        for shape in skip:
-            if stop.is_set():
+        for shape in shapes:
+            slot = free.get()
+            if slot is None:
                 return
-            rng.standard_normal(out=slot[:shape[0]])
-        for i, shape in enumerate(shapes):
-            if i:
-                slot = free.get()
-            if slot is None or stop.is_set():
-                return
-            rng.standard_normal(out=slot[:shape[0]])
-            ready.put((slot, rng.bit_generator.state))
+            ready.put((slot, rng.standard_normal(out=slot[:math.prod(shape)].reshape(shape))))
     except BaseException as exc:      # relayed: the consumer raises it on its thread
         ready.put(exc)
 
@@ -617,17 +558,20 @@ def normalizability_probe(p: int, lam: float, mass_bound: float, n_list,
     rise stays below threshold and the Z estimates converge (successive
     |dZ| nonincreasing, last pair within 3 combined stderr); else marginal.
     """
-    n_list = _check_levels(n_list)
+    n_list = _check_levels(n_list, n_samples)
     mass, logd = _truncation_pass(p, lam, n_list, n_samples, seed)
     return _classify(p, lam, mass_bound, n_list, mass, logd, rise_threshold)
 
 
-def _check_levels(n_list) -> list:
+def _check_levels(n_list, n_samples: int) -> list:
     """The ascending truncation levels of a normalizability computation,
-    which compares at least two distinct levels n >= 1."""
+    which compares at least two distinct levels n >= 1 on at least two
+    draws (a Z estimate's stderr needs two)."""
     levels = sorted(int(n) for n in n_list)
     if len(levels) < 2 or len(set(levels)) < len(levels) or levels[0] < 1:
         raise ValueError("needs at least two distinct truncation levels n >= 1")
+    if n_samples < 2:
+        raise ValueError("needs n_samples >= 2 draws")
     return levels
 
 
@@ -647,7 +591,7 @@ def _truncation_pass(p: int, lam: float, n_list: list, n_samples: int, seed: int
     model = ham.NLS(p, lam)
     mass = np.empty((len(n_list), n_samples))
     logd = np.empty_like(mass)
-    for rows, coefs in ref.sample_blocks(np.random.default_rng(seed), n_samples):
+    for rows, coefs in ref.sample_blocks(seed, n_samples):
         for i, n in enumerate(n_list):
             head = coefs[:, top - n:top + n + 1]
             mass[i, rows] = np.sum(np.abs(head) ** 2, axis=1)
@@ -710,7 +654,7 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
     One streamed pass (_truncation_pass) gives every draw's mass and
     log-density at each n, each n on its own lattice; each bisection mass
     only reclassifies those arrays."""
-    n_list = _check_levels(n_list)
+    n_list = _check_levels(n_list, n_samples)
     mass, logd = _truncation_pass(6, lam, n_list, n_samples, seed)
 
     def stable(bound):
@@ -799,25 +743,16 @@ def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
     bound is reported even when vacuous (negative).  The draws stream in row
     blocks (GaussianReference.sample_blocks), so the peak holds a few
     blocks."""
-    domains = _decay_domains(grid, s, eps)
+    domains = _decay_domains(grid, s, eps, n_samples)
     ref = GaussianReference(lattice, rho=0.0, field_type="complex")
-    rng = np.random.default_rng(seed)
     hits = [0] * len(domains)
-    total = 0
-    # the stream bounds memory, not the chunks; but each 4096-draw chunk
-    # is one sample_batch of the seeded stream (its real parts, then its
-    # imaginary parts), so drawing all n_samples at once would change every draw
-    chunk = 4096
-    while total < n_samples:
-        m = min(chunk, n_samples - total)
-        for _, batch in ref.sample_blocks(rng, m):
-            for i, dom in enumerate(domains):
-                hits[i] += int(dom.contains_batch(batch, lattice).sum())
-        total += m
+    for _, batch in ref.sample_blocks(seed, n_samples):
+        for i, dom in enumerate(domains):
+            hits[i] += int(dom.contains_batch(batch, lattice).sum())
     rows = []
     for (k1, k2), h in zip(grid, hits):
-        p_hat = h / total
-        se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / total)
+        p_hat = h / n_samples
+        se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / n_samples)
         bound = decay_mass_lower_bound(k1, k2, s)
         rows.append({"k1": k1, "k2": k2, "s": s, "eps": eps, "empirical": p_hat,
                      "stderr": se, "bound": bound, "bound_positive": bound > 0,
@@ -825,11 +760,14 @@ def decay_domain_mass_grid(grid, s: float, eps: float, lattice: Lattice,
     return rows
 
 
-def _decay_domains(grid, s: float, eps: float) -> list:
+def _decay_domains(grid, s: float, eps: float, n_samples: int) -> list:
     """decay_domain_mass_grid's domains, one per (K1, K2) of a non-empty
-    grid; each lower bound needs K2 exp(K2^2/2) > 4."""
+    grid, whose masses are estimated from n_samples >= 1 draws; each lower
+    bound needs K2 exp(K2^2/2) > 4."""
     if not grid:
         raise ValueError("needs at least one (K1, K2) domain")
+    if n_samples < 1:
+        raise ValueError("needs n_samples >= 1 draw")
     domains = []
     for k1, k2 in grid:
         if k2 * math.exp(k2 ** 2 / 2.0) <= 4.0:

@@ -12,7 +12,6 @@ holds its ensemble.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,15 +271,15 @@ def truncation_coupling_bound(n_list, lattice: Lattice, n_samples: int, seed: in
     for the squared L^2 transportation distance between the n-truncation and
     the full ensemble.  E(x|F_n) = P_n x zeroes the tail (exact for product
     references), so a row's value is the mean of sum |c_k|^2 over the modes
-    outside P_n.  The draws of sample_batch(default_rng(seed), n_samples)
-    stream in row blocks; each block's |c_k|^2 is taken once and summed over
-    every tail in mode order.  A row with n >= lattice.n has no tail: it is
+    outside P_n.  The draws stream in row blocks (sample_blocks(seed,
+    n_samples)); each block's |c_k|^2 is taken once and summed over every
+    tail in mode order.  A row with n >= lattice.n has no tail: it is
     degenerate, with value 0.0."""
     _check_coupling(n_list, n_samples)
     tails = [np.flatnonzero(dirichlet_multiplier(lattice, n) == 0) for n in n_list]
     per = np.empty((len(tails), n_samples))
     reference = GaussianReference(lattice, rho=0.0, field_type="complex")
-    for rows, block in reference.sample_blocks(np.random.default_rng(seed), n_samples):
+    for rows, block in reference.sample_blocks(seed, n_samples):
         sq = (block.real ** 2 + block.imag ** 2).reshape(len(block), -1)
         for tail_sums, tail in zip(per, tails):
             # np.take keeps rows C-ordered: each is summed as a row alone is
@@ -323,10 +322,8 @@ def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDo
     partition functions are estimated by importance sampling on one streamed
     pass of common reference draws (GaussianReference.sample_blocks) that
     serves every level: the log ratio is jackknifed on paired weights, and
-    each block's membership and full log-density are taken once.  The
-    stream is opened before the chains run, so its worker threads pass over
-    its real section and draw its first blocks meanwhile.  The peak holds a
-    few blocks.  U(P_n u) is evaluated on the centered block of
+    each block's membership and full log-density are taken once.  The peak
+    holds a few blocks.  U(P_n u) is evaluated on the centered block of
     cutoff min(2n, lattice.n), not on the whole lattice
     (GrossPitaevskiiProjected).  With no draw inside the domain, or a
     weight mean of 0 with one jackknife block left out, the log ratio has
@@ -337,15 +334,13 @@ def relative_entropy_levels(potential: FourierField, lam: float, domain: PhaseDo
     inside = np.empty(n_z_samples, dtype=bool)
     lw_full = np.empty(n_z_samples)
     lw_n = np.empty((len(models), n_z_samples))
-    # opened first: the stream's workers draw while the chains run
-    with closing(reference.sample_blocks(np.random.default_rng(z_seed), n_z_samples)) as stream:
-        chain_terms = [_chain_delta_u(model_n, model_full, domain, reference, chain)
-                       for model_n, chain in zip(models, chains.values())]
-        for rows, draws in stream:
-            inside[rows] = domain.contains_batch(draws, lattice)
-            lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
-            for lw, model_n in zip(lw_n, models):
-                lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
+    chain_terms = [_chain_delta_u(model_n, model_full, domain, reference, chain)
+                   for model_n, chain in zip(models, chains.values())]
+    for rows, draws in reference.sample_blocks(z_seed, n_z_samples):
+        inside[rows] = domain.contains_batch(draws, lattice)
+        lw_full[rows] = ham.interaction_log_density(model_full, draws, lattice)
+        for lw, model_n in zip(lw_n, models):
+            lw[rows] = ham.interaction_log_density(model_n, draws, lattice)
     if not inside.any():
         raise ValueError(f"none of the {n_z_samples} reference draws lies inside the domain: "
                          "log Z - log Z_n has no importance-sampling estimate")

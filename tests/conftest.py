@@ -19,6 +19,15 @@ def torusgibbs_threads() -> list:
     return [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
 
 
+def successive_batches(reference, seed: int, count: int) -> np.ndarray:
+    """The draws of reference.sample_blocks(seed, count) as the successive
+    sample_batch calls of default_rng(seed), one per row block, concatenated."""
+    rng = np.random.default_rng(seed)
+    blocks = tg.spectral._row_blocks(count, 32 * math.prod(reference.lattice.shape))
+    return np.concatenate([reference.sample_batch(rng, rows.stop - rows.start)
+                           for rows in blocks])
+
+
 @pytest.fixture(autouse=True)
 def no_worker_thread_outlives_its_test():
     yield

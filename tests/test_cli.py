@@ -171,6 +171,21 @@ def test_lsi_experiment_free_loop(tmp_path):
     assert report["results"]["alpha_hat"] > 0.5
 
 
+@pytest.mark.parametrize("mode", ["lsi", "poincare"])
+def test_a_chain_that_never_moves_reports_a_degenerate_dictionary(tmp_path, mode):
+    # every proposal leaves the tiny ball, so each functional's samples are
+    # all equal: no entropy and no variance to divide by, in either mode
+    cfg = {"experiment": "lsi", "seed": 2, "lattice": {"dim": 1, "n": 8},
+           "model": {"kind": "nls", "p": 4, "lam": 0.0},
+           "domain": {"kind": "mass_ball", "mass": 1e-9},
+           "sampler": {"steps": 400}, "params": {"mode": mode}}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / mode))
+    assert code == 0, report.get("error")
+    assert "degenerate dictionary" in report["results"]["note"]
+    assert report["results"]["rows"]
+    assert all(row["ratio"] is None for row in report["results"]["rows"])
+
+
 def test_transport_tail_sum_cli(tmp_path):
     cfg = {"experiment": "transport", "seed": 0,
            "params": {"task": "tail_sum", "n_list": [4, 8], "s": 0.25}}
@@ -569,6 +584,11 @@ RANGE_ERRORS = [
     # a negative stride is no stride (0 records the endpoints only)
     ({"experiment": "flow", "flow": {"record_stride": -3}}, "config.flow",
      "record_stride must be >= 0"),
+    # a Z estimate's stderr needs two draws, a decay-domain mass one
+    *(({"experiment": NORM, "params": {"bisect": bisect, "n_samples": n}}, NORM,
+       "needs n_samples >= 2 draws") for bisect in (False, True) for n in (0, 1)),
+    *(({"experiment": "tail", "params": {"task": "decay_mass", "n_samples": n}}, "tail",
+       "needs n_samples >= 1 draw") for n in (0, -5)),
 ]
 
 

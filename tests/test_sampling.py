@@ -23,7 +23,7 @@ from torusgibbs.sampling import (ChainConfig, GaussianReference, PhaseDomain,
 from torusgibbs import spectral
 from torusgibbs.spectral import FourierField, Lattice
 
-from conftest import torusgibbs_threads
+from conftest import successive_batches, torusgibbs_threads
 
 
 # -- Gaussian references -----------------------------------------------------
@@ -179,52 +179,48 @@ def test_sample_batch_is_the_two_call_stream_bitwise(kind, count):
     (Lattice(1, 64), "real", 12000),       # 48 blocks
 ])
 def test_sample_blocks_concatenate_to_sample_batch(lattice, field_type, count):
+    # block i is, bit for bit, the i-th of successive sample_batch calls
     ref = GaussianReference(lattice, 0.0, field_type)
-    batch_rng = np.random.default_rng(9)
-    batch = ref.sample_batch(batch_rng, count)
-    rng = np.random.default_rng(9)
+    batch = successive_batches(ref, 9, count)
     blocks = []
     tracemalloc.start()
     try:
-        for rows, coefs in ref.sample_blocks(rng, count):
+        for rows, coefs in ref.sample_blocks(9, count):
             assert coefs.nbytes <= spectral._BLOCK_BYTES
             assert np.array_equal(coefs.view(np.uint64), batch[rows].view(np.uint64))
+            assert [t.name for t in torusgibbs_threads()] in ([], ["torusgibbs-draws"])
             blocks.append(rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(blocks) >= 3
     # the draw worker is gone once the stream ends
-    assert not [t for t in threading.enumerate() if t.name.startswith("torusgibbs-")]
+    assert torusgibbs_threads() == []
     assert [rows.stop for rows in blocks[:-1]] == [rows.start for rows in blocks[1:]]
     assert blocks[0].start == 0 and blocks[-1].stop == count
-    assert rng.bit_generator.state == batch_rng.bit_generator.state
-    # a few blocks; the real half of the 50- and 48-block batches is more
-    assert peak <= 5 * spectral._BLOCK_BYTES
-
-    # abandoned after its first block: rng stands after the real section
-    # and that block's imaginary part, untouched by the trailing copy's pending draw
-    rng = np.random.default_rng(9)
-    stream = ref.sample_blocks(rng, count)
-    rows, first = next(stream)
-    stream.close()
-    assert np.array_equal(first.view(np.uint64), batch[rows].view(np.uint64))
-    want = np.random.default_rng(9)
-    want.standard_normal((count,) + ref._std.shape)
-    want.standard_normal((rows.stop,) + ref._std.shape)
-    assert rng.bit_generator.state == want.bit_generator.state
+    assert peak <= 5 * spectral._BLOCK_BYTES     # a few blocks
 
     # two streams iterated in turn
-    rngs = [np.random.default_rng(9), np.random.default_rng(10)]
     got = [[], []]
-    for pair in zip(*(ref.sample_blocks(r, count) for r in rngs)):
+    for pair in zip(*(ref.sample_blocks(seed, count) for seed in (9, 10))):
         for out, (_, coefs) in zip(got, pair):
             out.append(coefs)
-    for seed, r, out in zip((9, 10), rngs, got):
-        batch_rng = np.random.default_rng(seed)
-        batch = ref.sample_batch(batch_rng, count)
-        assert np.array_equal(np.concatenate(out).view(np.uint64), batch.view(np.uint64))
-        assert r.bit_generator.state == batch_rng.bit_generator.state
+    for seed, out in zip((9, 10), got):
+        want = successive_batches(ref, seed, count)
+        assert np.array_equal(np.concatenate(out).view(np.uint64), want.view(np.uint64))
+    assert torusgibbs_threads() == []
+
+
+def test_a_one_block_stream_is_one_batch_on_the_calling_thread():
+    ref = GaussianReference(Lattice(1, 64))
+    stream = ref.sample_blocks(9, 254)
+    rows, coefs = next(stream)
+    assert torusgibbs_threads() == []
+    assert list(stream) == []
+    assert rows == slice(0, 254)
+    want = ref.sample_batch(np.random.default_rng(9), 254)
+    assert np.array_equal(coefs.view(np.uint64), want.view(np.uint64))
+    assert list(ref.sample_blocks(9, 0)) == []
 
 
 @pytest.mark.parametrize("kind", ["real-massive", "real-massive-rho", "real-white"])
@@ -250,46 +246,43 @@ def test_real_field_rows_are_the_complex_expression_bitwise(kind):
 STREAM_REF, STREAM_COUNT = GaussianReference(Lattice(1, 64)), 1200
 
 
-def test_a_stream_closed_or_dropped_before_its_first_block_draws_nothing():
+def test_a_stream_closed_or_dropped_leaves_no_thread():
+    # the worker starts with the first block and is joined however the stream
+    # ends; after two of the five blocks it still waits for a slot to draw the last
     for end in ("close", "drop"):
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        stream = STREAM_REF.sample_blocks(rng, STREAM_COUNT)
-        assert len(torusgibbs_threads()) == 2
-        if end == "close":
-            stream.close()
-            assert list(stream) == []
-        del stream
-        assert rng.bit_generator.state == state
-        assert torusgibbs_threads() == []
+        for taken in (0, 1, 2):
+            stream = STREAM_REF.sample_blocks(3, STREAM_COUNT)
+            for _ in range(taken):
+                next(stream)
+            assert len(torusgibbs_threads()) == min(taken, 1)
+            if end == "close":
+                stream.close()
+                assert list(stream) == []
+            del stream
+            assert torusgibbs_threads() == []
 
 
-def test_a_consumer_that_raises_leaves_rng_at_its_last_block():
-    rng = np.random.default_rng(3)
+def test_a_consumer_that_raises_leaves_no_thread():
     handed = []
 
     def consume():
-        for rows, _ in STREAM_REF.sample_blocks(rng, STREAM_COUNT):
+        for rows, _ in STREAM_REF.sample_blocks(3, STREAM_COUNT):
             handed.append(rows)
             if len(handed) == 3:
                 raise KeyError("consumer")
 
     with pytest.raises(KeyError, match="consumer"):
         consume()
+    assert len(handed) == 3
     assert torusgibbs_threads() == []
-    want = np.random.default_rng(3)
-    want.standard_normal((STREAM_COUNT,) + STREAM_REF._std.shape)
-    want.standard_normal((handed[-1].stop,) + STREAM_REF._std.shape)
-    assert rng.bit_generator.state == want.bit_generator.state
 
 
 class _FailingGenerator:
-    """A copied generator whose third draw fails."""
+    """A stream's generator whose third draw fails."""
 
-    def __init__(self):
+    def __init__(self, rng):
         self.draws = 0
-        self._rng = np.random.default_rng(0)
-        self.bit_generator = self._rng.bit_generator
+        self._rng = rng
 
     def standard_normal(self, *args, **kwargs):
         self.draws += 1
@@ -299,15 +292,15 @@ class _FailingGenerator:
 
 
 def test_a_failing_producer_raises_in_the_caller(monkeypatch):
-    monkeypatch.setattr(sampling.copy, "deepcopy", lambda rng: _FailingGenerator())
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    raised = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(sampling.np.random, "default_rng",
+                        lambda seed: _FailingGenerator(default_rng(seed)))
+    handed, raised = [], []
 
     def consume():
         try:
-            for _ in STREAM_REF.sample_blocks(rng, STREAM_COUNT):
-                pass
+            for rows, _ in STREAM_REF.sample_blocks(3, STREAM_COUNT):
+                handed.append(rows)
         except FloatingPointError as exc:
             raised.append(exc)
 
@@ -316,28 +309,26 @@ def test_a_failing_producer_raises_in_the_caller(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert [str(exc) for exc in raised] == ["draw failed"]
-    assert rng.bit_generator.state == state
+    assert len(handed) == 2
     assert torusgibbs_threads() == []
 
 
 def test_streams_in_turn_under_fast_thread_switching():
-    # six producers on the machine's cores, switching every microsecond
+    # three workers on the machine's cores, switching every microsecond
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rngs = [np.random.default_rng(seed) for seed in (4, 5, 6)]
         got = [[], [], []]
-        streams = [STREAM_REF.sample_blocks(r, STREAM_COUNT) for r in rngs]
+        streams = [STREAM_REF.sample_blocks(seed, STREAM_COUNT) for seed in (4, 5, 6)]
         for blocks in zip(*streams):
             for out, (_, coefs) in zip(got, blocks):
                 out.append(coefs)
+        del streams
     finally:
         sys.setswitchinterval(interval)
-    for seed, rng, out in zip((4, 5, 6), rngs, got):
-        want_rng = np.random.default_rng(seed)
-        want = STREAM_REF.sample_batch(want_rng, STREAM_COUNT)
+    for seed, out in zip((4, 5, 6), got):
+        want = successive_batches(STREAM_REF, seed, STREAM_COUNT)
         assert np.array_equal(np.concatenate(out).view(np.uint64), want.view(np.uint64))
-        assert rng.bit_generator.state == want_rng.bit_generator.state
     assert torusgibbs_threads() == []
 
 
@@ -370,6 +361,29 @@ def test_decay_domain_exponent_edge():
     assert dom.contains_batch(ok.coef[None], lat)[0]
     bad = FourierField.from_modes(lat, {j: 5.0 * 3.0 ** (-0.84)}, zero_mode=False)
     assert not dom.contains_batch(bad.coef[None], lat)[0]
+
+
+DOMAINS = {"unrestricted": PhaseDomain.unrestricted(),
+           "mass_ball": PhaseDomain.mass_ball(4.0),
+           "mass_and_sobolev": PhaseDomain.mass_and_sobolev(6.0, 3.0, 0.3),
+           "decay": PhaseDomain.decay(3.0, 2.5, 0.2, 0.1)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_contains_batch_rows_equal_one_row_calls(kind, dim):
+    # a stack's answers do not depend on the rows beside them, so stacked
+    # chains may share one call
+    lat = Lattice(dim, 8)
+    rng = np.random.default_rng(5)
+    coefs = GaussianReference(lat).sample_batch(rng, 400)
+    coefs *= rng.uniform(0.1, 3.0, (len(coefs),) + (1,) * dim)
+    coefs[:5][(slice(None),) + lat.zero_index()] = 1e-10     # outside the decay domain
+    dom = DOMAINS[kind]
+    got = dom.contains_batch(coefs, lat)
+    assert got.dtype == bool and got.shape == (len(coefs),)
+    assert got.all() if kind == "unrestricted" else 0 < got.sum() < len(got)
+    assert got.tolist() == [bool(dom.contains_batch(row[None], lat)[0]) for row in coefs]
 
 
 # -- pCN chain ---------------------------------------------------------------
@@ -658,7 +672,7 @@ def test_truncation_pass_matches_the_masked_top_lattice(p):
     mass, logd = _truncation_pass(p, 0.3, n_list, n_samples, seed)
     top = Lattice(1, max(n_list), max(2, math.ceil(p / 2)))
     assert len(spectral._row_blocks(n_samples, 16 * math.prod(top.shape))) >= 2
-    coefs = GaussianReference(top).sample_batch(np.random.default_rng(seed), n_samples)
+    coefs = successive_batches(GaussianReference(top), seed, n_samples)
     for n, mass_n, logd_n in zip(n_list, mass, logd):
         masked = coefs * spectral.dirichlet_multiplier(top, n)
         np.testing.assert_allclose(mass_n, np.sum(np.abs(masked) ** 2, axis=1),
@@ -680,8 +694,8 @@ def test_critical_mass_takes_one_log_density_per_block_and_n(monkeypatch):
     blocks = []
     sample_blocks = GaussianReference.sample_blocks
 
-    def counted_blocks(self, rng, count):
-        for rows, coefs in sample_blocks(self, rng, count):
+    def counted_blocks(self, seed, count):
+        for rows, coefs in sample_blocks(self, seed, count):
             blocks.append(rows)
             yield rows, coefs
 
@@ -748,7 +762,7 @@ def test_truncation_tail_moment_analytic():
 
 def test_decay_domain_mass_streams_its_draws():
     lat = Lattice(2, 16)
-    count = 4000                      # one 4096-draw chunk
+    count = 4000                      # 134 blocks of 30 draws, not a 139 MB batch
     tracemalloc.start()
     try:
         decay_domain_mass(7.5, 3.0, 0.2, 0.1, lat, count, seed=28)
@@ -761,7 +775,7 @@ def test_decay_domain_mass_streams_its_draws():
 def test_decay_domain_mass_grid_rows_equal_their_own_calls():
     lat = Lattice(2, 8)
     grid = [(3.0, 3.0), (7.5, 3.0), (8.0, 3.5)]
-    count = 4096 + 900                # two chunks of the seeded stream
+    count = 4096 + 900                # 45 blocks, the last of 24 draws
     rows = decay_domain_mass_grid(grid, 0.2, 0.1, lat, count, seed=29)
     assert rows == [decay_domain_mass(k1, k2, 0.2, 0.1, lat, count, seed=29)
                     for k1, k2 in grid]

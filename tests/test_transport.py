@@ -9,11 +9,12 @@ import torusgibbs as tg
 from torusgibbs import concentration as conc
 from torusgibbs import experiments
 from torusgibbs import hamiltonians as ham
-from torusgibbs import sampling
 from torusgibbs import transport as trans
 from torusgibbs.sampling import ChainConfig, GaussianReference, PhaseDomain
 from torusgibbs import spectral
 from torusgibbs.spectral import Lattice
+
+from conftest import successive_batches
 
 
 def clouds(seed, m=8, d=3, shift=0.5):
@@ -289,13 +290,13 @@ def test_coupling_bound_degenerate_and_monotone():
 @pytest.mark.parametrize("dim,n,count", [(1, 1024, 600), (2, 24, 400), (1, 64, 255)])
 def test_coupling_bound_streams_the_direct_tail_sums(dim, n, count):
     # the streamed rows are, bit for bit, each draw's |c_k|^2 summed alone
-    # over its tail in mode order, on the whole batch of the same draws; the
-    # last case ends in a one-row block
+    # over its tail in mode order, on the same draws held at once; the last
+    # case ends in a one-row block
     lat = Lattice(dim, n)
     n_list = [1, n // 4, n - 1, n]
     rows = trans.truncation_coupling_bound(n_list, lat, count, seed=7)
     assert len(spectral._row_blocks(count, 32 * math.prod(lat.shape))) > 1
-    c = GaussianReference(lat, 0.0, "complex").sample_batch(np.random.default_rng(7), count)
+    c = successive_batches(GaussianReference(lat, 0.0, "complex"), 7, count)
     sq = c.real ** 2 + c.imag ** 2
     for row, m in zip(rows, n_list):
         tail = spectral.dirichlet_multiplier(lat, m) == 0
@@ -468,30 +469,6 @@ def test_relative_entropy_levels_equal_their_own_calls():
                     "reliable"):
             assert np.float64(row[key]).tobytes() == np.float64(single[key]).tobytes(), key
         assert row == single
-
-
-def test_relative_entropy_opens_its_stream_before_its_chains(monkeypatch):
-    # the reference stream's workers draw while the level chains run
-    events = []
-    sample_blocks, pcn_step = GaussianReference.sample_blocks, sampling._pcn_step
-
-    def opened(self, rng, count):
-        events.append("open")
-        return sample_blocks(self, rng, count)
-
-    def proposal(*args):
-        events.append("proposal")
-        return pcn_step(*args)
-
-    monkeypatch.setattr(GaussianReference, "sample_blocks", opened)
-    monkeypatch.setattr(sampling, "_pcn_step", proposal)
-    lat = Lattice(2, 8)                # 113 reference rows per block: 4 blocks
-    pot = ham.gp_cosine_potential(lat, amplitude=-1.0)
-    dom = PhaseDomain.decay(8.0, 3.5, 0.2, 0.1)
-    chains = {4: ChainConfig(steps=40, burn_in=10, thin=2, seed=40, beta=0.5),
-              2: ChainConfig(steps=30, burn_in=10, thin=3, seed=41, beta=0.5)}
-    trans.relative_entropy_levels(pot, 1.0, dom, lat, chains, 400, 42)
-    assert events == ["open"] + ["proposal"] * (50 + 40)
 
 
 def test_relative_entropy_streams_its_chain():
