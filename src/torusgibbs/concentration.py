@@ -143,6 +143,16 @@ def _jackknife(features: np.ndarray, stat):
     return full, np.sqrt(np.fmax((nb - 1) / nb * _sum_rows(dev * dev), 0.0))
 
 
+def _varies_without_each_block(values: np.ndarray) -> np.ndarray:
+    """Per column of an (n, k) array: whether it takes two values outside
+    each of _jackknife's blocks, so no leave-one-block-out variance is 0."""
+    starts = np.linspace(0, len(values), min(N_BATCHES, len(values)) + 1, dtype=int)[:-1]
+    others = ~np.eye(len(starts), dtype=bool)[..., None]
+    hi = np.where(others, np.maximum.reduceat(values, starts), -np.inf).max(axis=1)
+    return np.all(hi > np.where(others, np.minimum.reduceat(values, starts), np.inf).min(axis=1),
+                  axis=0)
+
+
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """x summed over its first axis, each element in an order that does not
     depend on the shape of the other axes (np.add.reduce's order does), so a
@@ -214,8 +224,8 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
     entropy Ent(f^2) (entropy_of_functional) and one every ratio, from the
     stacked columns f^2, f^2 log f^2 and |grad f|^2 (lsi) or |grad f|^2, f
     less its mean and that square (poincare).  A functional is skipped and
-    has no ratio when its entropy is within 3 stderr of 0 (lsi) or its
-    samples are all equal, so its variance is 0 (poincare)."""
+    has no ratio when its entropy is within 3 stderr of 0 (lsi) or it has
+    variance 0 with some jackknife block left out (poincare)."""
     rows = []
     if dictionary:
         w = dual_weights(lattice, metric.s_dual, reality, zero_mode)
@@ -229,11 +239,11 @@ def lsi_gap_report(coords: np.ndarray, dictionary: list, lattice: Lattice,
             ratios = zip(*_jackknife(feats, _lsi_ratio_stat))
             skipped = "entropy below noise floor; skipped"
         else:
-            keep = np.any(vals != vals[:1], axis=0)
+            keep = _varies_without_each_block(vals)
             centred = vals[:, keep] - _sum_rows(vals[:, keep]) / len(vals)
             feats = np.stack([gsq[:, keep], centred, centred * centred], axis=-1)
             ratios = zip(*_jackknife(feats, _poincare_ratio_stat))
-            skipped = "zero variance; skipped"
+            skipped = "zero variance with a block left out; skipped"
         for f, kept, e in zip(dictionary, keep, ent):
             if not kept:
                 rows.append({"functional": f.name, "ratio": None, "note": skipped})

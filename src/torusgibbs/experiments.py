@@ -233,6 +233,12 @@ def _run_flow(lattice: Lattice, model: _models("nls", "kdv", "gp", "zakharov"),
     return {"results": results}, all(gates) if gates else None
 
 
+def _richardson_ranges(richardson: bool, richardson_dts: list, richardson_t: float):
+    """The time steps of flow's Richardson fit, when one is asked for."""
+    if richardson:
+        flows._check_richardson(richardson_t, richardson_dts)
+
+
 def _reference_draws(reference: samp.GaussianReference, seed: int,
                      count: int) -> samp.SampleEnsemble:
     """count exact draws of the reference, from one seeded batch."""
@@ -268,6 +274,11 @@ def _run_invariance(lattice: Lattice, model: _models("nls", "kdv", "gp"),
     else:
         passed = rep["pass"] and rep["valid"]
     return {"results": rep}, bool(passed)
+
+
+def _invariance_ensemble_size(sampler: samp.ChainConfig, gaussian_control: bool, count: int):
+    """invariance's ensemble (count draws or the kept states) is a test's."""
+    flows._check_ensemble_size(count if gaussian_control else sampler.kept)
 
 
 def _run_lsi(lattice: Lattice, model: _models("nls", "kdv", "gp"),
@@ -312,9 +323,11 @@ def _run_convexity(lattice: Lattice, model: _models("nls", "kdv"), seed: int, *,
     return {"results": results}, bool(passed)
 
 
-def _has_convexity_constant(lattice: Lattice, model, mass_bound: float):
-    """convexity gates on the model's closed-form constant, so the model
-    must have one on the lattice's dimension."""
+def _convexity_ranges(lattice: Lattice, model, mass_bound: float, trials: int):
+    """convexity gates the least margin of trials >= 1 pairs on the model's
+    closed-form constant, which it must have on the lattice's dimension."""
+    if trials < 1:
+        raise ValueError("needs trials >= 1")
     alpha, _, why = model.convexity_constant(mass_bound, lattice.dim)
     if alpha is None:
         raise ValueError(f"convexity needs a closed-form constant; {model!r}: {why}")
@@ -452,7 +465,8 @@ _RUNNERS = {
     "zakharov": _run_zakharov,
     "tail": ("task", {"sobolev_tail": _sobolev_tail, "decay_mass": _decay_mass}),
 }
-_PRECONDITIONS = {_run_convexity: _has_convexity_constant,
+_PRECONDITIONS = {_run_convexity: _convexity_ranges, _run_flow: _richardson_ranges,
+                  _run_invariance: _invariance_ensemble_size, _run_gp_solve: flows._check_steps,
                   _run_normalizability: samp._check_levels,
                   _run_critical_mass: samp._check_levels,
                   _sobolev_tail: samp._check_tail_exponent,

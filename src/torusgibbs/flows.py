@@ -5,12 +5,12 @@ Duhamel fixed-point construction of GP mild solutions.
 State layout.  A flow keeps its states for the whole run as a stack of
 coefficient arrays in FFT order on the critical grid (2n+1 points per axis,
 mode k at index k mod 2n+1), so every transform is one call of spectral's
-one pair, fft_synthesize or fft_analyze, with no zero fill and no mode
-extraction; only KdV's dealiased product leaves the critical grid, through
-the pair's own zero fill (m points) and mode cut (modes <= n).  Centered
-order is restored only where states leave the flow.  NLS and GP carry the
-full complex spectrum, KdV the half spectrum of its real field (modes
-0..n), and Zakharov the (u, n, v) triple as one (B, 3, 2n+1) stack.
+critical-grid pair, fft_synthesize or fft_analyze; only KdV's dealiased
+product leaves the critical grid (irfft pads to m points, and the stepper
+keeps modes 0..n).  Centered order is restored only where states leave the
+flow.  NLS and GP carry the full complex spectrum, KdV the half spectrum of
+its real field (modes 0..n), and Zakharov the (u, n, v) triple as one
+(B, 3, 2n+1) stack.
 
 Steps.  A stepper is built once per run for its time step: it holds the
 linear propagators (exact Fourier multipliers) for a full and a half step
@@ -195,7 +195,7 @@ class _KdVStepper(_Stepper):
 
     def _rhs(self, state):
         grid = fft_synthesize(state, 1, self.mfine, real=True)
-        return self.dx * fft_analyze(grid * grid, 1, self.n)
+        return self.dx * fft_analyze(grid * grid, 1)[..., :self.n + 1]
 
     def nonlinear(self, state):
         if self.lam == 0.0:
@@ -355,12 +355,22 @@ def richardson_order(model, state, t_final: float, dts) -> dict:
     """Self-convergence slope: l^2 distances over the whole coefficient stack
     between successive-dt one-row pushes to t_final (no mass or energy is
     taken), fitted on a log-log scale (Strang should give 2)."""
-    dts = sorted(dts, reverse=True)
+    dts = _check_richardson(t_final, dts)
     finals = [evolve_ensemble(model, state.coef[None], state.lattice,
                               FlowConfig(dt=dt, t_final=t_final))[0] for dt in dts]
     errs = [float(np.linalg.norm(a - b)) for a, b in zip(finals, finals[1:])]
     slope = float(np.polyfit(np.log(dts[:-1]), np.log(errs), 1)[0])
     return {"dts": list(dts), "errors": errs, "order": slope}
+
+
+def _check_richardson(t_final: float, dts) -> list:
+    """A Richardson fit's three or more distinct steps to t_final, descending."""
+    dts = sorted(dts, reverse=True)
+    if len(set(dts)) < max(3, len(dts)):
+        raise ValueError("needs at least three distinct Richardson time steps")
+    if not 0 < dts[-1] <= dts[0] <= t_final:
+        raise ValueError("needs Richardson time steps 0 < dt <= the Richardson horizon")
+    return dts
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +411,7 @@ def invariance_test(model, ensemble, config: FlowConfig, energy_tol: float = 1e-
     and after the truncated flow; PASS when every difference is within 3
     combined stderr.  Flow energy drift beyond energy_tol (relative, per
     sample) invalidates the run (flagged)."""
+    _check_ensemble_size(len(ensemble))
     lattice = ensemble.lattice
     coefs0 = ensemble.coefs
     coefs1 = evolve_ensemble(model, coefs0, lattice, config)
@@ -424,6 +435,11 @@ def invariance_test(model, ensemble, config: FlowConfig, energy_tol: float = 1e-
     valid = max_drift <= energy_tol
     return {"rows": rows, "pass": bool(all_pass), "valid": bool(valid),
             "max_energy_drift": max_drift, "n_samples": b}
+
+
+def _check_ensemble_size(states: int) -> None:
+    if states < 2:                             # for the stderrs
+        raise ValueError("needs an ensemble of at least 2 states")
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +496,11 @@ def _duhamel_integral(g_nodes: np.ndarray, ksq: np.ndarray, h: float,
     return 1j * lam * out
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:                              # the intervals between time nodes
+        raise ValueError("needs steps >= 1")
+
+
 def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
                    t_final: float, steps: int, s: float = 0.125) -> DuhamelResult:
     """Iterate w <- Phi(u0 + w) from w = 0, at most 80 times, until the
@@ -490,6 +511,7 @@ def gp_fixed_point(phi: FourierField, potential: FourierField, lam: float,
     cue to shrink the horizon."""
     if abs(potential.zero_coef()) > 1e-13:
         raise ValueError("gp_fixed_point requires Vhat(0) = 0")
+    _check_steps(steps)
     lat = phi.lattice
     ksq = lat.ksq()
     h = t_final / steps

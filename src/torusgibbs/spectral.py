@@ -6,14 +6,15 @@ d^D(theta) / (2 pi)^D, so the coefficients are orthonormal coordinates for
 L^2 and Parseval reads  mean_grid |u|^2 = sum_k |c_k|^2.  The mass ball
 {sum |c_k|^2 <= N} is therefore a Euclidean ball in coefficient space.
 
-Transforms.  One pair in FFT order (mode k at index k mod m): fft_synthesize
-zero-fills the middle of the spectrum to m >= 2n+1 points per axis and runs
-the unscaled inverse FFT, fft_analyze the forward FFT; real fields may travel
-as half spectra.  A 2D transform is two 1D numpy.fft calls, last axis first:
-what numpy's nd transforms run, without their wrapper's cost per call.
-synthesize_batch and analyze_batch only reorder around it.
-Grid sizes are 11-smooth lengths (_fast_len), which the FFT factors into
-its fast radices.
+Transforms.  On a grid of m >= 2n+1 points per axis, mode k sits at index
+k mod m (FFT order).  One set of index pairs, _centred_fill, places the
+centred modes |k_j| <= n there: synthesize_batch copies them onto a zero
+grid before its inverse FFT, analyze_batch reads them off the spectrum.
+The flows keep their states in FFT order on the critical grid (m = 2n+1),
+where fft_synthesize/fft_analyze is the bare pair; real fields may travel
+as half spectra.  A 2D transform is two 1D numpy.fft calls, last axis
+first, as numpy's nd transforms run them without their wrapper's cost per
+call.  Grid sizes are 11-smooth lengths (_fast_len), the FFT's fast radices.
 """
 
 from __future__ import annotations
@@ -224,103 +225,77 @@ def _grid_plan(lattice: Lattice, oversample: int | None) -> tuple:
 
 
 @functools.lru_cache
-def _positions(n: int, m: int, shift: int = 0) -> np.ndarray:
-    """Positions of the modes 0..n, -n..-1 on an axis of m points, plus shift,
-    mod m; with m = 2n+1, shift n (n+1) maps centered to FFT order (back)."""
-    index = (np.r_[0:n + 1, m - n:m] + shift) % m
-    index.flags.writeable = False            # cached: shared by every caller
-    return index
-
-
-@functools.lru_cache
-def _zero_fill(n: int, m: int, dim: int, real: bool) -> tuple:
-    """fft_synthesize's set-up for the modes |k_j| <= n on m points per axis:
-    the grid's shape behind the batch axes, and the (source, destination)
-    index pairs that place the FFT-ordered modes on the axes filled here
-    (all but a half spectrum's last, which irfft pads), leaving the middle
-    zero; no pairs when there is nothing to fill."""
+def _centred_fill(n: int, m: int, dim: int) -> tuple:
+    """The (centred, grid) index pairs between the centred coefficients of
+    the modes |k_j| <= n and a grid of m >= 2n+1 points per axis in FFT
+    order: modes 0..n at the start of each axis, -n..-1 at its end."""
     if m < 2 * n + 1:
         raise GridResolutionError(
-            f"grid of {m} points per axis cannot hold modes up to |k| = {n}")
-    full = dim - real
-    shape = (m,) * full + (n + 1,) * real
-    if m == 2 * n + 1 or not full:
-        return shape, ()
-    spans = ((slice(0, n + 1),) * 2, (slice(n + 1, 2 * n + 1), slice(m - n, m)))
-    rest = (slice(None),) * real
-    return shape, tuple(((...,) + tuple(s for s, _ in axes) + rest,
-                         (...,) + tuple(d for _, d in axes) + rest)
-                        for axes in itertools.product(spans, repeat=full))
+            f"grid of {m} points per axis cannot resolve modes up to |k| = {n}")
+    spans = ((slice(n, 2 * n + 1), slice(0, n + 1)), (slice(0, n), slice(m - n, m)))
+    return tuple(((...,) + tuple(s for s, _ in axes), (...,) + tuple(d for _, d in axes))
+                 for axes in itertools.product(spans, repeat=dim))
 
 
 def to_fft_order(coefs: np.ndarray, dim: int) -> np.ndarray:
-    """Centered coefficients (leading batch axes allowed) in FFT order."""
-    for axis in range(-dim, 0):
-        n = coefs.shape[axis] // 2
-        coefs = coefs.take(_positions(n, 2 * n + 1, n), axis=axis)
-    return coefs
+    """Centered coefficients (leading batch axes allowed) in FFT order on the
+    critical grid, mode k at index k mod 2n+1: ifftshift over the modes."""
+    return np.fft.ifftshift(coefs, axes=tuple(range(-dim, 0)))
 
 
 def from_fft_order(fcoefs: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of to_fft_order."""
-    for axis in range(-dim, 0):
-        n = fcoefs.shape[axis] // 2
-        fcoefs = fcoefs.take(_positions(n, 2 * n + 1, n + 1), axis=axis)
-    return fcoefs
+    return np.fft.fftshift(fcoefs, axes=tuple(range(-dim, 0)))
 
 
 def fft_synthesize(fcoefs: np.ndarray, dim: int, m: int | None = None,
                    real: bool = False) -> np.ndarray:
-    """Grid values sum_k c_k e^{ik.theta} on m >= 2n+1 points per axis
-    (default 2n+1) from the FFT-ordered coefficients of the modes |k_j| <= n
-    over the last dim axes.  With real=True the input is a real field's half
-    spectrum (modes 0..n on the last axis) and the values are real."""
-    n = fcoefs.shape[-1] - 1 if real else fcoefs.shape[-1] // 2
-    m = 2 * n + 1 if m is None else m
-    shape, fills = _zero_fill(n, m, dim, real)
-    buf, out = fcoefs, None
-    if fills:
-        buf = out = np.zeros(fcoefs.shape[:-dim] + shape, dtype=np.complex128)
-        for src, dst in fills:
-            buf[dst] = fcoefs[src]
+    """Grid values sum_k c_k e^{ik.theta} on the critical grid, 2n+1 points
+    per axis, from the FFT-ordered coefficients of the modes |k_j| <= n over
+    the last dim axes; with real=True, the real values from a real field's
+    half spectrum (modes 0..n on the last axis), 1D ones on m if given."""
     if real:                              # axis -2, then the half spectrum, as irfft2
         if dim == 2:
-            buf = np.fft.ifft(buf, axis=-2, norm="forward")
-        return np.fft.irfft(buf, m, norm="forward")
-    buf = np.fft.ifft(buf, norm="forward", out=out)   # last axis first, as ifftn
-    return buf if dim == 1 else np.fft.ifft(buf, axis=-2, norm="forward", out=out)
+            fcoefs = np.fft.ifft(fcoefs, axis=-2, norm="forward")
+        return np.fft.irfft(fcoefs, m or 2 * fcoefs.shape[-1] - 1, norm="forward")
+    vals = np.fft.ifft(fcoefs, norm="forward")    # last axis first, as ifftn
+    return vals if dim == 1 else np.fft.ifft(vals, axis=-2, norm="forward")
 
 
-def fft_analyze(values: np.ndarray, dim: int, n: int | None = None) -> np.ndarray:
-    """FFT-ordered coefficients of grid values (inverse of fft_synthesize), of
-    the modes |k_j| <= n if n is given; real values give their half spectrum."""
-    m = values.shape[-1]
-    if n is not None and m < 2 * n + 1:
-        raise GridResolutionError(
-            f"grid of {m} points per axis cannot resolve modes up to |k| = {n}")
-    real = values.dtype.kind != "c"
-    c = np.fft.rfft(values, norm="forward") if real else np.fft.fft(values, norm="forward")
+def fft_analyze(values: np.ndarray, dim: int) -> np.ndarray:
+    """FFT-ordered coefficients of grid values (inverse of fft_synthesize);
+    real values give their half spectrum."""
+    c = (np.fft.fft if values.dtype.kind == "c" else np.fft.rfft)(values, norm="forward")
     if dim == 2:                          # last axis first, as rfft2 and fft2
-        c = np.fft.fft(c, axis=-2, norm="forward")
-    if n is None or m == 2 * n + 1:
-        return c
-    for axis in range(-dim, -1 if real else 0):   # per-axis take keeps stacks C-ordered
-        c = c.take(_positions(n, m), axis=axis)
-    return c[..., :n + 1] if real else c
+        c = np.fft.fft(c, axis=-2, norm="forward", out=c)
+    return c
 
 
 def synthesize_batch(coefs: np.ndarray, lattice: Lattice, oversample: int | None = None) -> np.ndarray:
     """Grid values for a batch of centered coefficient arrays on the
     FFT-friendly grid lattice.grid_points(oversample)."""
-    return fft_synthesize(to_fft_order(coefs, lattice.dim), lattice.dim,
-                          _grid_plan(lattice, oversample)[0])
+    return _synthesize(coefs, lattice, _grid_plan(lattice, oversample)[0])
+
+
+def _synthesize(coefs: np.ndarray, lattice: Lattice, m: int) -> np.ndarray:
+    """synthesize_batch on m points per axis: the coefficients copied onto a
+    zero grid (_centred_fill) and transformed in place, last axis first."""
+    dim = lattice.dim
+    grid = np.zeros(coefs.shape[:-dim] + (m,) * dim, dtype=np.complex128)
+    for src, dst in _centred_fill(lattice.n, m, dim):
+        grid[dst] = coefs[src]
+    grid = np.fft.ifft(grid, norm="forward", out=grid)
+    return grid if dim == 1 else np.fft.ifft(grid, axis=-2, norm="forward", out=grid)
 
 
 def analyze_batch(values: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Centered coefficients from grid values of any size m >= 2n+1 per axis
     (inverse of synthesize_batch); real values give the full spectrum too."""
-    values = values.astype(np.complex128, copy=False)
-    return from_fft_order(fft_analyze(values, lattice.dim, lattice.n), lattice.dim)
+    spectrum = fft_analyze(values.astype(np.complex128, copy=False), lattice.dim)
+    coefs = np.empty(values.shape[:-lattice.dim] + lattice.shape, dtype=np.complex128)
+    for dst, src in _centred_fill(lattice.n, values.shape[-1], lattice.dim):
+        coefs[dst] = spectrum[src]
+    return coefs
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +340,9 @@ def lp_integral(fld: FourierField, p: int) -> float:
     Even p: |u|^p = (u conj u)^{p/2} is a trigonometric polynomial; the grid
     is zero-padded to at least ceil(p/2)*(2n+1) points so the quadrature is
     exact.  Odd p: only the signed integral int u^p of a real field (the
-    KdV cubic term) is a trigonometric polynomial, so odd p requires
-    reality and returns the signed integral, exactly; |u|^p would not be
-    exactly integrable by any finite quadrature.
+    KdV cubic term) is a trigonometric polynomial, so odd p takes a real 1D
+    field (KdV's; nothing integrates a 2D field at odd p) and returns the
+    signed integral, exactly; no finite quadrature integrates |u|^p exactly.
     """
     if int(p) % 2 and not fld.reality:
         raise ValueError("odd p is only defined (as the signed integral) for real fields")
@@ -378,46 +353,24 @@ def lp_integral_batch(coefs: np.ndarray, lattice: Lattice, p: int) -> np.ndarray
     """lp_integral over a (B, ...) coefficient stack, synthesized in row
     blocks sized by what a block holds at once: the complex grid, its
     modulus and its power (32 B per point), at most _BLOCK_BYTES.  Even p
-    copies each block's centred rows straight onto its zero grid
-    (_centred_fill) and transforms it in place, as fft_synthesize does its
-    zero-padded grid.  Odd p synthesizes the real field from its half
-    spectrum, so the caller vouches that the fields are real; in 1D that
-    half spectrum is a view of the centred rows.  The grid mean is np.mean's
-    own sum and division, without its wrapper's cost per call."""
+    takes |u| from synthesize_batch's synthesis, odd p (1D fields that the
+    caller vouches are real) u from the irfft of the half spectrum, a view
+    of the centred rows.  The grid mean is np.mean's own sum and division,
+    without its wrapper's cost per call."""
     p = int(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
-    dim, n = lattice.dim, lattice.n
+    if p % 2 and lattice.dim != 1:
+        raise ValueError("odd p is only defined (as the signed integral) for 1D real fields")
     m, axes, points = _grid_plan(lattice, max(lattice.oversample, math.ceil(p / 2)))
     out = np.empty(coefs.shape[0])
     for rows in _row_blocks(coefs.shape[0], 32 * points):
-        count = rows.stop - rows.start
-        if p % 2 == 0:
-            grid = np.zeros((count,) + (m,) * dim, dtype=np.complex128)
-            block = coefs[rows]
-            for src, dst in _centred_fill(n, m, dim):
-                grid[dst] = block[src]
-            grid = np.fft.ifft(grid, norm="forward", out=grid)
-            if dim == 2:
-                grid = np.fft.ifft(grid, axis=-2, norm="forward", out=grid)
-            vals = np.abs(grid)
-        elif dim == 1:
-            vals = np.fft.irfft(coefs[rows, n:], m, norm="forward")
+        if p % 2:
+            vals = np.fft.irfft(coefs[rows, lattice.n:], m, norm="forward")
         else:
-            vals = fft_synthesize(to_fft_order(coefs[rows], dim)[..., :n + 1], dim, m,
-                                  real=True)
+            vals = np.abs(_synthesize(coefs[rows], lattice, m))
         np.divide(np.add.reduce(vals ** p, axes), points, out=out[rows])
     return out
-
-
-@functools.lru_cache
-def _centred_fill(n: int, m: int, dim: int) -> tuple:
-    """The (source, destination) index pairs that copy centred coefficients
-    of the modes |k_j| <= n onto a grid of m >= 2n+1 points per axis in FFT
-    order: modes 0..n to the start of each axis, -n..-1 to its end."""
-    spans = ((slice(n, 2 * n + 1), slice(0, n + 1)), (slice(0, n), slice(m - n, m)))
-    return tuple(((...,) + tuple(s for s, _ in axes), (...,) + tuple(d for _, d in axes))
-                 for axes in itertools.product(spans, repeat=dim))
 
 
 def shift_slices(lattice: Lattice, m: tuple):

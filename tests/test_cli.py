@@ -589,6 +589,24 @@ RANGE_ERRORS = [
        "needs n_samples >= 2 draws") for bisect in (False, True) for n in (0, 1)),
     *(({"experiment": "tail", "params": {"task": "decay_mass", "n_samples": n}}, "tail",
        "needs n_samples >= 1 draw") for n in (0, -5)),
+    # a least margin needs a trial, invariance stderrs two states, a
+    # Richardson slope three distinct steps of the push, the Duhamel nodes a step
+    *(({"experiment": "convexity", "params": {"trials": n}}, "convexity",
+       "needs trials >= 1") for n in (0, -2)),
+    *(({"experiment": "invariance", **cfg}, "invariance",
+       "needs an ensemble of at least 2 states")
+      for cfg in ({"params": {"gaussian_control": True, "count": 0}},
+                  {"params": {"gaussian_control": True, "count": 1}},
+                  {"sampler": {"steps": 2, "thin": 2}})),
+    *(({"experiment": "flow", "params": {"richardson": True, "richardson_dts": dts}}, "flow",
+       "needs at least three distinct Richardson time steps")
+      for dts in ([0.002, 0.001], [0.001, 0.001, 0.0005])),
+    *(({"experiment": "flow", "params": {"richardson": True, "richardson_dts": dts}}, "flow",
+       "needs Richardson time steps 0 < dt <= the Richardson horizon")
+      for dts in ([0.5, 0.002, 0.001], [0.002, 0.001, -0.001], [0.002, 0.001, 0.0])),
+    ({"experiment": "gp-solve", "lattice": {"dim": 2, "n": 4},
+      "model": {"kind": "gp", "potential": {"kind": "cosine"}, "lam": 0.5},
+      "params": {"steps": 0}}, "gp-solve", "needs steps >= 1"),
 ]
 
 
@@ -686,7 +704,7 @@ def test_transport_coupling_experiment(tmp_path):
 def test_every_precondition_names_only_parameters_of_its_runner():
     # validation calls a check with the bound arguments its parameters name,
     # so a parameter its runner lacks would go missing or keep its default
-    assert len(experiments._PRECONDITIONS) == 8
+    assert len(experiments._PRECONDITIONS) == 11
     for runner, check in experiments._PRECONDITIONS.items():
         names = set(inspect.signature(check).parameters)
         assert names <= set(inspect.signature(runner).parameters), (runner, check)

@@ -9,7 +9,8 @@ from torusgibbs import concentration as conc
 from torusgibbs import transport as trans
 from torusgibbs.sampling import GaussianReference, PhaseDomain, SampleEnsemble, \
     rejection_sample_domain
-from torusgibbs.spectral import FourierField, Lattice, dual_weights, field_coords, shift_slices
+from torusgibbs.spectral import (FourierField, Lattice, coords_from_coef, dual_weights,
+                                 field_coords, shift_slices, smooth_state)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,23 @@ def test_lsi_report_degenerate_dictionary(loop_coords):
                               False, False, alpha_predicted=1.0)
     assert rep["alpha_hat"] is None
     assert "degenerate" in rep["note"]
+
+
+@pytest.mark.parametrize("mode", ["lsi", "poincare"])
+def test_functionals_that_vary_inside_one_block_only_are_skipped(mode):
+    # a chain stuck but for one short excursion: with the excursion's block
+    # left out every functional's variance is 0, so no ratio has a stderr
+    lat = Lattice(1, 4)
+    coefs = np.repeat(smooth_state(lat, 3, amplitude=0.5).coef[None], 300, axis=0)
+    coefs[:5] *= 1.5
+    coords = coords_from_coef(coefs, lat, False, False)
+    dic = conc.default_dictionary(lat, False, False)
+    with np.errstate(invalid="raise"):
+        rep = conc.lsi_gap_report(coords, dic, lat, conc.MetricSpec(1.0), False, False,
+                                  mode=mode)
+    assert "degenerate dictionary" in rep["note"]
+    assert len(rep["rows"]) == len(dic)
+    assert all(row["ratio"] is None for row in rep["rows"])
 
 
 @pytest.mark.parametrize("mode", ["lsi", "poincare"])

@@ -104,6 +104,7 @@ def test_the_package_depends_on_numpy_alone():
     with open(REPO / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert [re.split(r"[<>=!~ ;\[]", d)[0] for d in project["dependencies"]] == ["numpy"]
-    # spectral.fft_synthesize passes out= to numpy.fft, which numpy accepts from 2.0
+    # spectral's synthesize_batch and fft_analyze pass out= to numpy.fft, which
+    # numpy accepts from 2.0
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", project["dependencies"][0])
     assert floor and (int(floor[1]), int(floor[2])) >= (2, 0), project["dependencies"]

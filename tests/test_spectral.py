@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import pathlib
 
@@ -118,35 +119,39 @@ def test_fft_order_pair_matches_the_centered_pair(dim):
     stack = np.stack([f.coef, 2j * f.coef])
     fstack = to_fft_order(stack, dim)
     assert np.array_equal(from_fft_order(fstack, dim), stack)
-    for points in (m, 16, 3 * n + 2):        # the critical grid and zero fill to even/odd m
-        vals = fft_synthesize(fstack, dim, points)
+    vals = fft_synthesize(fstack, dim)         # the critical grid
+    assert vals.shape == (2,) + (m,) * dim
+    for row, coef in zip(vals, stack):
+        assert np.max(np.abs(row - _slow_synthesis(coef, n, m, dim))) < 1e-12
+    assert np.max(np.abs(fft_analyze(vals, dim) - fstack)) < 1e-12
+    # the centered pair zero-fills to an even and an odd grid
+    for oversample, points in ((2, 22), (3, 33)):
+        vals = synthesize_batch(stack, lat, oversample)
         assert vals.shape == (2,) + (points,) * dim
         for row, coef in zip(vals, stack):
             assert np.max(np.abs(row - _slow_synthesis(coef, n, points, dim))) < 1e-12
-        assert np.max(np.abs(fft_analyze(vals, dim, n) - fstack)) < 1e-12
-    assert np.max(np.abs(fft_analyze(fft_synthesize(fstack, dim), dim) - fstack)) < 1e-12
-    # a real field as its half spectrum, modes 0..n on the last axis
+        assert np.max(np.abs(analyze_batch(vals, lat) - stack)) < 1e-12
+    # a real field as its half spectrum, modes 0..n on the last axis; irfft
+    # pads a 1D one to any m
     g = random_field(lat, 8 + dim, reality=True)
     half = to_fft_order(g.coef, dim)[..., :n + 1]
-    for points in (m, 16, 3 * n + 2):
+    for points in (m, 22, 33) if dim == 1 else (m,):
         grid = fft_synthesize(half, dim, points, real=True)
         assert np.isrealobj(grid) and grid.shape == (points,) * dim
         assert np.max(np.abs(grid - _slow_synthesis(g.coef, n, points, dim).real)) < 1e-12
-        assert np.max(np.abs(fft_analyze(grid, dim, n) - half)) < 1e-12
-    assert np.max(np.abs(fft_analyze(fft_synthesize(half, dim, real=True), dim) - half)) < 1e-12
+        assert np.max(np.abs(fft_analyze(grid, dim)[..., :n + 1] - half)) < 1e-12
+        assert np.max(np.abs(analyze_batch(grid, lat) - g.coef)) < 1e-12
 
 
 def test_transform_grid_too_small():
-    lat = Lattice(1, 8)
-    vals = np.zeros(5, dtype=complex)
-    with pytest.raises(GridResolutionError):
-        analyze_batch(vals, lat)
-    with pytest.raises(GridResolutionError):
-        fft_analyze(vals, 1, lat.n)
-    with pytest.raises(GridResolutionError):
-        fft_synthesize(np.zeros(lat.shape, dtype=complex), 1, 16)
-    with pytest.raises(GridResolutionError):
-        fft_synthesize(np.zeros(lat.n + 1, dtype=complex), 1, 16, real=True)
+    # the centred pair refuses a grid of fewer than 2n+1 points per axis
+    for dim in (1, 2):
+        lat = Lattice(dim, 8)
+        for points in (5, 16):
+            with pytest.raises(GridResolutionError):
+                analyze_batch(np.zeros((points,) * dim, dtype=complex), lat)
+            with pytest.raises(GridResolutionError):
+                spectral._synthesize(np.zeros(lat.shape, dtype=complex), lat, points)
 
 
 def test_no_fft_outside_spectral():
@@ -285,9 +290,11 @@ def test_lp_integral_odd_p_rules():
 @pytest.mark.parametrize("stack", ["one-row", "three-blocks"])
 def test_lp_integral_batch_is_np_mean_of_the_grid_power(p, lat, stack):
     # bit for bit the formula it replaced: np.mean(|u|^p) (u^p for odd p)
-    # over each row block's grid from fft_synthesize; Lattice(1, 7) at p = 2
-    # has a grid of 2n+1 points, which fft_synthesize does not pad
-    m = lat.grid_points(max(lat.oversample, math.ceil(p / 2)))
+    # over each row block's grid, from synthesize_batch (even p) or the
+    # irfft of the half spectrum (odd p, 1D fields only); Lattice(1, 7) at
+    # p = 2 has a grid of 2n+1 points, which synthesize_batch does not pad
+    q = max(lat.oversample, math.ceil(p / 2))
+    m = lat.grid_points(q)
     row_bytes = 32 * m ** lat.dim
     count = 1 if stack == "one-row" else 2 * (spectral._BLOCK_BYTES // row_bytes) + 5
     rng = np.random.default_rng(41)
@@ -295,18 +302,71 @@ def test_lp_integral_batch_is_np_mean_of_the_grid_power(p, lat, stack):
         + 1j * rng.standard_normal((count,) + lat.shape)
     if p % 2:
         coefs = hermitianize(coefs, lat.dim)
+    if p % 2 and lat.dim == 2:
+        with pytest.raises(ValueError, match="1D real fields"):
+            spectral.lp_integral_batch(coefs, lat, p)
+        return
     want = np.empty(count)
     block_list = spectral._row_blocks(count, row_bytes)
     assert len(block_list) == (1 if stack == "one-row" else 3)
     for rows in block_list:
-        fcoefs = to_fft_order(coefs[rows], lat.dim)
         if p % 2:
-            vals = fft_synthesize(fcoefs[..., :lat.n + 1], lat.dim, m, real=True)
+            vals = fft_synthesize(to_fft_order(coefs[rows], 1)[..., :lat.n + 1], 1, m, real=True)
         else:
-            vals = np.abs(fft_synthesize(fcoefs, lat.dim, m))
+            vals = np.abs(synthesize_batch(coefs[rows], lat, q))
         want[rows] = np.mean(vals ** p, axis=tuple(range(1, lat.dim + 1)))
     got = spectral.lp_integral_batch(coefs, lat, p)
     assert got.tobytes() == want.tobytes()
+
+
+def _transform_digest(lat, stack):
+    """sha256 over synthesize_batch, analyze_batch (of the complex grid and
+    of a real field's real grid) and lp_integral_batch at p = 2, 3 (1D), 4,
+    6 and 8, of one row or of a stack of at least three row blocks at each p."""
+    rows = 1
+    if stack == "blocks":
+        rows = 2 * (spectral._BLOCK_BYTES // (32 * lat.grid_points(1) ** lat.dim)) + 5
+    rng = np.random.default_rng(lat.dim * 100 + lat.n * 10 + lat.oversample)
+    coefs = rng.standard_normal((rows,) + lat.shape) \
+        + 1j * rng.standard_normal((rows,) + lat.shape)
+    real = hermitianize(coefs, lat.dim)
+    vals = synthesize_batch(coefs, lat)
+    outs = [vals, analyze_batch(vals, lat), analyze_batch(synthesize_batch(real, lat).real, lat)]
+    for p in (2, 3, 4, 6, 8):
+        if p % 2 == 0 or lat.dim == 1:
+            outs.append(spectral.lp_integral_batch(real if p % 2 else coefs, lat, p))
+    h = hashlib.sha256()
+    for out in outs:
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of _transform_digest's outputs, recorded with numpy 2.4 on x86-64
+# before the padded transforms shared one zero fill: a change to the
+# transforms that is meant to be bit for bit must leave them as they are.
+# Lattice(1, 7) and Lattice(2, 4) have grids of 2n+1 points at oversample 1;
+# oversample 2 and 3 pad Lattice(·, 5) to an even 22 and an odd 33 points.
+PINNED_TRANSFORMS = {
+    "1d-n7-q1-row": "f338985d3fc338ac40791735892f06e4b374ed91cae2e53b750d250226f3da85",
+    "1d-n7-q1-blocks": "5ed354b0555cbe7e71cbdc094a1b12492f08f6f5cd660d69822b88c8e3580119",
+    "1d-n5-q2-row": "d7514e870629247d91da2503c94f61e1562818974225680bd54b9fed8096dcf0",
+    "1d-n5-q2-blocks": "d3b23730b784a08621db6741218bdd90e566cb797fbbd38b218a75650f2f008b",
+    "1d-n5-q3-row": "bcb25ce6914b3766495aef333e008d43e62d4afbffb0f74453f2fbeb7cf994d8",
+    "1d-n5-q3-blocks": "287dbe4be9d2aea5c9a873a04a57f62c02ba319e9213b2255d9f3c1b092b4a02",
+    "2d-n4-q1-row": "6f71c42f00cdbe646392ebfc0e941037880f676b5b412abf9f9f2a667decc8a4",
+    "2d-n4-q1-blocks": "02eab5a4164d3f1d9a7174eea2d7b1f4251d3f7df16319ddabdb79f65cb59ef9",
+    "2d-n5-q2-row": "447955ba8006ebb122128de359855780538e62c191e3da0c0b92d63b22af3f48",
+    "2d-n5-q2-blocks": "80863e23200f573fc5d29ed83e3e954aebe77a8832ea5be55f36baa02e51bb2f",
+    "2d-n5-q3-row": "f93efa2e12ab9cac04cd03a2e0026ce3b18a083aaf2aaf9274c092736d544407",
+    "2d-n5-q3-blocks": "081cfda1656bd860b9cae7f14eaf7ba40b3483848734c3db95d8c0dc1b6d8dba",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRANSFORMS))
+def test_transform_bits_are_pinned(case):
+    dim, n, oversample, stack = case.split("-")
+    lat = Lattice(int(dim[0]), int(n[1:]), int(oversample[1:]))
+    assert _transform_digest(lat, stack) == PINNED_TRANSFORMS[case]
 
 
 def test_intensity_times_potential_zero_mode_only():
