@@ -417,7 +417,7 @@ def _run_zakharov(lattice: Lattice, model: _models("zakharov"), sampler: samp.Ch
     ens, stats = samp.sample_zakharov_ensemble(model, lattice, count, sampler)
     drifts = []
     for i in range(min(len(ens), flow_states)):
-        traj = flows.evolve(model, ens.state(i), flow)
+        traj = flows.evolve(model, ham.ZakharovState.from_coef(lattice, ens[i]), flow)
         drifts.append({"mass_drift": traj.max_mass_drift(),
                        "energy_drift": traj.max_energy_drift()})
     results = {"count": len(ens), "u_acceptance": stats.acceptance_rate,
@@ -468,7 +468,7 @@ _RUNNERS = {
 _PRECONDITIONS = {_run_convexity: _convexity_ranges, _run_flow: _richardson_ranges,
                   _run_invariance: _invariance_ensemble_size, _run_gp_solve: flows._check_steps,
                   _run_normalizability: samp._check_levels,
-                  _run_critical_mass: samp._check_levels,
+                  _run_critical_mass: samp._check_bisection,
                   _sobolev_tail: samp._check_tail_exponent,
                   _sinkhorn_vs_exact: _sinkhorn_vs_exact_ranges,
                   _tail_sum: trans._check_tail_sum, _coupling: trans._check_coupling,

@@ -148,8 +148,6 @@ class _NLSStepper(_Stepper):
         self.lam = model.lam
 
     def nonlinear(self, state):
-        if self.lam == 0.0:
-            return state
         vals = fft_synthesize(state, self.dim)
         theta = _intensity(vals)
         theta *= self.lam * self.dt
@@ -198,8 +196,6 @@ class _KdVStepper(_Stepper):
         return self.dx * fft_analyze(grid * grid, 1)[..., :self.n + 1]
 
     def nonlinear(self, state):
-        if self.lam == 0.0:
-            return state
         dt = self.dt
         k1 = self._rhs(state)
         k2 = self._rhs(state + 0.5 * dt * k1)

@@ -132,8 +132,6 @@ class NLS(_Model):
     def log_density_hessian(self, u: FourierField, v: FourierField) -> float:
         """d^2/dt^2 of (lam/p) int |u + t v|^p:
         lam int [ ((p-2)/4) |u|^{p-4} (u vbar + ubar v)^2 + |u|^{p-2} |v|^2 ]."""
-        if self.lam == 0.0:
-            return 0.0
         p = self.p
         lat = u.lattice
         q = max(lat.oversample, math.ceil(p / 2))
@@ -213,9 +211,10 @@ class KdV(_Model):
 @dataclass(frozen=True)
 class Zakharov(_Model):
     """Envelope/ion-density pair; mass_bound is the u-ball radius B.  Its
-    state is a ZakharovState, a row of its coefficient stacks is (3, 2n+1);
-    its Gibbs measure is a product measure (sampling.sample_zakharov_ensemble),
-    so it has no single log-density."""
+    state is a ZakharovState, a row of its coefficient stacks is (3, 2n+1)
+    (ZakharovState.coef and from_coef); its Gibbs measure is a product
+    measure, whose (B, 3, 2n+1) stack sampling.sample_zakharov_ensemble
+    draws, so it has no single log-density."""
 
     mass_bound: float = 0.01
     real_fields = True          # n and v; u is complex
@@ -251,7 +250,7 @@ class Zakharov(_Model):
         gu_nl = analyze_batch((sgrid - np.abs(ugrid) ** 2) * ugrid, lat)
         gu = _respect_zero_mode(FourierField(lat, lat.ksq() * st.u.coef + gu_nl, False,
                                              st.u.zero_mode))
-        gn = FourierField(lat, 0.5 * s_coef, True, st.n.zero_mode)
+        gn = _respect_zero_mode(FourierField(lat, 0.5 * s_coef, True, st.n.zero_mode))
         k = lat.axis_modes().astype(float)
         gv = np.zeros_like(st.v.coef)
         nz = k != 0
@@ -392,6 +391,14 @@ class ZakharovState:
     def __post_init__(self):
         if abs(self.v.zero_coef()) > 1e-13:
             raise ValueError("Zakharov v = dn/dt must have zero mean")
+
+    @classmethod
+    def from_coef(cls, lattice: Lattice, coef: np.ndarray) -> ZakharovState:
+        """The state of a (3, 2n+1) stack of u, n and v coefficients: u
+        complex and mean-zero, n real with its mean, v real and mean-zero."""
+        return cls(FourierField(lattice, coef[0], False, zero_mode=False),
+                   FourierField(lattice, coef[1], True, zero_mode=True),
+                   FourierField(lattice, coef[2], True, zero_mode=False))
 
     @property
     def lattice(self) -> Lattice:

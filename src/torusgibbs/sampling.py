@@ -103,25 +103,21 @@ class GaussianReference:
         once: its complex rows (16 B per mode) and the standard normals drawn
         for them (8 + 8 B per mode), at most spectral._BLOCK_BYTES.
 
-        A one-block stream is drawn on the calling thread.  A longer one
-        starts a worker thread at its first block that calls nothing but the
-        generator's standard_normal (the draws release the GIL, and the
-        perfbench tracer's span stack is not thread-safe), into two slots of
-        a largest block that the calling thread allocates; each slot is
-        returned once its block's coefficients are complete, so the stream
-        holds a few blocks.  Exhaustion, close(), the generator's collection
-        and an exception in the consumer stop and join the worker; the
-        worker's exception is raised in the consumer."""
+        Every stream, of one block or of none too, starts a worker thread at
+        its first block that calls nothing but the generator's
+        standard_normal (the draws release the GIL, and the perfbench
+        tracer's span stack is not thread-safe), into two slots of a largest
+        block that the calling thread allocates; each slot is returned once
+        its block's coefficients are complete, so the stream holds a few
+        blocks.  Exhaustion, close(), the generator's collection and an
+        exception in the consumer stop and join the worker; the worker's
+        exception is raised in the consumer."""
+        import queue        # imported here: a batch draw loads none of it
         rng = np.random.default_rng(seed)
         blocks = _row_blocks(count, 32 * math.prod(self.lattice.shape))
-        if len(blocks) < 2:
-            for rows in blocks:
-                yield rows, self.sample_batch(rng, count)
-            return
-        import queue        # imported here: a batch draw or a one-block stream loads none of it
         shapes = [(2, rows.stop - rows.start) + self._std.shape for rows in blocks]
         free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for slot in np.empty((2, math.prod(shapes[0]))):
+        for slot in np.empty((2, max(map(math.prod, shapes), default=0))):
             free.put(slot)
         worker = threading.Thread(target=_draw_blocks, args=(rng, shapes, free, ready),
                                   name="torusgibbs-draws", daemon=True)
@@ -141,41 +137,36 @@ class GaussianReference:
 
     def _complete(self, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
         """Coefficient rows from the standard normals of their real and
-        imaginary parts (a_j and b_j of real fields), each scaled by _std as
-        it is written into the rows."""
-        if self.field_type == "complex":
-            std = self._std
-            coefs = np.empty(real.shape, dtype=np.complex128)
-            np.multiply(real, std, out=coefs.real)
-            np.multiply(imag, std, out=coefs.imag)
-            if self._massless_zero is not None:
-                coefs[self._massless_zero] = 0.0
-            return coefs
-        # c_j = (a_j - i b_j) / 2 for j >= 1 and c_{-j} = conj(c_j); halving
-        # _std is exact, so a_j / 2 and -b_j / 2 are each one rounding
-        n = self.lattice.n
-        half, negative_half = self._halves
-        coefs = np.zeros((real.shape[0], 2 * n + 1), dtype=np.complex128)
-        positive = coefs[:, n + 1:]
-        if np.count_nonzero(real) + np.count_nonzero(imag) < 2 * real.size:
-            # an exact zero keeps the signed zero of this complex arithmetic
-            positive[...] = 0.5 * (real * self._std - 1j * (imag * self._std))
-        else:
-            np.multiply(real, half, out=positive.real)
-            np.multiply(imag, negative_half, out=positive.imag)
-        np.conjugate(positive[:, ::-1], out=coefs[:, :n])
+        imaginary parts (a_j and b_j of real fields), each scaled as it is
+        written into the drawn modes of the rows (see _layout); a real
+        field's modes -n..-1 are then the mirrored conjugates."""
+        shape, drawn, real_scale, imag_scale, zero, mirrored = self._layout
+        coefs = np.empty((len(real),) + shape, dtype=np.complex128)
+        out = coefs if drawn is None else coefs[drawn]
+        np.multiply(real, real_scale, out=out.real)
+        np.multiply(imag, imag_scale, out=out.imag)
+        if zero is not None:
+            coefs[zero] = 0.0
+        if mirrored is not None:
+            np.conjugate(out[:, ::-1], out=coefs[mirrored])
         return coefs
 
     @functools.cached_property
-    def _massless_zero(self) -> tuple | None:
-        """The zero mode's index in a stack of complex rows when it carries
-        no mass (it is nulled in every draw), else None."""
-        return None if self.zero_mode else (slice(None),) + self.lattice.zero_index()
-
-    @functools.cached_property
-    def _halves(self) -> tuple:
-        """_std / 2 and -_std / 2 of a real field."""
-        return 0.5 * self._std, -0.5 * self._std
+    def _layout(self) -> tuple:
+        """(shape, drawn, real scale, imaginary scale, zero, mirrored): a
+        row's shape, the index in a stack of its drawn modes and their
+        scales, the zero mode's index when it carries no mass (it is nulled
+        in every draw), and a real field's mirrored modes.  Complex rows draw
+        every mode with scales _std; real ones draw j = 1..n as c_j = (a_j -
+        i b_j) / 2 and mirror c_{-j} = conj(c_j), and halving _std is exact,
+        so a_j / 2 and -b_j / 2 are each one rounding."""
+        lat, std = self.lattice, self._std
+        if self.field_type == "complex":
+            zero = None if self.zero_mode else (slice(None),) + lat.zero_index()
+            return lat.shape, None, std, std, zero, None
+        n = lat.n
+        return (lat.shape, (slice(None), slice(n + 1, None)), 0.5 * std, -0.5 * std,
+                (slice(None), n), (slice(None), slice(None, n)))
 
 
 def _draw_blocks(rng, shapes, free, ready):
@@ -309,24 +300,6 @@ class SampleEnsemble:
 
     def coords(self) -> np.ndarray:
         return coords_from_coef(self.coefs, self.lattice, self.reality, self.zero_mode)
-
-
-@dataclass
-class ZakharovEnsemble:
-    lattice: Lattice
-    u: np.ndarray
-    n: np.ndarray
-    v: np.ndarray
-
-    def __len__(self) -> int:
-        return self.u.shape[0]
-
-    def state(self, i: int) -> ham.ZakharovState:
-        lat = self.lattice
-        return ham.ZakharovState(
-            FourierField(lat, self.u[i], False, zero_mode=False),
-            FourierField(lat, self.n[i], True, zero_mode=True),
-            FourierField(lat, self.v[i], True, zero_mode=False))
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +461,23 @@ def sample_zakharov_ensemble(model: ham.Zakharov, lattice: Lattice, count: int,
     """Product Gibbs measure: u from the quartic Gibbs factor exp((1/4)
     int |u|^4) restricted to the mass ball B (pCN), ntilde white noise, W a
     real loop; mapped back to (u, n, v) via n = sqrt(2) ntilde - P_n|u|^2
-    and vhat = -sqrt(2) k^2 What."""
+    and vhat = -sqrt(2) k^2 What.  Returns the (B, 3, 2n+1) stack of the
+    (u, n, v) rows of at most count states, the layout of ZakharovState.coef
+    (ZakharovState.from_coef reads a row), and the u chain's ChainStats."""
     uref = GaussianReference(lattice, rho=0.0, field_type="complex")
     udomain = PhaseDomain.mass_ball(model.mass_bound)
     umodel = ham.NLS(p=4, lam=1.0)
     uens, stats = run_pcn_chain(umodel, udomain, uref, config)
-    m = len(uens)
-    if m > count:
-        uens.coefs = uens.coefs[:count]
-        m = count
+    u = uens.coefs[:count]
     rng = _chain_rng(config.seed, config.chain_id, 2)
     white = GaussianReference(lattice, field_type="real", spectrum="white")
     loop = GaussianReference(lattice, field_type="real", spectrum="massive")
-    ntilde = white.sample_batch(rng, m)
-    w = loop.sample_batch(rng, m)
-    intens = ham.intensity_coefficients(uens.coefs, lattice)
-    ncoef = np.sqrt(2.0) * ntilde - intens
+    ntilde = white.sample_batch(rng, len(u))
+    w = loop.sample_batch(rng, len(u))
+    ncoef = np.sqrt(2.0) * ntilde - ham.intensity_coefficients(u, lattice)
     k = lattice.axis_modes().astype(float)
     vcoef = -np.sqrt(2.0) * (k ** 2) * w
-    return ZakharovEnsemble(lattice, uens.coefs, ncoef, vcoef), stats
+    return np.stack([u, ncoef, vcoef], axis=1), stats
 
 
 def rejection_sample_domain(reference: GaussianReference, domain: PhaseDomain,
@@ -654,7 +625,7 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
     One streamed pass (_truncation_pass) gives every draw's mass and
     log-density at each n, each n on its own lattice; each bisection mass
     only reclassifies those arrays."""
-    n_list = _check_levels(n_list, n_samples)
+    n_list = _check_bisection(n_list, n_samples, mass_lo, mass_hi)
     mass, logd = _truncation_pass(6, lam, n_list, n_samples, seed)
 
     def stable(bound):
@@ -677,6 +648,15 @@ def estimate_critical_mass(lam: float, n_list, n_samples: int, seed: int,
             hi = mid
     return {"estimate": math.sqrt(lo * hi), "bracket": (lo, hi),
             "note": "operational estimator (largest stable mass), not a sharp threshold"}
+
+
+def _check_bisection(n_list, n_samples: int, mass_lo: float, mass_hi: float) -> list:
+    """_check_levels of estimate_critical_mass, whose bisection in log N
+    needs a bracket 0 < mass_lo < mass_hi."""
+    levels = _check_levels(n_list, n_samples)
+    if not 0 < mass_lo < mass_hi:
+        raise ValueError("needs a bisection bracket 0 < mass_lo < mass_hi")
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,24 @@ def test_zakharov_experiment(tmp_path):
     assert report["results"]["note"].startswith("Zakharov")
 
 
+def test_zakharov_flow_experiment(tmp_path):
+    # a flow run of the Zakharov model starts from Zakharov.start_state
+    cfg = {
+        "experiment": "flow",
+        "seed": 1,
+        "lattice": {"dim": 1, "n": 16},
+        "model": {"kind": "zakharov"},
+        "flow": {"dt": 1e-3, "t_final": 0.1},
+        "params": {"mass_tol": 1e-12, "energy_tol": 1e-4, "richardson": True,
+                   "richardson_dts": [4e-3, 2e-3, 1e-3]},
+    }
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "zflow"))
+    assert code == 0 and report["passed"] is True
+    results = report["results"]
+    assert results["steps"] == 100 and results["energy_drift"] > 1e-6
+    assert abs(results["richardson"]["order"] - 2.0) < 0.1
+
+
 def test_gp_solve_experiment(tmp_path):
     cfg = {
         "experiment": "gp-solve",
@@ -607,6 +625,11 @@ RANGE_ERRORS = [
     ({"experiment": "gp-solve", "lattice": {"dim": 2, "n": 4},
       "model": {"kind": "gp", "potential": {"kind": "cosine"}, "lam": 0.5},
       "params": {"steps": 0}}, "gp-solve", "needs steps >= 1"),
+    # a bracket the bisection in log N cannot halve: log 0 never leaves 0,
+    # log of a negative mass is no number, and a reversed or empty bracket
+    *(({"experiment": NORM, "params": {"bisect": True, "mass_lo": lo, "mass_hi": hi}}, NORM,
+       "needs a bisection bracket 0 < mass_lo < mass_hi")
+      for lo, hi in ((0.0, 64.0), (-1.0, 64.0), (64.0, 0.25), (8.0, 8.0))),
 ]
 
 
@@ -800,5 +823,25 @@ def test_lsi_without_a_closed_form_reports_what_it_lacks(tmp_path, p, domain, pa
     assert code == 0 and report["passed"] is None
     pred = report["results"]["prediction"]
     assert pred["alpha"] is None and not pred["in_regime"] and missing in pred["note"]
+    assert "alpha_predicted" not in report["results"]
+    assert report["results"]["alpha_hat"] is not None
+
+
+@pytest.mark.parametrize("lattice, model, note", [
+    ({"dim": 1, "n": 8}, {"kind": "kdv", "lam": 0.5}, "mass bound required when lam > 0"),
+    ({"dim": 2, "n": 4}, {"kind": "gp", "potential": {"kind": "cosine"}, "lam": 0.5},
+     "the L^2 route's Sobolev constant is not computable"),
+], ids=["kdv-unrestricted", "gp-cosine"])
+def test_lsi_of_kdv_and_gp_without_a_constant_reports_why(tmp_path, lattice, model, note):
+    # KdV at lam > 0 on an unrestricted domain has no closed form, nor has GP
+    # with a potential that fails the bounded-V condition: the chain's LSI
+    # estimate is still reported (exit 0), with a prediction that says why
+    cfg = {"experiment": "lsi", "seed": 3, "lattice": lattice, "model": model,
+           "sampler": {"steps": 2000, "burn_in": 200, "thin": 2},
+           "params": {"max_mode": 1}}
+    report, code = run_experiment(cfg, output_dir=str(tmp_path / "lsi"))
+    assert code == 0 and report["passed"] is None
+    pred = report["results"]["prediction"]
+    assert pred["alpha"] is None and not pred["in_regime"] and note in pred["note"]
     assert "alpha_predicted" not in report["results"]
     assert report["results"]["alpha_hat"] is not None

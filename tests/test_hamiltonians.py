@@ -332,6 +332,33 @@ def test_zakharov_gradient_fd():
     assert abs(slope - 2.0) < 0.2
 
 
+def test_zakharov_gradient_of_a_start_state_keeps_its_frozen_zero_modes():
+    # a flow run's start state has a mean-zero n: dH/dn drops its zero mode
+    # as dH/du does, and the triple matches central differences in the
+    # canonical coordinates of each field's own conventions
+    lat = Lattice(1, 8)
+    model = tg.Zakharov()
+    st_ = model.start_state(lat, 3, 0.5, 3.0)
+    assert not st_.n.zero_mode
+    grads = model.gradient(st_)
+    for g, fld in zip(grads, (st_.u, st_.n, st_.v)):
+        g.check()
+        assert (g.reality, g.zero_mode) == (fld.reality, fld.zero_mode)
+    g = np.concatenate([field_coords(f) for f in grads])
+    parts = [field_coords(f) for f in (st_.u, st_.n, st_.v)]
+    cuts = np.cumsum([len(x) for x in parts])[:-1]
+
+    def unpack(x):
+        return ham.ZakharovState(*(field_from_coords(xi, lat, f.reality, f.zero_mode)
+                                   for xi, f in zip(np.split(x, cuts),
+                                                    (st_.u, st_.n, st_.v))))
+
+    v = np.random.default_rng(4).standard_normal(g.size)
+    fn = lambda x: ham.energy(model, unpack(x))
+    slope = _fd_slope(fn, np.concatenate(parts), g, v, np.geomspace(3e-2, 1e-3, 4))
+    assert abs(slope - 2.0) < 0.2
+
+
 def test_hessian_matches_second_difference_and_scaling():
     lat = Lattice(1, 8, 2)
     model = tg.NLS(4, 0.9)
