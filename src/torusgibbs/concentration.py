@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierField, Lattice, _row_blocks, dual_weights, field_coords,
-                       hermitianize, intensity_mode, shift_slices)
+from .spectral import (FourierField, Lattice, _row_blocks, coords_from_coef, dual_weights,
+                       intensity_mode, shift_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +73,14 @@ class TestFunctional:
 
 def mode_direction(lattice: Lattice, k, part: str = "re", reality: bool = False,
                    zero_mode: bool = True) -> np.ndarray:
-    """Coordinate vector of the linear functional picking Re/Im of mode k."""
-    f = FourierField.zeros(lattice, reality, zero_mode)
+    """Coordinate vector of the linear functional picking Re/Im of mode k,
+    the coordinates of a one-hot coefficient row; of a real field's mode
+    k >= 1 it picks a_k = 2 Re c_k ("re") or -b_k = 2 Im c_k ("im")."""
     idx = tuple(z + kk for z, kk in zip(lattice.zero_index(),
                                         k if isinstance(k, tuple) else (k,)))
-    f.coef[idx] = 1.0 if part == "re" else 1j
-    if reality:
-        f.coef = 2.0 * hermitianize(f.coef, lattice.dim)
-    return field_coords(f)
+    coef = np.zeros((1,) + lattice.shape, dtype=np.complex128)
+    coef[(0,) + idx] = 1.0 if part == "re" else 1j
+    return coords_from_coef(coef, lattice, reality, zero_mode)[0]
 
 
 def default_dictionary(lattice: Lattice, reality: bool = False,

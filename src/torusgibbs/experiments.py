@@ -178,7 +178,7 @@ def validate_config(cfg: dict):
                            given))
     bound = {p.name: args.get(p.name, p.default) for p in sig}
     try:                                       # each check takes the bound values it names
-        for check in filter(None, (_real_fields_are_1d, _PRECONDITIONS.get(runner))):
+        for check in filter(None, (_model_has_a_reference, _PRECONDITIONS.get(runner))):
             check(**{p.name: bound[p.name] for p in _signature(check) if p.name in bound})
     except ValueError as exc:                  # a range the computation would reject
         raise SchemaError(f"{cfg['experiment']}: {exc}") from exc
@@ -451,7 +451,7 @@ def _sobolev_tail(lattice: Lattice, model: _models("nls", "kdv", "gp", "gp_proje
 
 # kind -> runner, or (key, {value: runner}) when params[key] picks the task,
 # the first value by default; _PRECONDITIONS maps a runner to its computation's
-# range check, called before any work as _real_fields_are_1d is (see validate_config)
+# range check, called before any work as _model_has_a_reference is (see validate_config)
 _RUNNERS = {
     "sample": _run_sample,
     "flow": _run_flow,
@@ -475,12 +475,20 @@ _PRECONDITIONS = {_run_convexity: _convexity_ranges, _run_flow: _richardson_rang
                   _decay_mass: samp._decay_domains}
 
 
-def _real_fields_are_1d(lattice: Lattice | None = None, model=None):
-    """Every runner's precondition: real fields (KdV's, Zakharov's n and v)
-    live on a 1D lattice, as do their references and Hermitian checks."""
-    if model is not None and lattice is not None and model.real_fields and lattice.dim != 1:
+def _model_has_a_reference(lattice: Lattice | None = None, model=None):
+    """Every runner's precondition: the model's Gaussian reference exists on
+    the lattice.  Real fields (KdV's, Zakharov's n and v) live on a 1D
+    lattice, as do their references and Hermitian checks, and the reference
+    mass (GP's Wick counterterm) is >= 0."""
+    if model is None or lattice is None:
+        return
+    if model.real_fields and lattice.dim != 1:
         raise ValueError(f"{type(model).__name__} fields are real and need a 1D lattice, "
                          f"not dim = {lattice.dim}")
+    rho = model.reference_mass(lattice.n)
+    if rho < 0:
+        raise ValueError(f"{type(model).__name__} reference mass {rho:g} at n = {lattice.n} "
+                         "is negative; the Gaussian reference needs rho >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,9 @@ class NLS(_Model):
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (2 <= self.p <= 8):
-            raise ValueError("NLS exponent p must lie in [2, 8]")
+        # odd p has no exact quadrature of int |u|^p (spectral.lp_integral)
+        if not 2 <= self.p <= 8 or self.p % 2:
+            raise ValueError("NLS exponent p must be even and lie in [2, 8]")
 
     def log_density(self, coefs: np.ndarray, lattice: Lattice) -> np.ndarray:
         if self.lam == 0.0:               # the free field: no |u|^p quadrature

@@ -214,12 +214,16 @@ class PhaseDomain:
 
     @classmethod
     def mass_ball(cls, mass: float):
+        if mass < 0:
+            raise ValueError("mass_ball needs mass >= 0")
         return cls("mass_ball", mass=mass)
 
     @classmethod
     def mass_and_sobolev(cls, mass: float, kappa: float, s: float):
         if not 0.25 < s < 0.5:
             raise ValueError("mass_and_sobolev needs 1/4 < s < 1/2")
+        if mass < 0 or kappa < 0:
+            raise ValueError("mass_and_sobolev needs mass >= 0 and kappa >= 0")
         return cls("mass_and_sobolev", mass=mass, kappa=kappa, s=s)
 
     @classmethod
@@ -228,6 +232,8 @@ class PhaseDomain:
             raise ValueError("decay domain needs 0 < s < 1/4")
         if not 0 < eps < 0.125:
             raise ValueError("decay domain needs 0 < eps < 1/8")
+        if k1 <= 0 or k2 <= 0:                 # both enter squared: a sign would fold away
+            raise ValueError("decay domain needs K1 > 0 and K2 > 0")
         return cls("decay", k1=k1, k2=k2, s=s, eps=eps)
 
     @functools.cached_property
@@ -326,6 +332,8 @@ class ChainConfig:
         # beta > 1 makes sqrt(1 - beta^2) imaginary: no reference-preserving proposal
         if self.beta is not None and not 0 < self.beta <= 1:
             raise ValueError("beta must be in (0, 1]")
+        if self.chain_id < 0:
+            raise ValueError("chain_id must be >= 0")
 
     @property
     def kept(self) -> int:

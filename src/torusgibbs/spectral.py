@@ -404,14 +404,36 @@ def intensity_mode(coefs: np.ndarray, lattice: Lattice, m: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# real canonical coordinates
+# real canonical coordinates (the layout is _coord_map's)
 # ---------------------------------------------------------------------------
-#
-# Complex fields: coordinates are (Re c_k, Im c_k) over the whole lattice,
-# which are orthonormal for the L^2 norm.  Real 1D fields u = sum_{j>=1}
-# a_j cos j th + b_j sin j th use x_j = a_j/sqrt2, y_j = b_j/sqrt2 (plus the
-# real zero mode when carried), again orthonormal.  Mean-zero fields simply
-# omit the zero-mode coordinates.
+
+@functools.lru_cache
+def _coord_map(lattice: Lattice, reality: bool, zero_mode: bool) -> tuple:
+    """The layout of a field's orthonormal real coordinates: (entries,
+    factor, divisor), coordinate i being entry entries[i] of a coefficient
+    row's float view (Re c_0, Im c_0, Re c_1, ... over the flattened
+    lattice), times factor[i] over divisor[i] (None: the entry itself).
+    Complex fields: Re c_k, then Im c_k.  Real 1D fields u = c_0 +
+    sum_{j>=1} a_j cos j th + b_j sin j th: x_j = a_j/sqrt2 = 2 Re c_j/sqrt2,
+    then y_j = b_j/sqrt2 = -2 Im c_j/sqrt2 (j = 1..n), then Re c_0 (factor
+    and divisor 1).  Mean-zero fields omit the zero-mode coordinates.
+    Cached and read-only."""
+    size, n = lattice.modes_per_axis ** lattice.dim, lattice.n
+    zero = size // 2                         # the zero mode's flat index
+    factor = divisor = None
+    if reality:
+        modes = np.arange(zero + 1, size)
+        real_zero = np.arange(2 * zero, 2 * zero + zero_mode)    # Re c_0, if carried
+        entries = np.concatenate([2 * modes, 2 * modes + 1, real_zero])
+        factor = np.repeat([2.0, -2.0, 1.0], [n, n, zero_mode])
+        divisor = np.repeat([np.sqrt(2.0), 1.0], [2 * n, zero_mode])
+        factor.flags.writeable = divisor.flags.writeable = False    # cached: shared
+    else:
+        modes = np.arange(size) if zero_mode else np.delete(np.arange(size), zero)
+        entries = np.concatenate([2 * modes, 2 * modes + 1])
+    entries.flags.writeable = False
+    return entries, factor, divisor
+
 
 def field_coords(fld: FourierField) -> np.ndarray:
     return coords_from_coef(fld.coef[None, ...], fld.lattice, fld.reality, fld.zero_mode)[0]
@@ -419,66 +441,39 @@ def field_coords(fld: FourierField) -> np.ndarray:
 
 def coords_from_coef(coefs: np.ndarray, lattice: Lattice, reality: bool,
                      zero_mode: bool) -> np.ndarray:
-    """Batch version: (B, ...) coefficient stack -> (B, ncoords) real matrix."""
-    b = coefs.shape[0]
-    if reality:
-        n = lattice.n
-        cj = coefs[:, n + 1:]                      # modes j = 1..n
-        a = 2.0 * np.real(cj)
-        bb = -2.0 * np.imag(cj)
-        cols = [a / np.sqrt(2.0), bb / np.sqrt(2.0)]
-        if zero_mode:
-            cols.append(np.real(coefs[:, n:n + 1]))
-        return np.concatenate(cols, axis=1)
-    flat = coefs.reshape(b, -1)
-    if not zero_mode:
-        flat = np.delete(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape), axis=1)
-    return np.concatenate([np.real(flat), np.imag(flat)], axis=1)
+    """Batch version: (B, ...) coefficient stack -> (B, ncoords) real matrix,
+    gathered through _coord_map.  np.take keeps the rows C-ordered, and its
+    mode "clip" skips a bounds check that the map's entries never fail on a
+    complex128 row."""
+    entries, factor, divisor = _coord_map(lattice, reality, zero_mode)
+    flat = np.asarray(coefs, dtype=np.complex128).reshape(len(coefs), -1).view(np.float64)
+    coords = np.take(flat, entries, axis=1, mode="clip")
+    if factor is not None:          # in place over whole rows; x * 1 and x / 1 are exact
+        coords *= factor
+        coords /= divisor
+    return coords
 
 
 def coef_from_coords(coords: np.ndarray, lattice: Lattice, reality: bool,
                      zero_mode: bool) -> np.ndarray:
+    """Inverse of coords_from_coef: the coordinates scattered through
+    _coord_map onto a zero (B, ...) stack; a real field's modes j < 0 are
+    then the conjugates of its modes j > 0."""
+    entries, factor, divisor = _coord_map(lattice, reality, zero_mode)
     coords = np.atleast_2d(coords)
-    b = coords.shape[0]
+    if factor is not None:
+        coords = coords * divisor / factor
+    coefs = np.zeros((coords.shape[0],) + lattice.shape, dtype=np.complex128)
+    coefs.reshape(coords.shape[0], -1).view(np.float64)[:, entries] = coords
     if reality:
-        n = lattice.n
-        x = coords[:, :n]
-        y = coords[:, n:2 * n]
-        a = np.sqrt(2.0) * x
-        bb = np.sqrt(2.0) * y
-        coefs = np.zeros((b, 2 * n + 1), dtype=np.complex128)
-        coefs[:, n + 1:] = 0.5 * (a - 1j * bb)
-        coefs[:, :n] = np.conj(coefs[:, n + 1:][:, ::-1])
-        if zero_mode:
-            coefs[:, n] = coords[:, 2 * n]
-        return coefs
-    size = lattice.modes_per_axis ** lattice.dim
-    eff = size if zero_mode else size - 1
-    flat = coords[:, :eff] + 1j * coords[:, eff:2 * eff]
-    if not zero_mode:
-        flat = np.insert(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape), 0, axis=1)
-    return flat.reshape((b,) + lattice.shape)
+        coefs[:, :lattice.n] = np.conj(coefs[:, :lattice.n:-1])
+    return coefs
 
 
 def field_from_coords(coords: np.ndarray, lattice: Lattice, reality: bool = False,
                       zero_mode: bool = True) -> FourierField:
-    coef = coef_from_coords(np.atleast_2d(coords), lattice, reality, zero_mode)[0]
+    coef = coef_from_coords(coords, lattice, reality, zero_mode)[0]
     return FourierField(lattice, coef, reality, zero_mode)
-
-
-def coord_layout(per_mode: np.ndarray, lattice: Lattice, reality: bool,
-                 zero_mode: bool) -> np.ndarray:
-    """A per-mode array (lattice shape) laid out like field_coords: modes
-    j = 1..n twice (cos, sin) for real fields, the lattice twice (Re, Im) for
-    complex ones; the zero mode only when it is carried."""
-    if reality:
-        n = lattice.n
-        zero = per_mode[n:n + 1] if zero_mode else per_mode[:0]
-        return np.concatenate([per_mode[n + 1:], per_mode[n + 1:], zero])
-    flat = per_mode.reshape(-1)
-    if not zero_mode:
-        flat = np.delete(flat, np.ravel_multi_index(lattice.zero_index(), lattice.shape))
-    return np.concatenate([flat, flat])
 
 
 def dual_weights(lattice: Lattice, s_dual: float, reality: bool, zero_mode: bool) -> np.ndarray:
@@ -490,4 +485,4 @@ def dual_weights(lattice: Lattice, s_dual: float, reality: bool, zero_mode: bool
     nz = ksq > 0
     # real fields take |j|^{-2s}: (j^2)^{-s} can differ in the last bit
     w[nz] = np.sqrt(ksq[nz]) ** (-2.0 * s_dual) if reality else ksq[nz] ** (-s_dual)
-    return coord_layout(w, lattice, reality, zero_mode)
+    return w.reshape(-1)[_coord_map(lattice, reality, zero_mode)[0] // 2]

@@ -630,6 +630,32 @@ RANGE_ERRORS = [
     *(({"experiment": NORM, "params": {"bisect": True, "mass_lo": lo, "mass_hi": hi}}, NORM,
        "needs a bisection bracket 0 < mass_lo < mass_hi")
       for lo, hi in ((0.0, 64.0), (-1.0, 64.0), (64.0, 0.25), (8.0, 8.0))),
+    # the rows below are appended, so the ids above keep their numbers.  No
+    # finite quadrature integrates |u|^p exactly at odd p
+    *(({"experiment": "sample", "model": {"kind": "nls", "p": p, "lam": 0.5}}, "config.model",
+       "NLS exponent p must be even and lie in [2, 8]") for p in (3, 7)),
+    # a chain id seeds a stream: numpy takes no negative seed
+    ({"experiment": "sample", "sampler": {"chain_id": -1}}, "config.sampler",
+     "chain_id must be >= 0"),
+    # a negative mass or kappa leaves no valid start point, and a decay
+    # domain's K1 and K2 enter squared, so their sign would fold away
+    ({"experiment": "sample", "domain": {"kind": "mass_ball", "mass": -1.0}}, "config.domain",
+     "mass_ball needs mass >= 0"),
+    *(({"experiment": "sample",
+        "domain": {"kind": "mass_and_sobolev", "mass": mass, "kappa": kappa, "s": 0.3}},
+       "config.domain", "mass_and_sobolev needs mass >= 0 and kappa >= 0")
+      for mass, kappa in ((-1.0, 1.0), (1.0, -1.0))),
+    *(({"experiment": "sample",
+        "domain": {"kind": "decay", "k1": k1, "k2": k2, "s": 0.2, "eps": 0.1}},
+       "config.domain", "decay domain needs K1 > 0 and K2 > 0")
+      for k1, k2 in ((-8.0, 3.5), (8.0, -3.5))),
+    ({"experiment": "tail", "params": {"task": "decay_mass", "grid": [[-8.0, 3.5]]}}, "tail",
+     "decay domain needs K1 > 0 and K2 > 0"),
+    # a negative Wick counterterm is a negative reference mass
+    ({"experiment": "sample", "lattice": {"dim": 2, "n": 3},
+      "model": {"kind": "gp", "potential": {"kind": "soft_sphere", "amplitude": -1.0},
+                "lam": 1.0, "kappa": 1.0}}, "sample",
+     "reference mass -"),
 ]
 
 
@@ -807,7 +833,7 @@ def test_lsi_experiment_critical_p6_prediction(tmp_path):
 
 
 @pytest.mark.parametrize("p, domain, params, missing", [
-    (5, {"kind": "mass_ball", "mass": 1.0}, {}, "p = 5"),
+    (8, {"kind": "mass_ball", "mass": 1.0}, {}, "p = 8"),
     (6, {"kind": "mass_ball", "mass": 1.0}, {"n0": 2.0}, "domain's kappa, s"),
     (6, {"kind": "unrestricted"}, {"n0": 2.0}, "domain's mass N, kappa, s"),
 ])

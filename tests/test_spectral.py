@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import math
 import pathlib
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 import torusgibbs as tg
 from torusgibbs import spectral
+from torusgibbs.concentration import mode_direction
 from torusgibbs.spectral import (FourierField, GridResolutionError, Lattice, _fast_len,
                                  analyze_batch, coef_from_coords, coords_from_coef,
-                                 dirichlet_multiplier, fft_analyze, fft_synthesize,
-                                 field_coords, field_from_coords, from_fft_order,
+                                 dirichlet_multiplier, dual_weights, fft_analyze,
+                                 fft_synthesize, field_coords, field_from_coords, from_fft_order,
                                  hermitianize, sobolev_norm, synthesize_batch,
                                  to_fft_order)
 
@@ -409,14 +411,69 @@ def test_coordinate_roundtrip(reality, zero_mode):
     assert np.dot(x, x) == pytest.approx(f.mass(), rel=1e-12, abs=1e-13)
 
 
-@pytest.mark.parametrize("lat", [Lattice(1, 8), Lattice(2, 3)])
+# real fields take ids of their own, so the complex cases keep theirs
+@pytest.mark.parametrize("lat,reality", [(Lattice(1, 8), False), (Lattice(2, 3), False),
+                                         (Lattice(1, 8), True)],
+                         ids=["lat0", "lat1", "real-lat0"])
 @pytest.mark.parametrize("zero_mode", [True, False])
-def test_batch_coordinates_are_c_ordered_rows_of_field_coords(lat, zero_mode):
-    coefs = np.stack([random_field(lat, 50 + i, zero_mode=zero_mode).coef for i in range(5)])
-    x = coords_from_coef(coefs, lat, False, zero_mode)
+def test_batch_coordinates_are_c_ordered_rows_of_field_coords(lat, reality, zero_mode):
+    coefs = np.stack([random_field(lat, 50 + i, reality, zero_mode).coef for i in range(5)])
+    x = coords_from_coef(coefs, lat, reality, zero_mode)
     assert x.flags.c_contiguous
     for row, c in zip(x, coefs, strict=True):
-        assert np.array_equal(row, field_coords(FourierField(lat, c, False, zero_mode)))
+        assert np.array_equal(row, field_coords(FourierField(lat, c, reality, zero_mode)))
+
+
+def _coordinate_digest(lat, reality, zero_mode, rows):
+    """sha256 over coords_from_coef of a random (rows, ...) stack (made
+    Hermitian for a real field), coef_from_coords of random coordinates,
+    dual_weights at s = 0, 0.37, 0.5 and 1, and mode_direction of the Re and
+    Im parts of every mode (k = 1..n for a real field)."""
+    rng = np.random.default_rng(lat.dim * 100 + lat.n * 10 + 2 * reality + zero_mode)
+    coefs = rng.standard_normal((rows,) + lat.shape) \
+        + 1j * rng.standard_normal((rows,) + lat.shape)
+    if reality:
+        coefs = hermitianize(coefs, lat.dim)
+    ncoords = coords_from_coef(coefs[:1], lat, reality, zero_mode).shape[1]
+    outs = [coords_from_coef(coefs, lat, reality, zero_mode),
+            coef_from_coords(rng.standard_normal((rows, ncoords)), lat, reality, zero_mode)]
+    outs += [dual_weights(lat, s, reality, zero_mode) for s in (0.0, 0.37, 0.5, 1.0)]
+    ks = range(1, lat.n + 1) if reality else itertools.product(lat.axis_modes(), repeat=lat.dim)
+    for k in ks:
+        for part in ("re", "im"):
+            outs.append(mode_direction(lat, k, part, reality, zero_mode))
+    h = hashlib.sha256()
+    for out in outs:
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of _coordinate_digest's outputs, recorded with numpy 2.4 on x86-64
+# before the coordinate layout moved into one map: a change to the
+# coordinates that is meant to be bit for bit must leave them as they are.
+# c0: the zero mode is carried; mean0: the field is mean-zero; then the rows.
+PINNED_COORDINATES = {
+    "1d-n5-complex-c0-1": "889fd7f860f295608629d44d86f3bf562df4275084a00c61eba78417bc7b67a1",
+    "1d-n5-complex-c0-1000": "904ab87cf5fb1b8f06f01798e1df7a113683a65283730a28449d5eeb9b1f33db",
+    "1d-n5-complex-mean0-1": "d4541f0f30f28f526b8da78f1e754de98d1a1b39cffa3cee74855ca43265e8b8",
+    "1d-n5-complex-mean0-1000": "22e172a6728a9256a21a32ab7e4aeebbc95d8001e1c109cd0c3b1de1f1559529",
+    "1d-n5-real-c0-1": "db38c8f3a002283decee4cc3c18b91c6bc23bc137b0fc98e6d74c2d6836731c7",
+    "1d-n5-real-c0-1000": "d61461a64f4be0f28345dd0f54f17fadc9d98e55ade2279a12ba5b5dfd968f02",
+    "1d-n5-real-mean0-1": "3d65e73a0520dcb2fa25b2011ba0e54754446f2c272d9b555ae7bf5660b48a36",
+    "1d-n5-real-mean0-1000": "65591f8bf40c7c4da4ad6961012d5bc00e9ad9e6381b10e2ccc3b88d4c52bd3b",
+    "2d-n3-complex-c0-1": "611138627b36b85028664a26f223a56a69d931c0b0f6d90023bcf4626ce3c323",
+    "2d-n3-complex-c0-1000": "df59c21d45e976e79341e2a67d80be9bb1484eae975247da214d1d26d353d37b",
+    "2d-n3-complex-mean0-1": "af57c253b33338ade24eb23c3e94950813a6a0eba3cfc92841ecfb9658ae7140",
+    "2d-n3-complex-mean0-1000": "59439571ab9fb137ae65199348de85e31fa7620bc9603bf993efeed35e275a45",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_COORDINATES))
+def test_coordinate_bits_are_pinned(case):
+    dim, n, field, zero, rows = case.split("-")
+    lat = Lattice(int(dim[0]), int(n[1:]))
+    assert _coordinate_digest(lat, field == "real", zero == "c0", int(rows)) \
+        == PINNED_COORDINATES[case]
 
 
 def test_coordinate_roundtrip_2d():
